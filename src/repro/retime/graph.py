@@ -81,7 +81,11 @@ def default_delay(circuit: Circuit) -> Dict[str, int]:
 
 
 class RetimingGraph:
-    """An edge-weighted retiming graph with vertex delays."""
+    """An edge-weighted retiming graph with vertex delays.
+
+    A graph is never mutated after construction, which lets the
+    Leiserson-Saxe solvers memoise its W/D matrices on it.
+    """
 
     def __init__(
         self,
@@ -105,6 +109,7 @@ class RetimingGraph:
                 raise ValueError("edge %s references unknown vertex" % (edge,))
             if edge.weight < 0:
                 raise ValueError("edge %s has negative weight" % (edge,))
+        self._wd = None  # memoised by leiserson_saxe.compute_wd
 
     # -- basic queries -----------------------------------------------------
 

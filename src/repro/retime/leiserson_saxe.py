@@ -12,50 +12,70 @@ cites as motivation ([LS83], and Shenoy-Rudell [SR94] for efficiency):
 * binary search over the candidate periods (the distinct entries of D)
   for the minimum achievable period.
 
-Complexities are the classical ones (O(V^3) all-pairs, O(VE) per FEAS
-pass) -- entirely adequate for the benchmark sizes here.
+W and D are computed once per graph (an O(V^3) vectorised
+Floyd-Warshall, memoised on the :class:`RetimingGraph`), so min-period
+and min-area retiming of one graph share it.  FEAS is a dense
+Bellman-Ford over the resulting difference constraints: O(V^2) per
+round, up to V+1 rounds -- entirely adequate for the benchmark sizes
+here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy
 
 from ..obs.trace import traced as _traced
-from .graph import HOST, HOST_OUT, RetimingEdge, RetimingGraph
+from .graph import HOST, HOST_OUT, RetimingGraph
 
 __all__ = [
     "WDMatrices",
     "compute_wd",
-    "compute_wd_reference",
     "feas",
     "min_period_retiming",
     "MinPeriodResult",
 ]
 
-_INF = float("inf")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WDMatrices:
-    """The W and D matrices keyed by vertex-name pairs.
+    """The W and D matrices as read-only integer arrays indexed by
+    position in ``graph.vertices``: row u, column v.
 
-    Only pairs connected by some path appear; missing pairs have no
-    path (conceptually ``W = inf``).
+    ``reachable[u, v]`` says some path leads from u to v; where none
+    does (conceptually ``W = inf``), ``w`` and ``d`` hold 0.
     """
 
-    w: Dict[Tuple[str, str], int]
-    d: Dict[Tuple[str, str], int]
+    w: numpy.ndarray
+    d: numpy.ndarray
+    reachable: numpy.ndarray
 
     def candidate_periods(self) -> Tuple[int, ...]:
         """Sorted distinct D values -- the possible optimal periods."""
-        return tuple(sorted(set(self.d.values())))
+        return tuple(int(c) for c in numpy.unique(self.d[self.reachable]))
+
+
+def edge_arrays(graph: RetimingGraph) -> Tuple[numpy.ndarray, numpy.ndarray, numpy.ndarray]:
+    """Tail index, head index and weight of every edge, in
+    ``graph.edges`` order; indices are positions in ``graph.vertices``."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    tails = numpy.array([index[e.u] for e in graph.edges], dtype=numpy.intp)
+    heads = numpy.array([index[e.v] for e in graph.edges], dtype=numpy.intp)
+    weights = numpy.array([e.weight for e in graph.edges], dtype=numpy.int64)
+    return tails, heads, weights
 
 
 def compute_wd(graph: RetimingGraph) -> WDMatrices:
+    """The (W, D) matrices of *graph*, computed on first use and
+    memoised on the graph, which nothing mutates after construction."""
+    if graph._wd is None:
+        graph._wd = _floyd_warshall(graph)
+    return graph._wd
+
+
+def _floyd_warshall(graph: RetimingGraph) -> WDMatrices:
     """All-pairs (W, D) by vectorised Floyd-Warshall.
 
     Each edge ``u -> v`` costs ``(w(e), -d(u))``; shortest lexicographic
@@ -65,79 +85,45 @@ def compute_wd(graph: RetimingGraph) -> WDMatrices:
     graph, so no path's delay component can spill into the register
     component -- and the relaxation runs as |V| dense numpy row+column
     broadcasts.  All quantities stay far below 2**53, so float64
-    arithmetic is exact; see :func:`compute_wd_reference` for the
-    pure-Python tuple-cost formulation this must (and is tested to)
-    agree with.
+    arithmetic is exact; the tests hold this against a pure-Python
+    tuple-cost formulation.
     """
-    vertices = graph.vertices
-    n = len(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
-    delays = [graph.delays.get(v, 0) for v in vertices]
+    n = len(graph.vertices)
+    delays = numpy.array([graph.delays.get(v, 0) for v in graph.vertices], dtype=numpy.int64)
     # Strict upper bound on the delay of any simple path (and FW paths
     # with repeated vertices never win: revisiting adds >= 0 weight and
     # the packed cost is minimised).
-    base = float(sum(delays) + 1)
+    base = float(delays.sum() + 1)
 
+    tails, heads, weights = edge_arrays(graph)
     dist = numpy.full((n, n), numpy.inf)
-    for edge in graph.edges:
-        i, j = index[edge.u], index[edge.v]
-        cost = edge.weight * base - delays[i]
-        if cost < dist[i, j]:
-            dist[i, j] = cost
+    numpy.minimum.at(dist, (tails, heads), weights * base - delays[tails])
     for k in range(n):
-        through = dist[:, k, None] + dist[None, k, :]
-        numpy.minimum(dist, through, out=dist)
+        numpy.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
 
-    w: Dict[Tuple[str, str], int] = {}
-    d: Dict[Tuple[str, str], int] = {}
-    finite = numpy.argwhere(numpy.isfinite(dist))
-    for i, j in finite:
-        # packed = weight*base + negd with negd an integer in (-base, 0],
-        # and every float op above was exact (integers below 2**53), so
-        # the ceiling recovers the register component exactly.
-        packed = dist[i, j]
-        weight = int(math.ceil(packed / base))
-        w[(vertices[i], vertices[j])] = weight
-        d[(vertices[i], vertices[j])] = int(weight * base - packed) + delays[j]
-    return WDMatrices(w, d)
+    reachable = numpy.isfinite(dist)
+    packed = numpy.where(reachable, dist, 0.0)
+    # packed = weight*base + negd with negd an integer in (-base, 0],
+    # and every float op above was exact (integers below 2**53), so
+    # the ceiling recovers the register component exactly.
+    w = numpy.ceil(packed / base).astype(numpy.int64)
+    d = numpy.where(reachable, (w * base - packed).astype(numpy.int64) + delays, 0)
+    for matrix in (w, d, reachable):
+        matrix.flags.writeable = False
+    return WDMatrices(w, d, reachable)
 
 
-def compute_wd_reference(graph: RetimingGraph) -> WDMatrices:
-    """The pure-Python tuple-cost Floyd-Warshall that
-    :func:`compute_wd` vectorises -- kept as the differential oracle."""
-    vertices = graph.vertices
-    dist: Dict[Tuple[str, str], Tuple[float, float]] = {}
-    for edge in graph.edges:
-        key = (edge.u, edge.v)
-        cost = (edge.weight, -graph.delays.get(edge.u, 0))
-        if key not in dist or cost < dist[key]:
-            dist[key] = cost
-
-    for k in vertices:
-        for i in vertices:
-            left = dist.get((i, k))
-            if left is None:
-                continue
-            for j in vertices:
-                right = dist.get((k, j))
-                if right is None:
-                    continue
-                candidate = (left[0] + right[0], left[1] + right[1])
-                key = (i, j)
-                if key not in dist or candidate < dist[key]:
-                    dist[key] = candidate
-
-    w: Dict[Tuple[str, str], int] = {}
-    d: Dict[Tuple[str, str], int] = {}
-    for (u, v), (weight, neg_delay) in dist.items():
-        w[(u, v)] = int(weight)
-        d[(u, v)] = int(-neg_delay) + graph.delays.get(v, 0)
-    return WDMatrices(w, d)
+def _has_cycle(parent: numpy.ndarray) -> bool:
+    """Does ``parent`` hold a cycle, i.e. is it not a forest whose every
+    path ends at the root ``len(parent) - 1`` (its own parent)?"""
+    root = len(parent) - 1
+    jump = parent
+    for _ in range(root.bit_length()):
+        jump = jump[jump]  # jump = parent applied 2, 4, 8, ... times
+    return bool((jump != root).any())
 
 
-def feas(
-    graph: RetimingGraph, period: int, wd: Optional[WDMatrices] = None
-) -> Optional[Dict[str, int]]:
+def feas(graph: RetimingGraph, period: int) -> Optional[Dict[str, int]]:
     """A legal lag achieving *period*, or ``None`` if none exists.
 
     Solves the [LS83] Theorem 7 characterisation directly: a retiming
@@ -145,9 +131,9 @@ def feas(
     and every pair with ``D(u, v) > c`` keeps ``r(u) - r(v) <=
     W(u, v) - 1``.  These difference constraints (plus ``r(HOST) =
     r(HOST')``, tying the two halves of the split environment vertex)
-    are solved by vectorised Bellman-Ford; an improvement after |V|
-    relaxation rounds means a negative constraint cycle, i.e. the
-    period is infeasible.
+    are solved by vectorised Bellman-Ford; a negative constraint cycle
+    -- a cycle among the relaxation's parent pointers, or an
+    improvement after |V| rounds -- means the period is infeasible.
 
     The classical iterative-relaxation FEAS is *not* used: with the
     split host of this formulation (a registered environment rather
@@ -162,44 +148,44 @@ def feas(
     delays = graph.delays
     if any(delays.get(v, 0) > period for v in graph.vertices):
         return None
-    if wd is None:
-        wd = compute_wd(graph)
+    wd = compute_wd(graph)
     vertices = graph.vertices
     n = len(vertices)
-    index = {v: i for i, v in enumerate(vertices)}
 
-    # Difference constraint r(u) - r(v) <= b becomes arc v -> u with
-    # cost b; any shortest-walk potential then satisfies every
-    # constraint.
-    bound = numpy.full((n, n), numpy.inf)
+    # bound[u, v] is the tightest b with r(u) - r(v) <= b.
+    bound = numpy.where(wd.reachable & (wd.d > period), wd.w - 1.0, numpy.inf)
+    tails, heads, edge_weights = edge_arrays(graph)
+    numpy.minimum.at(bound, (tails, heads), edge_weights)
+    host, host_out = vertices.index(HOST), vertices.index(HOST_OUT)
+    bound[host, host_out] = min(bound[host, host_out], 0)
+    bound[host_out, host] = min(bound[host_out, host], 0)
 
-    def constrain(u: str, v: str, b: float) -> None:
-        i, j = index[v], index[u]
-        if b < bound[i, j]:
-            bound[i, j] = b
-
-    for edge in graph.edges:
-        constrain(edge.u, edge.v, edge.weight)
-    for (u, v), d_uv in wd.d.items():
-        if d_uv > period:
-            constrain(u, v, wd.w[(u, v)] - 1)
-    constrain(HOST, HOST_OUT, 0)
-    constrain(HOST_OUT, HOST, 0)
-
+    # Each constraint is an arc v -> u of cost b; any shortest-walk
+    # potential r(u) = min_v r(v) + bound[u, v] satisfies them all.
+    # parent[u] is the v whose arc last lowered r(u) (n stands for the
+    # virtual source every vertex starts from, at 0), so r(u) >= r(v) +
+    # bound[u, v], strictly once r(v) has dropped since.  Around a cycle
+    # of parents the arc out of the most recently lowered vertex is
+    # strict, so the cycle's cost is negative: the period is infeasible
+    # as soon as one forms, typically long before |V| rounds.
+    rows = numpy.arange(n)
     dist = numpy.zeros(n)
-    converged = False
-    for _ in range(n):
-        relaxed = numpy.minimum(dist, (dist[:, None] + bound).min(axis=0))
-        if numpy.array_equal(relaxed, dist):
-            converged = True
+    parent = numpy.full(n + 1, n)
+    for _ in range(n + 1):
+        through = bound + dist
+        best = through.argmin(axis=1)
+        relaxed = through[rows, best]
+        improved = relaxed < dist
+        if not improved.any():
             break
-        dist = relaxed
-    if not converged:
-        relaxed = numpy.minimum(dist, (dist[:, None] + bound).min(axis=0))
-        if not numpy.array_equal(relaxed, dist):
-            return None  # negative cycle: period infeasible
+        dist = numpy.where(improved, relaxed, dist)
+        parent[:n] = numpy.where(improved, best, parent[:n])
+        if _has_cycle(parent):
+            return None
+    else:
+        return None  # still improving after |V| rounds: a negative cycle
 
-    lag = {v: int(dist[index[v]]) for v in vertices}
+    lag = {v: int(dist[i]) for i, v in enumerate(vertices)}
     weights = {edge: edge.retimed_weight(lag) for edge in graph.edges}
     if any(w < 0 for w in weights.values()):
         return None
@@ -236,8 +222,7 @@ def min_period_retiming(graph: RetimingGraph) -> MinPeriodResult:
     oracle and the witness lag.
     """
     original = graph.clock_period()
-    wd = compute_wd(graph)
-    candidates = [c for c in wd.candidate_periods() if c <= original]
+    candidates = [c for c in compute_wd(graph).candidate_periods() if c <= original]
     if not candidates:
         candidates = [original]
     best_lag: Optional[Dict[str, int]] = None
@@ -245,7 +230,7 @@ def min_period_retiming(graph: RetimingGraph) -> MinPeriodResult:
     lo, hi = 0, len(candidates) - 1
     while lo <= hi:
         mid = (lo + hi) // 2
-        lag = feas(graph, candidates[mid], wd)
+        lag = feas(graph, candidates[mid])
         if lag is not None:
             best_lag = lag
             best_period = candidates[mid]

@@ -11,6 +11,9 @@ program:
 
 The constraint matrix is a difference system (totally unimodular), so
 the LP optimum is integral; we solve it with scipy's HiGHS and round.
+The matrix has two entries per row, so it is built sparse from the
+shared W/D arrays: one row per edge, then one per pair with
+``D(u,v) > P`` in row-major order.
 Register *sharing* across fanout is captured structurally here: in
 single-fanout normal form a junction is a retiming vertex, so latches
 placed on the junction's input are automatically shared by all of its
@@ -21,14 +24,15 @@ refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 from ..obs.trace import traced as _traced
 from .graph import HOST, HOST_OUT, HOST_VERTICES, RetimingGraph
-from .leiserson_saxe import compute_wd
+from .leiserson_saxe import compute_wd, edge_arrays
 
 __all__ = ["MinAreaResult", "min_area_retiming"]
 
@@ -61,9 +65,8 @@ def min_area_retiming(
     Raises :class:`ValueError` if *period* is infeasible for any
     retiming of the graph.
     """
-    vertices = [v for v in graph.vertices if v not in HOST_VERTICES]
-    index = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
+    free = np.array([v not in HOST_VERTICES for v in graph.vertices])
+    n = int(free.sum())
 
     if n == 0:
         # Pure host-to-host wiring (e.g. a bare shift register): nothing
@@ -78,46 +81,45 @@ def min_area_retiming(
             lag={HOST: 0, HOST_OUT: 0},
         )
 
+    # LP column of each vertex's lag; the hosts' lags are the constant 0.
+    column = np.cumsum(free) - 1
+    tails, heads, weights = edge_arrays(graph)
+
     # Objective: sum_v lag(v) * (indeg(v) - outdeg(v)); host terms are
     # constants (lag 0) and drop out.
-    coeff = np.zeros(n)
-    for edge in graph.edges:
-        if edge.v not in HOST_VERTICES:
-            coeff[index[edge.v]] += 1.0
-        if edge.u not in HOST_VERTICES:
-            coeff[index[edge.u]] -= 1.0
+    size = len(graph.vertices)
+    coeff = (np.bincount(heads, minlength=size) - np.bincount(tails, minlength=size))[free]
 
-    rows: List[np.ndarray] = []
-    bounds_rhs: List[float] = []
-
-    def add_constraint(u: str, v: str, upper: float) -> None:
-        # lag(u) - lag(v) <= upper
-        row = np.zeros(n)
-        if u not in HOST_VERTICES:
-            row[index[u]] += 1.0
-        if v not in HOST_VERTICES:
-            row[index[v]] -= 1.0
-        if not row.any():
-            if upper < 0:
-                raise ValueError("period constraint infeasible at the host")
-            return
-        rows.append(row)
-        bounds_rhs.append(upper)
-
-    for edge in graph.edges:
-        add_constraint(edge.u, edge.v, float(edge.weight))
-
+    # Rows lag(u) - lag(v) <= upper: every edge, then every pair the
+    # period constrains.
+    u, v, upper = tails, heads, weights
     if period is not None:
         wd = compute_wd(graph)
-        for (u, v), delay in wd.d.items():
-            if delay > period:
-                add_constraint(u, v, float(wd.w[(u, v)] - 1))
+        pair_u, pair_v = np.nonzero(wd.reachable & (wd.d > period))
+        u = np.concatenate((u, pair_u))
+        v = np.concatenate((v, pair_v))
+        upper = np.concatenate((upper, wd.w[pair_u, pair_v] - 1))
+
+    # A row over host lags alone (or u == v) has no variable left: it
+    # holds trivially or the period is infeasible outright.
+    empty = (u == v) | ~(free[u] | free[v])
+    if (upper[empty] < 0).any():
+        raise ValueError("period constraint infeasible at the host")
+    u, v, upper = u[~empty], v[~empty], upper[~empty]
+    rows = np.arange(len(upper))
+    row = np.concatenate((rows, rows))
+    col = np.concatenate((column[u], column[v]))
+    sign = np.concatenate((np.ones(len(rows)), -np.ones(len(rows))))
+    has_column = np.concatenate((free[u], free[v]))
+    a_ub = csr_matrix(
+        (sign[has_column], (row[has_column], col[has_column])), shape=(len(rows), n)
+    )
 
     bound = graph.num_registers + len(graph.vertices) + 1
     result = linprog(
-        coeff,
-        A_ub=np.array(rows) if rows else None,
-        b_ub=np.array(bounds_rhs) if bounds_rhs else None,
+        coeff.astype(float),
+        A_ub=a_ub,
+        b_ub=upper.astype(float),
         bounds=[(-bound, bound)] * n,
         method="highs",
     )
@@ -128,8 +130,9 @@ def min_area_retiming(
         )
 
     lag = {HOST: 0, HOST_OUT: 0}
-    for v, i in index.items():
-        lag[v] = int(round(result.x[i]))
+    retimable = (vertex for vertex, keep in zip(graph.vertices, free) if keep)
+    for vertex, x in zip(retimable, result.x):
+        lag[vertex] = int(round(x))
 
     # Verify integral rounding kept us feasible (the matrix is totally
     # unimodular so HiGHS' vertex solution is integral; this is a guard,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Dict, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,58 @@ from hypothesis import strategies as st
 
 from repro.bench.generators import correlator, pipeline_circuit, random_sequential_circuit
 from repro.bench.iscas import load, names
+from repro.retime import leiserson_saxe
 from repro.retime.graph import HOST, HOST_OUT, RetimingEdge, RetimingGraph, build_retiming_graph
-from repro.retime.leiserson_saxe import (
-    compute_wd,
-    compute_wd_reference,
-    feas,
-    min_period_retiming,
-)
+from repro.retime.leiserson_saxe import compute_wd, feas, min_period_retiming
+from repro.retime.min_area import min_area_retiming
+
+PairMap = Dict[Tuple[str, str], int]
+
+
+def wd_dicts(graph: RetimingGraph) -> Tuple[PairMap, PairMap]:
+    """:func:`compute_wd`'s matrices as (W, D) dicts keyed by vertex
+    pairs, holding exactly the pairs some path connects."""
+    wd = compute_wd(graph)
+    w: PairMap = {}
+    d: PairMap = {}
+    for i, j in zip(*wd.reachable.nonzero()):
+        pair = (graph.vertices[i], graph.vertices[j])
+        w[pair] = int(wd.w[i, j])
+        d[pair] = int(wd.d[i, j])
+    return w, d
+
+
+def compute_wd_reference(graph: RetimingGraph) -> Tuple[PairMap, PairMap]:
+    """The pure-Python tuple-cost Floyd-Warshall that :func:`compute_wd`
+    vectorises -- the differential oracle."""
+    vertices = graph.vertices
+    dist: Dict[Tuple[str, str], Tuple[float, float]] = {}
+    for edge in graph.edges:
+        key = (edge.u, edge.v)
+        cost = (edge.weight, -graph.delays.get(edge.u, 0))
+        if key not in dist or cost < dist[key]:
+            dist[key] = cost
+
+    for k in vertices:
+        for i in vertices:
+            left = dist.get((i, k))
+            if left is None:
+                continue
+            for j in vertices:
+                right = dist.get((k, j))
+                if right is None:
+                    continue
+                candidate = (left[0] + right[0], left[1] + right[1])
+                key = (i, j)
+                if key not in dist or candidate < dist[key]:
+                    dist[key] = candidate
+
+    w: PairMap = {}
+    d: PairMap = {}
+    for (u, v), (weight, neg_delay) in dist.items():
+        w[(u, v)] = int(weight)
+        d[(u, v)] = int(-neg_delay) + graph.delays.get(v, 0)
+    return w, d
 
 
 def simple_graph():
@@ -39,12 +85,11 @@ def simple_graph():
 
 
 def test_wd_on_simple_graph():
-    g = simple_graph()
-    wd = compute_wd(g)
-    assert wd.w[("a", "b")] == 1
-    assert wd.d[("a", "b")] == 5  # d(a) + d(b) along the min-weight path
-    assert wd.w[(HOST, "a")] == 0
-    assert wd.d[(HOST, "a")] == 3
+    w, d = wd_dicts(simple_graph())
+    assert w[("a", "b")] == 1
+    assert d[("a", "b")] == 5  # d(a) + d(b) along the min-weight path
+    assert w[(HOST, "a")] == 0
+    assert d[(HOST, "a")] == 3
 
 
 def test_wd_prefers_min_weight_then_max_delay():
@@ -61,15 +106,39 @@ def test_wd_prefers_min_weight_then_max_delay():
         ),
         delays={"a": 1, "b": 1, "c": 5, HOST: 0, HOST_OUT: 0},
     )
-    wd = compute_wd(g)
-    assert wd.w[("a", "b")] == 0
-    assert wd.d[("a", "b")] == 7  # 1 + 5 + 1
+    w, d = wd_dicts(g)
+    assert w[("a", "b")] == 0
+    assert d[("a", "b")] == 7  # 1 + 5 + 1
 
 
 def test_candidate_periods_sorted_unique():
     wd = compute_wd(simple_graph())
     candidates = wd.candidate_periods()
     assert list(candidates) == sorted(set(candidates))
+
+
+def test_wd_computed_once_per_graph(monkeypatch):
+    """Min-period retiming and the min-area retiming at its period share
+    one Floyd-Warshall; a fresh graph gets its own W/D."""
+    calls = []
+    floyd_warshall = leiserson_saxe._floyd_warshall
+
+    def counting(graph):
+        calls.append(graph)
+        return floyd_warshall(graph)
+
+    monkeypatch.setattr(leiserson_saxe, "_floyd_warshall", counting)
+    g = build_retiming_graph(correlator(8))
+    minp = min_period_retiming(g)
+    min_area_retiming(g, period=minp.period)
+    assert len(calls) == 1 and calls[0] is g
+
+    fresh = build_retiming_graph(correlator(8))
+    min_area_retiming(fresh, period=minp.period)
+    assert len(calls) == 2 and calls[1] is fresh
+    # The memo hands every caller the same arrays, so they are read-only.
+    with pytest.raises(ValueError):
+        compute_wd(g).w[0, 0] = 1
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +233,7 @@ def test_pipeline_already_optimal():
 
 
 # ---------------------------------------------------------------------------
-# Vectorised W/D vs the pure-Python reference.
+# Vectorised W/D and FEAS vs the pure-Python references.
 # ---------------------------------------------------------------------------
 
 
@@ -193,19 +262,55 @@ def _random_graph(seed: int) -> RetimingGraph:
 @pytest.mark.parametrize("seed", range(30))
 def test_compute_wd_matches_reference_on_random_graphs(seed):
     g = _random_graph(seed)
-    fast = compute_wd(g)
-    ref = compute_wd_reference(g)
-    assert fast.w == ref.w
-    assert fast.d == ref.d
+    assert wd_dicts(g) == compute_wd_reference(g)
 
 
 @pytest.mark.parametrize("name", names())
 def test_compute_wd_matches_reference_on_benchmarks(name):
     g = build_retiming_graph(load(name))
-    fast = compute_wd(g)
-    ref = compute_wd_reference(g)
-    assert fast.w == ref.w
-    assert fast.d == ref.d
+    assert wd_dicts(g) == compute_wd_reference(g)
+
+
+def feas_reference(graph: RetimingGraph, period: int):
+    """FEAS as plain Bellman-Ford over the reference W/D: |V|+1 rounds
+    relaxing every constraint one by one, with no early exit."""
+    if any(graph.delays.get(v, 0) > period for v in graph.vertices):
+        return None
+    w, d = compute_wd_reference(graph)
+    constraints = [(e.u, e.v, e.weight) for e in graph.edges]
+    constraints += [(u, v, w[(u, v)] - 1) for (u, v), delay in d.items() if delay > period]
+    constraints += [(HOST, HOST_OUT, 0), (HOST_OUT, HOST, 0)]
+    r = dict.fromkeys(graph.vertices, 0)
+    for _ in range(len(r) + 1):
+        relaxed = dict(r)
+        for u, v, bound in constraints:  # r(u) - r(v) <= bound
+            relaxed[u] = min(relaxed[u], r[v] + bound)
+        if relaxed == r:
+            break
+        r = relaxed
+    else:
+        return None
+    lag = {v: r[v] - r[HOST] for v in graph.vertices}
+    if not graph.is_legal_lag(lag):
+        return None
+    if graph.clock_period(graph.retimed_weights(lag)) > period:
+        return None
+    return lag
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [_random_graph(seed) for seed in range(30)]
+    + [build_retiming_graph(load(name)) for name in names()],
+    ids=["rand%d" % seed for seed in range(30)] + list(names()),
+)
+def test_feas_matches_reference_at_every_candidate_period(graph):
+    """The same verdict and lag at every period D takes, and one below
+    them all -- so infeasible periods, where FEAS stops at the first
+    negative cycle, are covered as well as feasible ones."""
+    candidates = compute_wd(graph).candidate_periods()
+    for period in (candidates[0] - 1,) + candidates:
+        assert feas(graph, period) == feas_reference(graph, period), period
 
 
 # ---------------------------------------------------------------------------
