@@ -1,42 +1,47 @@
-"""Parallel execution layer -- ``--jobs 1`` vs ``--jobs 4`` wall clock.
+"""Parallel execution layer -- ``--jobs 1`` vs ``--jobs 2`` wall clock.
 
 Not a paper artefact: the paper's circuits are small enough that the
 serial compiled core regenerates every table in milliseconds.  This
 benchmark records what the process-pool layer (:mod:`repro.sim.parallel`)
-buys on the two workloads it shards -- fault-partitioned grading and
-power-up-lane-partitioned exact sweeps -- so downstream adopters with
-larger circuits know what to expect.
+buys on fault-partitioned grading -- exact semantics on s27, whose
+faults are too cheap to pay for starting workers, and CLS semantics on
+s386, where they are not -- so downstream adopters with larger circuits
+know what to expect.
 
 The asserted contract is **determinism**, not speed: the sharded run
 must reproduce the serial verdicts bit for bit.  Wall-clock ratios are
-recorded but not asserted, because they are a property of the host (on
-a single-core container the pool is pure overhead; the artefact records
-the core count next to the numbers for exactly that reason).
+recorded (best of :data:`REPEATS` runs) but not asserted, because they
+are a property of the host (on a single-core container the pool is pure
+overhead; the artefact records the core count next to the numbers for
+exactly that reason).
 """
 
 from __future__ import annotations
 
 import os
+import random
 import time
 
-import numpy as np
-
 from repro.analysis.reporting import ascii_table, banner
-from repro.bench.generators import lfsr_circuit
-from repro.bench.iscas import BENCHMARKS
+from repro.bench.iscas import BENCHMARKS, load
 from repro.netlist.io_bench import parse_bench
 from repro.netlist.transform import normalize_fanout
 from repro.sim.atpg import generate_tests
-from repro.sim.exact import ExactSimulator
 from repro.sim.fault import FaultSimulator
 
-JOBS = 4
+JOBS = 2
+#: Best of this many runs per cell: single runs on a shared host swing
+#: by up to 2x.
+REPEATS = 3
 
 
 def _timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return result, best
 
 
 def parallel_speedup_report():
@@ -61,23 +66,23 @@ def parallel_speedup_report():
         )
     )
 
-    # Workload 2: exhaustive power-up sweep, 14 latches = 16384 lanes.
-    lfsr = lfsr_circuit([0, 3, 5, 7, 11, 13])
-    sequence = [((i * 5 + 3) % 7 < 3,) * len(lfsr.inputs) for i in range(8)]
-    serial_exact = ExactSimulator(lfsr)
-    sharded_exact = ExactSimulator(lfsr, jobs=JOBS)
-    out1, t1 = _timed(lambda: serial_exact.outputs(sequence))
-    outn, tn = _timed(lambda: sharded_exact.outputs(sequence))
-    checks.append(outn == out1)
-    checks.append(
-        np.array_equal(
-            sharded_exact.final_states(sequence), serial_exact.final_states(sequence)
-        )
-    )
+    # Workload 2: CLS fault grading on s386, 4 seeded tests x 4 cycles.
+    s386 = load("s386")
+    rng = random.Random(0)
+    width = len(s386.inputs)
+    cls_tests = [
+        tuple(tuple(rng.random() < 0.5 for _ in range(width)) for _ in range(4))
+        for _ in range(4)
+    ]
+    serial_sim = FaultSimulator(s386, semantics="cls")
+    sharded_sim = FaultSimulator(s386, semantics="cls", jobs=JOBS)
+    serial, t1 = _timed(lambda: serial_sim.run_test_set(cls_tests))
+    sharded, tn = _timed(lambda: sharded_sim.run_test_set(cls_tests))
+    checks.append(sharded == serial)
     rows.append(
         (
-            "exact sweep, %d-latch LFSR (%d lanes x %d cycles)"
-            % (lfsr.num_latches, 2**lfsr.num_latches, len(sequence)),
+            "CLS fault grading, s386 (%d faults x %d tests x 4 cycles)"
+            % (len(serial), len(cls_tests)),
             "%.3f" % t1,
             "%.3f" % tn,
             "%.2fx" % (t1 / tn if tn else float("inf")),
@@ -88,7 +93,7 @@ def parallel_speedup_report():
         ("workload", "jobs=1 [s]", "jobs=%d [s]" % JOBS, "speedup"), rows
     )
     text = "%s\n%s\nhost: %s CPU core(s); determinism checks: %s" % (
-        banner("Process-pool layer: serial vs --jobs %d" % JOBS),
+        banner("Process-pool layer: serial vs --jobs %d (best of %d)" % (JOBS, REPEATS)),
         table,
         os.cpu_count(),
         "all identical" if all(checks) else "MISMATCH",

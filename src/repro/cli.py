@@ -2,17 +2,13 @@
 
 Global options (before the subcommand):
 
-``--backend {compiled,interpreted,words}``
+``--backend {compiled,interpreted}``
     simulator evaluation backend -- ``compiled`` (the flat-program
-    default), ``interpreted`` (the reference netlist walk) or ``words``
-    (the compiled program over the numpy ``uint64`` word lane engine;
-    batched sweeps carry 64 lanes per word and produce bit-for-bit the
-    same verdicts as ``compiled``)
+    default) or ``interpreted`` (the reference netlist walk)
 ``--jobs N``
     worker processes for the parallelisable sweeps (fault grading,
-    exact power-up sweeps, CLS invariance and redundancy checks);
-    ``1`` (the default) is the bit-for-bit serial path, ``0`` means
-    "one per CPU core"
+    CLS invariance and redundancy checks); ``1`` (the default) is the
+    bit-for-bit serial path, ``0`` means "one per CPU core"
 ``--engine {explicit,symbolic,auto}``
     containment engine for the ``⊑`` / ``≼`` analyses -- ``explicit``
     (enumerated STGs + subset construction), ``symbolic`` (BDD
@@ -426,7 +422,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     from .bench.generators import random_sequential_circuit
     from .retime.apply import lag_to_moves
-    from .sim.compiled import compile_circuit, get_default_backend, resolve_lane_engine
+    from .sim.compiled import compile_circuit, get_default_backend
     from .sim.fault import FaultSimulator
 
     if args.circuit:
@@ -442,13 +438,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with obs.span("compile"):
         compiled = compile_circuit(circuit)
     print(
-        "compile:       %d ops, %d latches (backend %s, lane engine %s)"
-        % (
-            len(compiled.ops),
-            circuit.num_latches,
-            get_default_backend(),
-            resolve_lane_engine(None),
-        )
+        "compile:       %d ops, %d latches (backend %s)"
+        % (len(compiled.ops), circuit.num_latches, get_default_backend())
     )
 
     with obs.span("simulate"):
@@ -614,17 +605,15 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help="simulator evaluation backend: 'compiled' (flat-program, the "
-        "default), 'interpreted' (reference netlist walk) or 'words' "
-        "(compiled program over the numpy uint64 word lane engine; "
-        "identical verdicts, faster at high lane counts)",
+        "default) or 'interpreted' (reference netlist walk)",
     )
     parser.add_argument(
         "--jobs",
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for fault grading, exact sweeps and "
-        "equivalence checks; 1 (default) = serial, 0 = one per CPU core",
+        help="worker processes for fault grading, CLS-invariance and "
+        "redundancy checks; 1 (default) = serial, 0 = one per CPU core",
     )
     parser.add_argument(
         "--engine",
@@ -819,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("quick", "std", "full"),
         default="std",
         help="arm matrix: quick (explicit+symbolic), std (+reorder, "
-        "sat, words lanes), full (+served arms; spawns a background "
+        "sat), full (+jobs2 and served arms; spawns a background "
         "server)",
     )
     p.add_argument(

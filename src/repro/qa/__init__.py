@@ -1,13 +1,14 @@
 """Cross-engine conformance fuzzing, shrinking and the regression corpus.
 
 The QA layer turns the repo's redundancy -- four containment engines,
-three lane backends, a process-boundary service, and the paper's own
-theorems -- into a test oracle: on seeded random cases every arm must
-agree on every claim, bit-for-bit where witnesses are comparable.  See
-:mod:`repro.qa.generate` (recipes), :mod:`repro.qa.differential` (the
-matrix and the ballot), :mod:`repro.qa.shrink` (1-minimal reproducers),
-:mod:`repro.qa.corpus` (bundles) and :mod:`repro.qa.fuzz` (the driver
-behind ``repro fuzz``).  The operating contract is ``docs/TESTING.md``.
+in-process and sharded CLS sweeps, a process-boundary service, and the
+paper's own theorems -- into a test oracle: on seeded random cases
+every arm must agree on every claim, bit-for-bit where witnesses are
+comparable.  See :mod:`repro.qa.generate` (recipes),
+:mod:`repro.qa.differential` (the matrix and the ballot),
+:mod:`repro.qa.shrink` (1-minimal reproducers), :mod:`repro.qa.corpus`
+(bundles) and :mod:`repro.qa.fuzz` (the driver behind ``repro fuzz``).
+The operating contract is ``docs/TESTING.md``.
 """
 
 from .corpus import Bundle, iter_bundles, load_bundle, write_bundle

@@ -13,7 +13,7 @@ Arms are the four decision engines (explicit subset construction,
 symbolic BDD fixpoints, the same fixpoints under auto reordering over
 a partitioned transition relation, bounded CNF unrolling), optionally
 the served path (the same engines behind ``repro serve``), and the
-lane-backend/jobs variants for the CLS batch.  :func:`run_differential`
+sharded (``jobs2``) variant of the CLS batch.  :func:`run_differential`
 collects the ballots and returns the disagreements:
 
 * every *decided* verdict must be unanimous (``None`` = the arm's
@@ -41,7 +41,6 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..logic.bdd import BDDManager
 from ..retime.validity import first_cls_difference, random_ternary_sequences
-from ..sim.compiled import get_default_backend, set_default_backend
 from ..sat import check_safe_replacement, sat_delay_needed, sat_implies
 from ..sat.replay import replay_witness
 from ..stg.delayed import delay_needed_for_implication
@@ -69,11 +68,11 @@ MATRICES: Dict[str, Dict[str, Tuple[str, ...]]] = {
     },
     "std": {
         "arms": ("explicit", "symbolic", "symbolic+reorder", "sat"),
-        "cls": ("compiled", "words"),
+        "cls": ("compiled",),
     },
     "full": {
         "arms": ("explicit", "symbolic", "symbolic+reorder", "sat", "serve"),
-        "cls": ("compiled", "words", "jobs2", "serve"),
+        "cls": ("compiled", "jobs2", "serve"),
     },
 }
 
@@ -342,7 +341,7 @@ def _serve_verdict(case: Case, client) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# The CLS arms (backend / jobs / served variants of Cor 5.3).
+# The CLS arms (in-process / sharded / served variants of Cor 5.3).
 # ---------------------------------------------------------------------------
 
 CLS_COUNT = 12
@@ -370,18 +369,10 @@ def _cls_vote(case: Case, arm: str, client=None) -> Optional[bool]:
     sequences = random_ternary_sequences(
         len(case.original.inputs), count=CLS_COUNT, length=CLS_LENGTH, seed=seed
     )
-    kwargs: Dict[str, Any] = {}
-    if arm == "jobs2":
-        kwargs["jobs"] = 2
-    backend = "words" if arm == "words" else "compiled"
-    previous = get_default_backend()
-    set_default_backend(backend)
-    try:
-        difference = first_cls_difference(
-            case.original, case.candidate, sequences, **kwargs
-        )
-    finally:
-        set_default_backend(previous)
+    jobs = 2 if arm == "jobs2" else None
+    difference = first_cls_difference(
+        case.original, case.candidate, sequences, jobs=jobs
+    )
     return difference is None
 
 

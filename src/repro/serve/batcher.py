@@ -9,15 +9,15 @@ one lane per sequence) -- and lanes from *different* requests are just
 as independent as lanes from the same request.  So instead of running
 one pass per request, the batcher holds arriving sweep submissions for
 a tiny window and merges every submission that is **compatible** --
-same circuit object, same sequence length, same lane engine -- into a
-single pass, then splits the per-lane results back out to each
-requester.
+same circuit object, same sequence length -- into a single pass, then
+splits the per-lane results back out to each requester.
 
-Determinism: lanes are bit-independent by construction (the differential
-suite of ``tests/sim/test_lanes.py`` pins lane independence for both
-lane engines), so a merged sweep returns bit-for-bit the outputs each
-request would have computed alone; ``tests/serve`` re-pins this against
-the serial path end to end.
+Determinism: lanes are bit-independent by construction
+(``tests/sim/test_compiled.py`` and ``tests/sim/test_lanes.py`` check
+every lane of a batched step against the per-lane reference
+interpreter), so a merged sweep returns bit-for-bit the outputs each
+request would have computed alone; ``tests/serve`` re-pins this
+against the serial path end to end.
 
 The batch key uses the *identity* of the circuit object -- correct
 here because the server's registry keeps circuits resident, so two
@@ -71,15 +71,11 @@ class MicroBatcher:
         self.window_s = window_s
         self.max_lanes = max_lanes
         self.stats = stats
-        self._pending: Dict[Tuple[int, int, Optional[str]], List[_Job]] = {}
-        self._circuits: Dict[Tuple[int, int, Optional[str]], Circuit] = {}
+        self._pending: Dict[Tuple[int, int], List[_Job]] = {}
+        self._circuits: Dict[Tuple[int, int], Circuit] = {}
 
     async def sweep(
-        self,
-        circuit: Circuit,
-        sequences: Sequence[Sequence[Sequence[T]]],
-        *,
-        lane_engine: Optional[str] = None,
+        self, circuit: Circuit, sequences: Sequence[Sequence[Sequence[T]]]
     ) -> List[List[Tuple[T, ...]]]:
         """CLS outputs of *circuit* for *sequences* (all equal length,
         all from the all-X power-up state), by way of a merged pass.
@@ -92,7 +88,7 @@ class MicroBatcher:
         lengths = {len(seq) for seq in sequences}
         if len(lengths) != 1:
             raise ValueError("sequences must share one length")
-        key = (id(circuit), lengths.pop(), lane_engine)
+        key = (id(circuit), lengths.pop())
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         bucket = self._pending.get(key)
@@ -121,10 +117,9 @@ class MicroBatcher:
         circuit = self._circuits.pop(key, None)
         if not jobs:
             return
-        asyncio.ensure_future(self._run_batch(key, circuit, jobs))
+        asyncio.ensure_future(self._run_batch(circuit, jobs))
 
-    async def _run_batch(self, key, circuit: Circuit, jobs: List[_Job]) -> None:
-        lane_engine = key[2]
+    async def _run_batch(self, circuit: Circuit, jobs: List[_Job]) -> None:
         merged: List[Sequence[Sequence[T]]] = []
         for sequences, _ in jobs:
             merged.extend(sequences)
@@ -132,9 +127,7 @@ class MicroBatcher:
             self.stats.record_batch(len(jobs), len(merged))
         try:
             results = await self._run_blocking(
-                lambda: BatchedTernarySimulator(
-                    circuit, lane_engine=lane_engine
-                ).run_sequences(merged)
+                lambda: BatchedTernarySimulator(circuit).run_sequences(merged)
             )
         except Exception as exc:
             for _, future in jobs:

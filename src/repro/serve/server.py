@@ -50,7 +50,7 @@ from ..netlist.validate import validate
 from ..retime.graph import build_retiming_graph
 from ..retime.leiserson_saxe import min_period_retiming
 from ..retime.validity import random_ternary_sequences
-from ..sim.compiled import get_default_backend, resolve_lane_engine
+from ..sim.compiled import get_default_backend
 from ..sim.fault import FaultSimulator
 from ..sim.parallel import (
     WorkerPool,
@@ -494,7 +494,6 @@ class ReproServer:
             "pong": True,
             "protocol": PROTOCOL_VERSION,
             "backend": get_default_backend(),
-            "lane_engine": resolve_lane_engine(None),
             "engine": get_default_engine(),
             "reorder": get_default_reorder(),
             "jobs": self.jobs,

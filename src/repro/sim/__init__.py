@@ -7,29 +7,19 @@ interpreter the property tests cross-check against.
 
 from .core import SimulationTrace, propagate  # noqa: F401
 from .parallel import (  # noqa: F401
-    ArrayPack,
     ParallelStats,
-    SharedArrayPack,
-    TRANSPORTS,
     default_job_count,
     get_default_jobs,
-    make_array_pack,
     resolve_jobs,
     run_sharded,
     set_default_jobs,
 )
 from .compiled import (  # noqa: F401
     BACKENDS,
-    LANE_ENGINES,
     CompiledCircuit,
-    LaneBackend,
-    MaskLaneBackend,
-    WordLaneBackend,
     compile_circuit,
     get_default_backend,
-    get_lane_engine,
     resolve_backend,
-    resolve_lane_engine,
     set_default_backend,
 )
 from .binary import (  # noqa: F401

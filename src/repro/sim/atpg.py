@@ -37,9 +37,8 @@ from .fault import (
     detects_exact,
     enumerate_faults,
     good_outputs,
-    pack_grading_arrays,
 )
-from .parallel import make_array_pack, resolve_jobs, run_sharded
+from .parallel import resolve_jobs, run_sharded
 
 __all__ = ["AtpgResult", "generate_tests", "grade_test_set"]
 
@@ -188,22 +187,14 @@ def grade_test_set(
     if resolved > 1 and len(fault_list) > 1 and tests:
         frozen = tuple(tuple(tuple(v) for v in test) for test in tests)
         goods = tuple(good_outputs(circuit, test, semantics=semantics) for test in frozen)
-        pack = make_array_pack(
-            pack_grading_arrays(
-                frozen, goods, len(circuit.inputs), len(circuit.outputs)
+        with _span("sim.atpg.grade"):
+            first = run_sharded(
+                _first_detecting_index,
+                (circuit, frozen, goods, semantics),
+                fault_list,
+                jobs=resolved,
+                label="test-set-grading",
             )
-        )
-        try:
-            with _span("sim.atpg.grade"):
-                first = run_sharded(
-                    _first_detecting_index,
-                    (circuit, pack, semantics),
-                    fault_list,
-                    jobs=resolved,
-                    label="test-set-grading",
-                )
-        finally:
-            pack.release()
         by_fault = dict(zip(fault_list, first))
         # Re-play the serial bookkeeping so insertion orders match:
         # detected fills per test index, fault-list order within each.

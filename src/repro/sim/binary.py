@@ -43,10 +43,8 @@ class BinarySimulator:
     backend:
         ``"compiled"`` (the default) evaluates through the flat program
         of :mod:`repro.sim.compiled`; ``"interpreted"`` walks the
-        netlist with the reference :func:`~repro.sim.core.propagate`;
-        ``"words"`` behaves like ``compiled`` here (the word lane
-        engine only changes batched sweeps).  ``None`` picks the
-        process default (see
+        netlist with the reference :func:`~repro.sim.core.propagate`.
+        ``None`` picks the process default (see
         :func:`repro.sim.compiled.set_default_backend`).
     """
 
@@ -63,7 +61,7 @@ class BinarySimulator:
 
     def step(self, state: Sequence[bool], inputs: Sequence[bool]) -> Tuple[BoolVec, BoolVec]:
         """One clock cycle: returns ``(outputs, next_state)``."""
-        if self.backend != "interpreted":  # compiled and words share the scalar core
+        if self.backend == "compiled":
             return compile_circuit(self.circuit).step_binary(
                 tuple(state), tuple(inputs), overrides=self.overrides or None
             )

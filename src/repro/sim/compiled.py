@@ -19,39 +19,23 @@ The compiled program is cached on the circuit (``_compiled_cache``)
 next to ``_topo_cache`` and invalidated by exactly the same mutation
 hooks, so the retiming engine can keep rewriting circuits freely.
 
-Value representation -- lane backends
--------------------------------------
+Value representation -- lane masks
+----------------------------------
 
-All backends are *lane parallel*: a net's value carries one bit per
-independent simulation lane.  Two interchangeable **lane backends**
-(:class:`LaneBackend`) realise that idea:
+All batched entry points are *lane parallel*: a net's value is one
+arbitrary-precision Python integer whose bit ``i`` is lane ``i``'s
+value (LSB = lane 0).  Bitwise ops on Python ints run at C speed per
+30-bit limb, and with a single lane the same code is a fast scalar
+simulator, without numpy overhead on small batches.  Two algebras
+share that representation:
 
-* ``mask`` (:class:`MaskLaneBackend`) -- a net's value is one
-  arbitrary-precision Python integer whose bit ``i`` is lane ``i``'s
-  value (LSB = lane 0).  Bitwise ops on Python ints run at C speed per
-  30-bit limb, and with a single lane the same code is a fast scalar
-  simulator, without numpy overhead on small batches.
-* ``words`` (:class:`WordLaneBackend`) -- a net's value is a numpy
-  ``uint64`` array of shape ``(num_words,)``; lane ``i`` lives in bit
-  ``i % 64`` of word ``i // 64``.  One vectorized pass evaluates
-  ``64 * num_words`` lanes per op, which is what lets exhaustive
-  power-up sweeps and fault grading scale to tens of thousands of
-  lanes (see ``benchmarks/results/lane_engine_speedup.txt`` for the
-  measured crossover against the mask backend).
-
-Both backends share one algebra:
-
-* **binary**: one value per net; ``AND`` is ``&``, ``NOT`` is ``M ^ x``
+* **binary**: one mask per net; ``AND`` is ``&``, ``NOT`` is ``M ^ x``
   where ``M`` is the all-lanes mask.
-* **conservative ternary (CLS)**: two values per net, the *dual-rail*
+* **conservative ternary (CLS)**: two masks per net, the *dual-rail*
   encoding ``(can0, can1)`` -- ``0 = (1, 0)``, ``1 = (0, 1)``,
   ``X = (1, 1)``.  Each opcode has a closed dual-rail form of its
   Kleene (per-cell exact) ternary table, e.g. for AND
   ``can0 = a.can0 | b.can0`` and ``can1 = a.can1 & b.can1``.
-
-The mask backend is the differential oracle for the words backend: the
-property suite asserts bit-for-bit identical verdicts across the two on
-random circuits and on the paper circuits.
 
 Three public scalar/mask entry points wrap this core:
 
@@ -64,7 +48,7 @@ Three public scalar/mask entry points wrap this core:
   :mod:`repro.sim.ternary_multi`, :mod:`repro.sim.exact` and
   :mod:`repro.stg.explicit`.
 
-Each backend takes the stuck-at ``overrides`` contract of the
+Each entry point takes the stuck-at ``overrides`` contract of the
 reference interpreter: an overridden net holds the forced value no
 matter what its driver computes, sources included, so fault injection
 (:mod:`repro.sim.fault`) works unchanged.
@@ -80,7 +64,6 @@ against :func:`~repro.sim.core.propagate`.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,20 +78,11 @@ __all__ = [
     "CompiledCircuit",
     "compile_circuit",
     "BACKENDS",
-    "LANE_ENGINES",
-    "LaneBackend",
-    "MaskLaneBackend",
-    "WordLaneBackend",
     "get_default_backend",
     "set_default_backend",
     "resolve_backend",
-    "get_lane_engine",
-    "resolve_lane_engine",
     "column_to_mask",
     "mask_to_column",
-    "column_to_words",
-    "words_to_column",
-    "num_words_for",
 ]
 
 # ---------------------------------------------------------------------------
@@ -116,10 +90,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 #: ``compiled``/``interpreted`` pick the evaluation strategy of the
-#: scalar simulators; ``words`` additionally routes every batched lane
-#: sweep through the numpy word engine (scalar paths then behave like
-#: ``compiled``, which is what they already are).
-BACKENDS = ("compiled", "interpreted", "words")
+#: scalar simulators; batched lane sweeps always run the compiled core.
+BACKENDS = ("compiled", "interpreted")
 
 _default_backend = "compiled"
 
@@ -205,41 +177,6 @@ def mask_to_column(mask: int, batch: int) -> np.ndarray:
     return np.unpackbits(buf, bitorder="little", count=batch).astype(bool)
 
 
-def num_words_for(batch: int) -> int:
-    """Words needed to carry *batch* lanes at 64 lanes per word."""
-    if batch < 0:
-        raise ValueError("negative batch size")
-    return (batch + 63) // 64
-
-
-def column_to_words(column: np.ndarray) -> np.ndarray:
-    """Pack a boolean lane column into ``uint64`` words (64 lanes/word).
-
-    Lane ``i`` lands in bit ``i % 64`` of word ``i // 64``, matching the
-    LSB-first convention of :func:`column_to_mask` -- the two packings
-    describe the same lane order, which is what makes the mask and word
-    backends bit-for-bit comparable.
-    """
-    col = np.asarray(column, dtype=bool)
-    nwords = num_words_for(col.size)
-    packed = np.packbits(col, bitorder="little")
-    buf = np.zeros(nwords * 8, dtype=np.uint8)
-    buf[: packed.size] = packed
-    return buf.view("<u8").astype(np.uint64, copy=False)
-
-
-def words_to_column(words: np.ndarray, batch: int) -> np.ndarray:
-    """Unpack ``uint64`` lane words into a boolean column of length *batch*."""
-    if batch == 0:
-        return np.zeros(0, dtype=bool)
-    buf = (
-        np.ascontiguousarray(words, dtype=np.uint64)
-        .astype("<u8", copy=False)
-        .view(np.uint8)
-    )
-    return np.unpackbits(buf, bitorder="little", count=batch).astype(bool)
-
-
 # ---------------------------------------------------------------------------
 # Generic-cell (non-library) lane-by-lane fallbacks.
 # ---------------------------------------------------------------------------
@@ -285,49 +222,6 @@ def _generic_ternary(
     return list(zip(out_a, out_b))
 
 
-def _generic_binary_words(
-    fn: CellFunction, ins: Sequence[np.ndarray], M: np.ndarray
-) -> List[np.ndarray]:
-    """Word-level generic-cell fallback: per set lane, scalar eval."""
-    outs = [np.zeros(M.shape[0], dtype=np.uint64) for _ in range(fn.n_outputs)]
-    for w in range(M.shape[0]):
-        remaining = int(M[w])
-        in_words = [int(m[w]) for m in ins]
-        while remaining:
-            lane_bit = remaining & -remaining
-            remaining ^= lane_bit
-            vals = fn.eval_binary(tuple(bool(m & lane_bit) for m in in_words))
-            for pin, v in enumerate(vals):
-                if v:
-                    outs[pin][w] |= np.uint64(lane_bit)
-    return outs
-
-
-def _generic_ternary_words(
-    fn: CellFunction, ins: Sequence[Tuple[np.ndarray, np.ndarray]], M: np.ndarray
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    out_a = [np.zeros(M.shape[0], dtype=np.uint64) for _ in range(fn.n_outputs)]
-    out_b = [np.zeros(M.shape[0], dtype=np.uint64) for _ in range(fn.n_outputs)]
-    for w in range(M.shape[0]):
-        remaining = int(M[w])
-        in_words = [(int(a[w]), int(b[w])) for a, b in ins]
-        while remaining:
-            lane_bit = remaining & -remaining
-            remaining ^= lane_bit
-            vector = tuple(
-                _T_OF_RAIL[(1 if a & lane_bit else 0, 1 if b & lane_bit else 0)]
-                for a, b in in_words
-            )
-            vals = fn.eval_ternary(vector)
-            for pin, v in enumerate(vals):
-                ra, rb = _RAIL_OF_T[v]
-                if ra:
-                    out_a[pin][w] |= np.uint64(lane_bit)
-                if rb:
-                    out_b[pin][w] |= np.uint64(lane_bit)
-    return list(zip(out_a, out_b))
-
-
 # ---------------------------------------------------------------------------
 # Code generation (the no-override fast path).
 # ---------------------------------------------------------------------------
@@ -351,14 +245,14 @@ def _compile_source(source: str, env: Dict[str, Any]) -> Callable:
 
 
 def _memoised_fn(cc: "CompiledCircuit", domain: str) -> Callable:
-    """Compiled step function for *domain*: ``b``/``t`` evaluate integer
-    lane masks, ``bw``/``tw`` the numpy ``uint64`` word variants."""
+    """Compiled step function for *domain*: ``b`` (binary lane masks)
+    or ``t`` (dual-rail ternary lane masks)."""
     key = (domain, cc.signature)
     fn = _FN_CACHE.get(key)
     if fn is None:
         with _span("compile.codegen"):
-            emit = _emit_binary if domain.startswith("b") else _emit_ternary
-            source, env = emit(cc, words=domain.endswith("w"))
+            emit = _emit_binary if domain == "b" else _emit_ternary
+            source, env = emit(cc)
             fn = _compile_source(source, env)
         _FN_CACHE[key] = fn
         _TRACE.incr("compile.codegen")
@@ -367,25 +261,15 @@ def _memoised_fn(cc: "CompiledCircuit", domain: str) -> Callable:
     return fn
 
 
-def _emit_binary(
-    cc: "CompiledCircuit", words: bool = False
-) -> Tuple[str, Dict[str, Any]]:
+def _emit_binary(cc: "CompiledCircuit") -> Tuple[str, Dict[str, Any]]:
     """Generate the binary lane-mask step function.
 
     Signature of the generated function:
     ``_f(S, I, M) -> (output_masks, next_state_masks)`` where ``S``/``I``
     are sequences of latch/input masks and ``M`` the all-lanes mask.
-
-    With ``words=True`` the same program text evaluates ``uint64`` word
-    arrays instead of arbitrary-precision ints: the bitwise operators
-    broadcast elementwise, so only the zero constant (``Z``, an all-zero
-    array -- a Python ``0`` would leak a scalar into array outputs) and
-    the generic-cell helper differ.
     """
     lines = ["def _f(S, I, M):"]
-    env: Dict[str, Any] = {"_gb": _generic_binary_words if words else _generic_binary}
-    if words:
-        lines.append("    Z = M ^ M")
+    env: Dict[str, Any] = {"_gb": _generic_binary}
     for pin, net in enumerate(cc.input_ids):
         lines.append("    v%d = I[%d]" % (net, pin))
     for pos, net in enumerate(cc.latch_out_ids):
@@ -413,7 +297,7 @@ def _emit_binary(
             s, w0, w1 = xs
             lines.append("    %s = (%s & %s) | ((M ^ %s) & %s)" % (o, s, w1, s, w0))
         elif opcode == OP_CONST0:
-            lines.append("    %s = Z" % o if words else "    %s = 0" % o)
+            lines.append("    %s = 0" % o)
         elif opcode == OP_CONST1:
             lines.append("    %s = M" % o)
         elif opcode == OP_JUNC:
@@ -436,19 +320,14 @@ def _emit_binary(
     return "\n".join(lines) + "\n", env
 
 
-def _emit_ternary(
-    cc: "CompiledCircuit", words: bool = False
-) -> Tuple[str, Dict[str, Any]]:
+def _emit_ternary(cc: "CompiledCircuit") -> Tuple[str, Dict[str, Any]]:
     """Generate the dual-rail ternary lane-mask step function.
 
     ``_f(S, I, M)`` takes sequences of ``(can0, can1)`` rail pairs and
-    returns ``(output_rails, next_state_rails)``.  ``words=True`` emits
-    the ``uint64``-array variant (see :func:`_emit_binary`).
+    returns ``(output_rails, next_state_rails)``.
     """
     lines = ["def _f(S, I, M):"]
-    env: Dict[str, Any] = {"_gt": _generic_ternary_words if words else _generic_ternary}
-    if words:
-        lines.append("    Z = M ^ M")
+    env: Dict[str, Any] = {"_gt": _generic_ternary}
     for pin, net in enumerate(cc.input_ids):
         lines.append("    a%d, b%d = I[%d]" % (net, net, pin))
     for pos, net in enumerate(cc.latch_out_ids):
@@ -492,11 +371,9 @@ def _emit_ternary(
                 % (oa, sb, w1a, sa, w0a, ob, sb, w1b, sa, w0b)
             )
         elif opcode == OP_CONST0:
-            zero = "Z" if words else "0"
-            lines.append("    %s = M; %s = %s" % (oa, ob, zero))
+            lines.append("    %s = M; %s = 0" % (oa, ob))
         elif opcode == OP_CONST1:
-            zero = "Z" if words else "0"
-            lines.append("    %s = %s; %s = M" % (oa, zero, ob))
+            lines.append("    %s = 0; %s = M" % (oa, ob))
         elif opcode == OP_JUNC:
             for out in out_ids:
                 lines.append("    a%d = %s; b%d = %s" % (out, az[0], out, bz[0]))
@@ -589,8 +466,6 @@ class CompiledCircuit:
         )
         self._fn_binary: Optional[Callable] = None
         self._fn_ternary: Optional[Callable] = None
-        self._fn_binary_words: Optional[Callable] = None
-        self._fn_ternary_words: Optional[Callable] = None
 
     # -- pickling ----------------------------------------------------------
     #
@@ -605,14 +480,7 @@ class CompiledCircuit:
         state = dict(self.__dict__)
         state["_fn_binary"] = None
         state["_fn_ternary"] = None
-        state["_fn_binary_words"] = None
-        state["_fn_ternary_words"] = None
         return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_fn_binary_words", None)
-        self.__dict__.setdefault("_fn_ternary_words", None)
 
     # -- override plumbing -------------------------------------------------
 
@@ -701,84 +569,6 @@ class CompiledCircuit:
         if fn is None:
             fn = self._fn_ternary = _memoised_fn(self, "t")
         return fn(state_rails, input_rails, all_lanes)
-
-    # -- word-level backends -----------------------------------------------
-    #
-    # Same flat program, evaluated over ``uint64`` arrays of lane words
-    # (lane ``i`` in bit ``i % 64`` of word ``i // 64``).  ``M`` is the
-    # all-lanes context: full words of ``0xFFFF...`` with a partial tail
-    # word when the batch is not a multiple of 64.
-
-    def step_binary_words(
-        self,
-        state_words: Sequence[np.ndarray],
-        input_words: Sequence[np.ndarray],
-        M: np.ndarray,
-        forced: Optional[Mapping[int, bool]] = None,
-    ) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
-        """One binary cycle over lane-word arrays: ``(outputs, next_state)``."""
-        if _TRACE.enabled:
-            counters = _TRACE.counters
-            counters["sim.words.binary.cycles"] = (
-                counters.get("sim.words.binary.cycles", 0) + 1
-            )
-            counters["sim.words.binary.ops"] = (
-                counters.get("sim.words.binary.ops", 0) + len(self.ops)
-            )
-            counters["sim.words.binary.words"] = (
-                counters.get("sim.words.binary.words", 0) + int(M.shape[0])
-            )
-            if forced:
-                counters["sim.words.forced.cycles"] = (
-                    counters.get("sim.words.forced.cycles", 0) + 1
-                )
-        if forced:
-            values = self._interpret_binary_words(state_words, input_words, M, forced)
-            return (
-                tuple(values[i] for i in self.output_ids),
-                tuple(values[i] for i in self.latch_in_ids),
-            )
-        fn = self._fn_binary_words
-        if fn is None:
-            fn = self._fn_binary_words = _memoised_fn(self, "bw")
-        return fn(state_words, input_words, M)
-
-    def step_ternary_words(
-        self,
-        state_rails: Sequence[Tuple[np.ndarray, np.ndarray]],
-        input_rails: Sequence[Tuple[np.ndarray, np.ndarray]],
-        M: np.ndarray,
-        forced: Optional[Mapping[int, T]] = None,
-    ) -> Tuple[
-        Tuple[Tuple[np.ndarray, np.ndarray], ...],
-        Tuple[Tuple[np.ndarray, np.ndarray], ...],
-    ]:
-        """One dual-rail ternary cycle over lane-word arrays."""
-        if _TRACE.enabled:
-            counters = _TRACE.counters
-            counters["sim.words.ternary.cycles"] = (
-                counters.get("sim.words.ternary.cycles", 0) + 1
-            )
-            counters["sim.words.ternary.ops"] = (
-                counters.get("sim.words.ternary.ops", 0) + len(self.ops)
-            )
-            counters["sim.words.ternary.words"] = (
-                counters.get("sim.words.ternary.words", 0) + int(M.shape[0])
-            )
-            if forced:
-                counters["sim.words.forced.cycles"] = (
-                    counters.get("sim.words.forced.cycles", 0) + 1
-                )
-        if forced:
-            rails = self._interpret_ternary_words(state_rails, input_rails, M, forced)
-            return (
-                tuple(rails[i] for i in self.output_ids),
-                tuple(rails[i] for i in self.latch_in_ids),
-            )
-        fn = self._fn_ternary_words
-        if fn is None:
-            fn = self._fn_ternary_words = _memoised_fn(self, "tw")
-        return fn(state_rails, input_rails, M)
 
     # -- scalar backends ---------------------------------------------------
 
@@ -935,123 +725,6 @@ class CompiledCircuit:
                     rails[net] = rail
         return rails
 
-    # Word variants of the interpreters.  The shared ``M``/``Z`` arrays
-    # are borrowed by many net slots, so every fold is non-in-place
-    # (``r = r & v``, never ``r &= v``) -- an in-place op on a borrowed
-    # ndarray would corrupt every other net referencing it.
-
-    def _interpret_binary_words(
-        self,
-        state_words: Sequence[np.ndarray],
-        input_words: Sequence[np.ndarray],
-        M: np.ndarray,
-        forced: Mapping[int, bool],
-    ) -> List[np.ndarray]:
-        Z = M ^ M
-        values: List[np.ndarray] = [Z] * self.num_nets
-        for pin, net in enumerate(self.input_ids):
-            values[net] = input_words[pin]
-        for pos, net in enumerate(self.latch_out_ids):
-            values[net] = state_words[pos]
-        for net, v in forced.items():
-            values[net] = M if v else Z
-        for opcode, in_ids, out_ids, fn in self.ops:
-            if opcode == OP_AND or opcode == OP_NAND:
-                r = M
-                for i in in_ids:
-                    r = r & values[i]
-                outs = (M ^ r if opcode == OP_NAND else r,)
-            elif opcode == OP_OR or opcode == OP_NOR:
-                r = Z
-                for i in in_ids:
-                    r = r | values[i]
-                outs = (M ^ r if opcode == OP_NOR else r,)
-            elif opcode == OP_XOR or opcode == OP_XNOR:
-                r = Z
-                for i in in_ids:
-                    r = r ^ values[i]
-                outs = (M ^ r if opcode == OP_XNOR else r,)
-            elif opcode == OP_NOT:
-                outs = (M ^ values[in_ids[0]],)
-            elif opcode == OP_BUF:
-                outs = (values[in_ids[0]],)
-            elif opcode == OP_MUX:
-                s, w0, w1 = (values[i] for i in in_ids)
-                outs = ((s & w1) | ((M ^ s) & w0),)
-            elif opcode == OP_CONST0:
-                outs = (Z,)
-            elif opcode == OP_CONST1:
-                outs = (M,)
-            elif opcode == OP_JUNC:
-                outs = (values[in_ids[0]],) * len(out_ids)
-            else:
-                outs = _generic_binary_words(fn, [values[i] for i in in_ids], M)
-            for net, r in zip(out_ids, outs):
-                if net not in forced:
-                    values[net] = r
-        return values
-
-    def _interpret_ternary_words(
-        self,
-        state_rails: Sequence[Tuple[np.ndarray, np.ndarray]],
-        input_rails: Sequence[Tuple[np.ndarray, np.ndarray]],
-        M: np.ndarray,
-        forced: Mapping[int, T],
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        Z = M ^ M
-        rails: List[Tuple[np.ndarray, np.ndarray]] = [(Z, Z)] * self.num_nets
-        for pin, net in enumerate(self.input_ids):
-            rails[net] = input_rails[pin]
-        for pos, net in enumerate(self.latch_out_ids):
-            rails[net] = state_rails[pos]
-        forced_rails = {
-            net: tuple(M if bit else Z for bit in _RAIL_OF_T[v])
-            for net, v in forced.items()
-        }
-        for net, rail in forced_rails.items():
-            rails[net] = rail
-        for opcode, in_ids, out_ids, fn in self.ops:
-            if opcode == OP_AND or opcode == OP_NAND:
-                a, b = Z, M
-                for i in in_ids:
-                    ra, rb = rails[i]
-                    a = a | ra
-                    b = b & rb
-                outs = ((b, a) if opcode == OP_NAND else (a, b),)
-            elif opcode == OP_OR or opcode == OP_NOR:
-                a, b = M, Z
-                for i in in_ids:
-                    ra, rb = rails[i]
-                    a = a & ra
-                    b = b | rb
-                outs = ((b, a) if opcode == OP_NOR else (a, b),)
-            elif opcode == OP_XOR or opcode == OP_XNOR:
-                a, b = rails[in_ids[0]]
-                for i in in_ids[1:]:
-                    ra, rb = rails[i]
-                    a, b = (a & ra) | (b & rb), (a & rb) | (b & ra)
-                outs = ((b, a) if opcode == OP_XNOR else (a, b),)
-            elif opcode == OP_NOT:
-                a, b = rails[in_ids[0]]
-                outs = ((b, a),)
-            elif opcode == OP_BUF:
-                outs = (rails[in_ids[0]],)
-            elif opcode == OP_MUX:
-                (sa, sb), (w0a, w0b), (w1a, w1b) = (rails[i] for i in in_ids)
-                outs = (((sb & w1a) | (sa & w0a), (sb & w1b) | (sa & w0b)),)
-            elif opcode == OP_CONST0:
-                outs = ((M, Z),)
-            elif opcode == OP_CONST1:
-                outs = ((Z, M),)
-            elif opcode == OP_JUNC:
-                outs = (rails[in_ids[0]],) * len(out_ids)
-            else:
-                outs = _generic_ternary_words(fn, [rails[i] for i in in_ids], M)
-            for net, rail in zip(out_ids, outs):
-                if net not in forced_rails:
-                    rails[net] = rail
-        return rails
-
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """The compiled program of *circuit*, cached on the circuit.
@@ -1072,215 +745,3 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     _TRACE.incr("compile.ops", len(compiled.ops))
     circuit._compiled_cache = compiled  # noqa: SLF001
     return compiled
-
-
-# ---------------------------------------------------------------------------
-# Lane backends: how a batch of simulation lanes is represented.
-# ---------------------------------------------------------------------------
-
-
-class LaneBackend:
-    """Strategy interface over one lane representation.
-
-    A *lane value* is whatever carries one bit per simulation lane for a
-    single net -- an arbitrary-precision int (``mask``) or a ``uint64``
-    word array (``words``).  The *context* is the backend's all-lanes
-    handle for a given batch size, playing the role ``M`` plays in the
-    compiled step functions.  Consumers (:mod:`repro.sim.exact`,
-    :mod:`repro.sim.multi`, :mod:`repro.sim.ternary_multi`,
-    :mod:`repro.sim.fault`) are written against this interface only, so
-    the two engines are drop-in interchangeable and bit-for-bit
-    comparable lane by lane.
-    """
-
-    name = "abstract"
-
-    # -- representation ----------------------------------------------------
-
-    def context(self, batch: int):
-        """The all-lanes handle for a *batch*-lane sweep."""
-        raise NotImplementedError
-
-    def zero(self, ctx):
-        """The no-lanes value matching *ctx*'s shape."""
-        raise NotImplementedError
-
-    def pack_column(self, column: np.ndarray):
-        """Pack a boolean lane column into a lane value."""
-        raise NotImplementedError
-
-    def unpack_column(self, value, batch: int) -> np.ndarray:
-        """Unpack a lane value into a boolean column of length *batch*."""
-        raise NotImplementedError
-
-    # -- derived helpers (representation-independent) ----------------------
-
-    def constant(self, bit: bool, ctx):
-        """A lane value holding *bit* in every lane."""
-        return ctx if bit else self.zero(ctx)
-
-    def constant_ternary(self, value: T, ctx):
-        """A dual-rail pair holding ternary *value* in every lane."""
-        ra, rb = _RAIL_OF_T[value]
-        return (self.constant(bool(ra), ctx), self.constant(bool(rb), ctx))
-
-    def pack_ternary_column(self, values: Sequence[T]):
-        """Pack a column of ternary values into a dual-rail pair."""
-        can0 = np.fromiter(
-            (_RAIL_OF_T[v][0] for v in values), dtype=bool, count=len(values)
-        )
-        can1 = np.fromiter(
-            (_RAIL_OF_T[v][1] for v in values), dtype=bool, count=len(values)
-        )
-        return (self.pack_column(can0), self.pack_column(can1))
-
-    def unpack_ternary_column(self, rails, batch: int) -> Tuple[T, ...]:
-        """Unpack a dual-rail pair into a column of ternary singletons."""
-        can0 = self.unpack_column(rails[0], batch)
-        can1 = self.unpack_column(rails[1], batch)
-        return tuple(
-            _T_OF_RAIL[(int(a), int(b))] for a, b in zip(can0, can1)
-        )
-
-    def state_range(
-        self, start: int, stop: int, num_latches: int
-    ) -> Tuple[Any, ...]:
-        """Per-latch lane values for power-up states ``start..stop-1``.
-
-        Lane ``i`` carries state index ``start + i``; latch ``j`` takes
-        bit ``num_latches - 1 - j`` of the index, matching
-        :func:`repro.sim.multi.all_states_array` row order -- this is
-        what lets sharded sweeps generate their block locally instead of
-        shipping the full ``2**n`` array across the process boundary.
-        """
-        indices = np.arange(start, stop, dtype=np.int64)
-        return tuple(
-            self.pack_column(
-                ((indices >> (num_latches - 1 - bit)) & 1).astype(bool)
-            )
-            for bit in range(num_latches)
-        )
-
-    def exhaustive_states(self, num_latches: int) -> Tuple[Any, ...]:
-        """Per-latch lane values of the full ``2**n`` sweep (memoised)."""
-        return _exhaustive_states_cached(self.name, num_latches)
-
-    # -- verdicts ----------------------------------------------------------
-
-    def all_ones(self, value, ctx) -> bool:
-        """Is *value* 1 in every lane of *ctx*?"""
-        raise NotImplementedError
-
-    def all_zeros(self, value) -> bool:
-        """Is *value* 0 in every lane?"""
-        raise NotImplementedError
-
-    # -- stepping ----------------------------------------------------------
-
-    def step_binary(self, compiled, state, inputs, ctx, forced=None):
-        """One binary cycle: ``(outputs, next_state)`` in lane values."""
-        raise NotImplementedError
-
-    def step_ternary(self, compiled, state, inputs, ctx, forced=None):
-        """One dual-rail ternary cycle in lane values."""
-        raise NotImplementedError
-
-
-class MaskLaneBackend(LaneBackend):
-    """Lanes as one arbitrary-precision Python int per net (bit i = lane i)."""
-
-    name = "mask"
-
-    def context(self, batch: int) -> int:
-        return (1 << batch) - 1
-
-    def zero(self, ctx: int) -> int:
-        return 0
-
-    def pack_column(self, column: np.ndarray) -> int:
-        return column_to_mask(column)
-
-    def unpack_column(self, value: int, batch: int) -> np.ndarray:
-        return mask_to_column(value, batch)
-
-    def all_ones(self, value: int, ctx: int) -> bool:
-        return value == ctx
-
-    def all_zeros(self, value: int) -> bool:
-        return value == 0
-
-    def step_binary(self, compiled, state, inputs, ctx, forced=None):
-        return compiled.step_binary_masks(state, inputs, ctx, forced)
-
-    def step_ternary(self, compiled, state, inputs, ctx, forced=None):
-        return compiled.step_ternary_masks(state, inputs, ctx, forced)
-
-
-class WordLaneBackend(LaneBackend):
-    """Lanes as numpy ``uint64`` word arrays (64 lanes per word)."""
-
-    name = "words"
-
-    def context(self, batch: int) -> np.ndarray:
-        M = np.full(num_words_for(batch), ~np.uint64(0), dtype=np.uint64)
-        tail = batch % 64
-        if tail and M.shape[0]:
-            M[-1] = np.uint64((1 << tail) - 1)
-        return M
-
-    def zero(self, ctx: np.ndarray) -> np.ndarray:
-        return np.zeros_like(ctx)
-
-    def pack_column(self, column: np.ndarray) -> np.ndarray:
-        return column_to_words(column)
-
-    def unpack_column(self, value: np.ndarray, batch: int) -> np.ndarray:
-        return words_to_column(value, batch)
-
-    def all_ones(self, value: np.ndarray, ctx: np.ndarray) -> bool:
-        return bool(np.array_equal(value, ctx))
-
-    def all_zeros(self, value: np.ndarray) -> bool:
-        return not bool(np.any(value))
-
-    def step_binary(self, compiled, state, inputs, ctx, forced=None):
-        return compiled.step_binary_words(state, inputs, ctx, forced)
-
-    def step_ternary(self, compiled, state, inputs, ctx, forced=None):
-        return compiled.step_ternary_words(state, inputs, ctx, forced)
-
-
-#: The available lane engines, in registry order.
-LANE_ENGINES = ("mask", "words")
-
-_LANE_BACKENDS: Dict[str, LaneBackend] = {
-    "mask": MaskLaneBackend(),
-    "words": WordLaneBackend(),
-}
-
-
-@lru_cache(maxsize=128)
-def _exhaustive_states_cached(engine: str, num_latches: int) -> Tuple[Any, ...]:
-    backend = _LANE_BACKENDS[engine]
-    return backend.state_range(0, 1 << num_latches, num_latches)
-
-
-def resolve_lane_engine(name: Optional[str] = None) -> str:
-    """Resolve a lane-engine choice (``None`` -> track the backend).
-
-    With no explicit choice the ``words`` engine is used exactly when
-    the process default backend is ``words``; everything else keeps the
-    historical ``mask`` engine.
-    """
-    if name is None:
-        return "words" if _default_backend == "words" else "mask"
-    if name not in LANE_ENGINES:
-        raise ValueError(
-            "unknown lane engine %r (choose from %s)" % (name, LANE_ENGINES)
-        )
-    return name
-
-
-def get_lane_engine(name: Optional[str] = None) -> LaneBackend:
-    """The :class:`LaneBackend` singleton for *name* (``None`` -> default)."""
-    return _LANE_BACKENDS[resolve_lane_engine(name)]

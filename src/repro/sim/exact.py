@@ -13,35 +13,23 @@ retimed circuit from the original (``0·0·1·0`` vs ``0·X·X·X`` for
 Figure 1's D and C), which is what makes the CLS result interesting.
 
 The implementation sweeps every power-up state with the compiled
-lane-parallel core (:mod:`repro.sim.compiled`): one lane value per net
-carries all ``2**n`` lanes, and the universal/existential verdict per
-output pin is a single all-lanes comparison (all ones -> ``1``, all
-zeros -> ``0``, anything else -> ``X``).  The lane representation is a
-pluggable :class:`~repro.sim.compiled.LaneBackend` -- integer bitmasks
-(``mask``) or numpy ``uint64`` word arrays (``words``); both produce
-bit-for-bit identical verdicts.  The sweep is exact up to
-:data:`DEFAULT_MAX_LATCHES` latches and falls back to random state
-sampling beyond (sampling keeps the verdict sound for ``X`` but may
-erroneously report a definite value; callers that need exactness pass
-``sample=None`` and accept the latch limit).
+lane-parallel core (:mod:`repro.sim.compiled`): one integer lane mask
+per net carries all ``2**n`` lanes, and the universal/existential
+verdict per output pin is a single all-lanes comparison (all ones ->
+``1``, all zeros -> ``0``, anything else -> ``X``).  The sweep is exact
+up to :data:`DEFAULT_MAX_LATCHES` latches and falls back to random
+state sampling beyond (sampling keeps the verdict sound for ``X`` but
+may erroneously report a definite value; callers that need exactness
+pass ``sample=None`` and accept the latch limit).
 
-Large sweeps shard across worker processes: with ``jobs > 1`` the
-power-up lane space is partitioned into contiguous blocks, each worker
-sweeps its blocks independently (the universal/existential verdict
-distributes over any partition of the lanes), and the per-block
-verdicts are merged deterministically.  The bulk arrays of the worker
-payload -- the input sequence and any explicit power-up state rows --
-travel via the shared-memory transport of :mod:`repro.sim.parallel`
-(zero-copy attach; inline pickling as the portability fallback), and
-exhaustive blocks are generated locally from lane indices so the
-``2**n`` state array never crosses a process boundary at all.  This is
-what makes exhaustive sweeps past the historical latch cap practical --
-raise ``max_latches`` and pass ``jobs`` -- while ``jobs=1`` keeps the
-original single-pass code path bit for bit.
+Sweeps always run in-process, whatever the process-wide ``--jobs``:
+sharding the lane space across a worker pool never measured faster
+than one in-process pass of the compiled program over int masks.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,9 +38,8 @@ from ..logic.ternary import ONE, T, X, ZERO
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
-from .compiled import compile_circuit, get_lane_engine, resolve_lane_engine
+from .compiled import column_to_mask, compile_circuit, mask_to_column
 from .multi import all_states_array
-from .parallel import make_array_pack, resolve_jobs, run_sharded
 
 __all__ = [
     "DEFAULT_MAX_LATCHES",
@@ -64,66 +51,24 @@ __all__ = [
 
 DEFAULT_MAX_LATCHES = 20
 
-#: Below this many power-up lanes a pool costs more than it saves and
-#: the parallel path quietly stays serial.
-PARALLEL_MIN_LANES = 128
-
 TernaryVec = Tuple[T, ...]
 
 
-def _sweep_lane_block(payload, blocks):
-    """Worker task: sweep contiguous lane blocks of the power-up space.
+@lru_cache(maxsize=128)
+def _exhaustive_state_masks(num_latches: int) -> Tuple[int, ...]:
+    """Lane masks of the full ``2**n`` power-up sweep, per latch count.
 
-    *payload* is ``(circuit, overrides, pack, n, engine_name)`` where
-    *pack* is an array pack (shared-memory or inline, see
-    :func:`repro.sim.parallel.make_array_pack`) carrying the boolean
-    ``"sequence"`` matrix and, for sampled/restricted sweeps, the
-    explicit ``"states"`` rows; exhaustive blocks are generated locally
-    from the lane indices, so the full ``2**n`` array never crosses the
-    process boundary.  Per block, returns
-
-    ``(per_cycle_flags, final_state_columns, block_size)``
-
-    with ``per_cycle_flags[t][o] = (all_ones, all_zeros)`` for output
-    ``o`` at cycle ``t`` -- the two quantifier verdicts restricted to
-    this block -- and the final states already unpacked to a boolean
-    ``(block, n)`` array, so the merge step is backend-agnostic.
+    Lane ``i`` carries state ``i``; latch ``j`` takes bit ``n - 1 - j``
+    of the index, matching :func:`all_states_array` row order.  The
+    masks depend on ``n`` alone, so every exhaustive sweep over an
+    ``n``-latch circuit shares one packed copy -- exact fault grading
+    builds a fresh :class:`ExactSimulator` per fault and relies on it.
     """
-    circuit, overrides, pack, num_latches, engine_name = payload
-    engine = get_lane_engine(engine_name)
-    compiled = compile_circuit(circuit)
-    forced = compiled.forced_binary(overrides)
-    sequence = np.asarray(pack["sequence"], dtype=bool)
-    states = pack["states"] if "states" in pack else None
-    results = []
-    for start, stop in blocks:
-        batch = stop - start
-        if states is None:
-            state_vals = engine.state_range(start, stop, num_latches)
-        else:
-            lanes = np.asarray(states[start:stop], dtype=bool)
-            state_vals = tuple(
-                engine.pack_column(lanes[:, j]) for j in range(lanes.shape[1])
-            )
-        ctx = engine.context(batch)
-        flags = []
-        for vector in sequence:
-            input_vals = [engine.constant(bool(bit), ctx) for bit in vector]
-            out_vals, state_vals = engine.step_binary(
-                compiled, state_vals, input_vals, ctx, forced
-            )
-            flags.append(
-                tuple(
-                    (engine.all_ones(v, ctx), engine.all_zeros(v)) for v in out_vals
-                )
-            )
-        final = (
-            np.stack([engine.unpack_column(v, batch) for v in state_vals], axis=1)
-            if state_vals
-            else np.zeros((batch, 0), dtype=bool)
-        )
-        results.append((tuple(flags), final, batch))
-    return results
+    indices = np.arange(1 << num_latches, dtype=np.int64)
+    return tuple(
+        column_to_mask(((indices >> (num_latches - 1 - bit)) & 1).astype(bool))
+        for bit in range(num_latches)
+    )
 
 
 class ExactSimulator:
@@ -142,17 +87,6 @@ class ExactSimulator:
         under-approximation of disagreement (X never wrongly reported).
     overrides:
         Optional stuck-at forcing (net -> bool), for fault analyses.
-    jobs:
-        Worker processes for lane-partitioned sweeps (``None`` -> the
-        process default of :mod:`repro.sim.parallel`).  The lane space
-        is split into contiguous blocks and the per-block verdicts
-        merged; results are identical to the serial single-pass sweep.
-        Sweeps under :data:`PARALLEL_MIN_LANES` lanes stay serial.
-    lane_engine:
-        Lane representation: ``"mask"``, ``"words"`` or ``None`` to
-        track the process default backend (``--backend words`` switches
-        every sweep to the word engine).  Verdicts are bit-for-bit
-        identical across engines.
     """
 
     def __init__(
@@ -163,8 +97,6 @@ class ExactSimulator:
         sample: Optional[int] = None,
         seed: int = 0,
         overrides=None,
-        jobs: Optional[int] = None,
-        lane_engine: Optional[str] = None,
     ) -> None:
         self.circuit = circuit
         self.exhaustive = sample is None
@@ -182,8 +114,6 @@ class ExactSimulator:
                 0, 2, size=(int(sample), circuit.num_latches)
             ).astype(bool)
         self.overrides = dict(overrides) if overrides else {}
-        self.jobs = jobs
-        self.lane_engine = lane_engine
 
     @property
     def states(self) -> np.ndarray:
@@ -196,31 +126,32 @@ class ExactSimulator:
         self,
         states: Optional[np.ndarray],
         input_sequence: Iterable[Sequence[bool]],
-    ) -> Tuple[List[Tuple], Tuple, object, int, object]:
-        """Run all lanes through the compiled core, staying in lane form."""
-        engine = get_lane_engine(self.lane_engine)
+    ) -> Tuple[List[Tuple[int, ...]], Tuple[int, ...], int, int]:
+        """Run all lanes through the compiled core, staying in mask form."""
         compiled = compile_circuit(self.circuit)
         if states is None and self.exhaustive:
-            state_vals: Tuple = engine.exhaustive_states(self.circuit.num_latches)
+            state_masks: Tuple[int, ...] = _exhaustive_state_masks(
+                self.circuit.num_latches
+            )
             batch = 1 << self.circuit.num_latches
         else:
             lanes = np.asarray(
                 self.states if states is None else states, dtype=bool
             )
             batch = lanes.shape[0]
-            state_vals = tuple(
-                engine.pack_column(lanes[:, j]) for j in range(lanes.shape[1])
+            state_masks = tuple(
+                column_to_mask(lanes[:, j]) for j in range(lanes.shape[1])
             )
-        ctx = engine.context(batch)
+        all_lanes = (1 << batch) - 1
         forced = compiled.forced_binary(self.overrides)
-        outputs_per_cycle: List[Tuple] = []
+        outputs_per_cycle: List[Tuple[int, ...]] = []
         with _span("sim.exact"):
             for vector in input_sequence:
-                input_vals = [engine.constant(bool(bit), ctx) for bit in vector]
-                out_vals, state_vals = engine.step_binary(
-                    compiled, state_vals, input_vals, ctx, forced
+                input_masks = [all_lanes if bit else 0 for bit in vector]
+                out_masks, state_masks = compiled.step_binary_masks(
+                    state_masks, input_masks, all_lanes, forced
                 )
-                outputs_per_cycle.append(out_vals)
+                outputs_per_cycle.append(out_masks)
         if _TRACE.enabled:
             counters = _TRACE.counters
             counters["sim.exact.sweeps"] = counters.get("sim.exact.sweeps", 0) + 1
@@ -228,78 +159,7 @@ class ExactSimulator:
             counters["sim.exact.cycles"] = (
                 counters.get("sim.exact.cycles", 0) + len(outputs_per_cycle)
             )
-        return outputs_per_cycle, state_vals, ctx, batch, engine
-
-    def _batch_size(self, states: Optional[np.ndarray]) -> int:
-        if states is not None:
-            return np.asarray(states).shape[0]
-        if self.exhaustive and self._states is None:
-            return 1 << self.circuit.num_latches
-        return self.states.shape[0]
-
-    def _sweep_parallel(
-        self,
-        states: Optional[np.ndarray],
-        input_sequence: Sequence[Sequence[bool]],
-        jobs: int,
-    ) -> List[Tuple]:
-        """Shard the lane space into blocks; per-block results in order."""
-        batch = self._batch_size(states)
-        if states is None and self.exhaustive and self._states is None:
-            explicit = None
-        else:
-            explicit = np.asarray(
-                self.states if states is None else states, dtype=bool
-            )
-        sequence = tuple(tuple(bool(b) for b in vec) for vec in input_sequence)
-        block_size = max(1, -(-batch // (jobs * 4)))
-        blocks = [
-            (start, min(start + block_size, batch))
-            for start in range(0, batch, block_size)
-        ]
-        arrays = {
-            "sequence": (
-                np.asarray(sequence, dtype=bool)
-                if sequence
-                else np.zeros((0, len(self.circuit.inputs)), dtype=bool)
-            )
-        }
-        if explicit is not None:
-            arrays["states"] = explicit
-        pack = make_array_pack(arrays)
-        payload = (
-            self.circuit,
-            self.overrides,
-            pack,
-            self.circuit.num_latches,
-            resolve_lane_engine(self.lane_engine),
-        )
-        try:
-            with _span("sim.exact"):
-                per_chunk = run_sharded(
-                    _sweep_lane_block,
-                    payload,
-                    blocks,
-                    jobs=jobs,
-                    label="exact-sweep",
-                )
-        finally:
-            pack.release()
-        if _TRACE.enabled:
-            counters = _TRACE.counters
-            counters["sim.exact.sweeps"] = counters.get("sim.exact.sweeps", 0) + 1
-            counters["sim.exact.lanes"] = counters.get("sim.exact.lanes", 0) + batch
-            counters["sim.exact.cycles"] = (
-                counters.get("sim.exact.cycles", 0) + len(sequence)
-            )
-        return per_chunk
-
-    def _use_parallel(self, states: Optional[np.ndarray]) -> int:
-        """The worker count to use, or 0 for the serial path."""
-        jobs = resolve_jobs(self.jobs)
-        if jobs > 1 and self._batch_size(states) >= PARALLEL_MIN_LANES:
-            return jobs
-        return 0
+        return outputs_per_cycle, state_masks, all_lanes, batch
 
     def outputs(
         self, input_sequence: Iterable[Sequence[bool]], *, states: Optional[np.ndarray] = None
@@ -310,49 +170,23 @@ class ExactSimulator:
         a subset of power-up states -- the delayed-design analyses pass
         the reachable states of ``D^n`` here.
         """
-        jobs = self._use_parallel(states)
-        if jobs:
-            sequence = [tuple(vec) for vec in input_sequence]
-            blocks = self._sweep_parallel(states, sequence, jobs)
-            num_outputs = len(self.circuit.outputs)
-            verdicts = []
-            for t in range(len(sequence)):
-                row = []
-                for o in range(num_outputs):
-                    if all(flags[t][o][0] for flags, _, _ in blocks):
-                        row.append(ONE)
-                    elif all(flags[t][o][1] for flags, _, _ in blocks):
-                        row.append(ZERO)
-                    else:
-                        row.append(X)
-                verdicts.append(tuple(row))
-            return tuple(verdicts)
-        per_cycle, _, ctx, _, engine = self._sweep(states, input_sequence)
+        per_cycle, _, all_lanes, _ = self._sweep(states, input_sequence)
         return tuple(
             tuple(
-                ONE
-                if engine.all_ones(value, ctx)
-                else (ZERO if engine.all_zeros(value) else X)
-                for value in out_vals
+                ONE if mask == all_lanes else (ZERO if mask == 0 else X)
+                for mask in out_masks
             )
-            for out_vals in per_cycle
+            for out_masks in per_cycle
         )
 
     def final_states(
         self, input_sequence: Iterable[Sequence[bool]], *, states: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """The set of final states (as array rows, duplicates possible)."""
-        jobs = self._use_parallel(states)
-        if jobs:
-            sequence = [tuple(vec) for vec in input_sequence]
-            blocks = self._sweep_parallel(states, sequence, jobs)
-            return np.concatenate([final for _, final, _ in blocks], axis=0)
-        _, final_vals, _, batch, engine = self._sweep(states, input_sequence)
-        if not final_vals:
+        _, final_masks, _, batch = self._sweep(states, input_sequence)
+        if not final_masks:
             return np.zeros((batch, 0), dtype=bool)
-        return np.stack(
-            [engine.unpack_column(value, batch) for value in final_vals], axis=1
-        )
+        return np.stack([mask_to_column(mask, batch) for mask in final_masks], axis=1)
 
 
 def exact_outputs(

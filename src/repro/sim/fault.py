@@ -40,14 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..logic.ternary import ONE, T, X, ZERO, from_bool, is_definite
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
 from .exact import ExactSimulator
-from .parallel import make_array_pack, resolve_jobs, run_sharded
+from .parallel import resolve_jobs, run_sharded
 from .ternary_sim import TernarySimulator, all_x_state
 
 __all__ = [
@@ -58,8 +56,6 @@ __all__ = [
     "detects_exact",
     "detects_cls",
     "detection_time",
-    "pack_grading_arrays",
-    "unpack_grading_arrays",
     "FaultSimulator",
     "TestEvaluation",
 ]
@@ -198,75 +194,12 @@ def detection_time(
     return verdict.time_step if verdict.detected else None
 
 
-#: Shared worker context for fault-partitioned grading: the circuit, an
-#: array pack (shared-memory or inline, see
-#: :func:`repro.sim.parallel.make_array_pack`) carrying the padded test
-#: set and per-test fault-free reference outputs (computed once in the
-#: parent, attached zero-copy by every worker) and the semantics.
-GradingPayload = Tuple[Circuit, object, str]
-
-#: Code points of the packed ternary reference-output arrays.  Decoding
-#: must restore the module singletons -- detection compares with ``is``.
-_T_CODE = {ZERO: 0, ONE: 1, X: 2}
-_T_OF_CODE = (ZERO, ONE, X)
-
-
-def pack_grading_arrays(
-    tests: Sequence[Sequence[Sequence[bool]]],
-    goods: Sequence[Sequence[Sequence[T]]],
-    num_inputs: int,
-    num_outputs: int,
-) -> Dict[str, np.ndarray]:
-    """Pad a test set and its reference outputs into dense arrays.
-
-    ``tests`` becomes a boolean ``(num_tests, max_len, num_inputs)``
-    block, ``goods`` a ``uint8`` ternary-coded block of matching shape
-    over the outputs, plus a ``lengths`` vector -- the layout the
-    shared-memory transport ships to grading workers.
-    """
-    num_tests = len(tests)
-    max_len = max((len(t) for t in tests), default=0)
-    tests_arr = np.zeros((num_tests, max_len, num_inputs), dtype=bool)
-    goods_arr = np.zeros((num_tests, max_len, num_outputs), dtype=np.uint8)
-    lengths = np.zeros(num_tests, dtype=np.int64)
-    for i, (test, good) in enumerate(zip(tests, goods)):
-        lengths[i] = len(test)
-        for t, vector in enumerate(test):
-            tests_arr[i, t] = np.fromiter(
-                (bool(v) for v in vector), dtype=bool, count=num_inputs
-            )
-        for t, vector in enumerate(good):
-            goods_arr[i, t] = np.fromiter(
-                (_T_CODE[v] for v in vector), dtype=np.uint8, count=num_outputs
-            )
-    return {"tests": tests_arr, "goods": goods_arr, "lengths": lengths}
-
-
-def unpack_grading_arrays(pack) -> Tuple[Tuple, Tuple]:
-    """Rebuild ``(tests, goods)`` tuples from a grading array pack.
-
-    Ternary codes decode back to the ``ZERO``/``ONE``/``X`` singletons,
-    which detection verdicts rely on (identity comparison).
-    """
-    tests_arr = np.asarray(pack["tests"], dtype=bool)
-    goods_arr = np.asarray(pack["goods"])
-    lengths = pack["lengths"]
-    tests: List[Tuple] = []
-    goods: List[Tuple] = []
-    for i in range(tests_arr.shape[0]):
-        length = int(lengths[i])
-        tests.append(
-            tuple(
-                tuple(bool(v) for v in tests_arr[i, t]) for t in range(length)
-            )
-        )
-        goods.append(
-            tuple(
-                tuple(_T_OF_CODE[int(c)] for c in goods_arr[i, t])
-                for t in range(length)
-            )
-        )
-    return tuple(tests), tuple(goods)
+#: Shared worker context for fault-partitioned grading: the circuit, the
+#: test set, the per-test fault-free reference outputs (computed once in
+#: the parent) and the semantics.  It is pickled inline; ``T`` is an
+#: ``IntEnum``, so the reference outputs unpickle as the module's
+#: ``ZERO``/``ONE``/``X`` singletons that detection compares with ``is``.
+GradingPayload = Tuple[Circuit, Tuple, Tuple, str]
 
 
 def _first_detecting_index(
@@ -277,8 +210,7 @@ def _first_detecting_index(
     Must stay a module-level function so :func:`repro.sim.parallel.run_sharded`
     can pickle it by reference.
     """
-    circuit, pack, semantics = payload
-    tests, goods = unpack_grading_arrays(pack)
+    circuit, tests, goods, semantics = payload
     detect = detects_exact if semantics == "exact" else detects_cls
     verdicts: List[Optional[int]] = []
     for fault in faults:
@@ -360,26 +292,15 @@ class FaultSimulator:
                 good_outputs(self.circuit, test, semantics=self.semantics)
                 for test in frozen_tests
             )
-            pack = make_array_pack(
-                pack_grading_arrays(
-                    frozen_tests,
-                    goods,
-                    len(self.circuit.inputs),
-                    len(self.circuit.outputs),
+            payload: GradingPayload = (self.circuit, frozen_tests, goods, self.semantics)
+            with _span("sim.fault.grade"):
+                first = run_sharded(
+                    _first_detecting_index,
+                    payload,
+                    fault_list,
+                    jobs=jobs,
+                    label="fault-grading",
                 )
-            )
-            payload: GradingPayload = (self.circuit, pack, self.semantics)
-            try:
-                with _span("sim.fault.grade"):
-                    first = run_sharded(
-                        _first_detecting_index,
-                        payload,
-                        fault_list,
-                        jobs=jobs,
-                        label="fault-grading",
-                    )
-            finally:
-                pack.release()
             if _TRACE.enabled:
                 _TRACE.incr(
                     "sim.fault.detected", sum(1 for v in first if v is not None)

@@ -7,12 +7,11 @@ states; this module runs them in lock-step, one lane per state.
 
 Since the compile-once refactor this is a thin ndarray adapter over
 :mod:`repro.sim.compiled`: the state array is packed column-wise into
-lane values of the selected :class:`~repro.sim.compiled.LaneBackend`
-(integer masks or ``uint64`` word arrays), one pass of the compiled
-program evaluates every lane, and the results are unpacked back into
-boolean arrays.  :meth:`BatchedBinarySimulator.run` packs the state
-**once** and stays in lane form across the whole sequence -- only the
-per-cycle outputs and the final state cross the ndarray boundary.
+integer lane masks, one pass of the compiled program evaluates every
+lane, and the results are unpacked back into boolean arrays.
+:meth:`BatchedBinarySimulator.run` packs the state **once** and stays
+in lane form across the whole sequence -- only the per-cycle outputs
+and the final state cross the ndarray boundary.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..netlist.circuit import Circuit
-from .compiled import compile_circuit, get_lane_engine
+from .compiled import column_to_mask, compile_circuit, mask_to_column
 
 __all__ = ["BatchedBinarySimulator", "all_states_array"]
 
@@ -52,22 +51,16 @@ class BatchedBinarySimulator:
     States are boolean arrays of shape ``(batch, num_latches)``; all
     lanes see the same input vector each cycle (that is the quantifier
     structure of the powerful simulator: one input sequence, all
-    power-up states).  *lane_engine* picks the lane representation
-    (``None`` tracks the process default backend).
+    power-up states).
     """
 
     def __init__(
-        self,
-        circuit: Circuit,
-        overrides: Optional[Mapping[str, bool]] = None,
-        *,
-        lane_engine: Optional[str] = None,
+        self, circuit: Circuit, overrides: Optional[Mapping[str, bool]] = None
     ) -> None:
         self.circuit = circuit
         self.overrides = dict(overrides) if overrides else {}
-        self.lane_engine = lane_engine
 
-    def _check_and_pack(self, states: np.ndarray, engine) -> Tuple[List, int]:
+    def _check_and_pack(self, states: np.ndarray) -> Tuple[List[int], int]:
         circuit = self.circuit
         states = np.asarray(states, dtype=bool)
         batch = states.shape[0]
@@ -77,25 +70,25 @@ class BatchedBinarySimulator:
                 % (states.shape[1], circuit.num_latches)
             )
         return (
-            [engine.pack_column(states[:, j]) for j in range(circuit.num_latches)],
+            [column_to_mask(states[:, j]) for j in range(circuit.num_latches)],
             batch,
         )
 
-    def _step_packed(self, compiled, engine, state_vals, inputs, ctx):
+    def _step_packed(self, compiled, state_masks, inputs, all_lanes):
         if len(inputs) != compiled.num_inputs:
             raise ValueError(
                 "circuit has %d inputs, got %d" % (compiled.num_inputs, len(inputs))
             )
-        input_vals = [engine.constant(bool(bit), ctx) for bit in inputs]
-        return engine.step_binary(
-            compiled, state_vals, input_vals, ctx, compiled.forced_binary(self.overrides)
+        input_masks = [all_lanes if bit else 0 for bit in inputs]
+        return compiled.step_binary_masks(
+            state_masks, input_masks, all_lanes, compiled.forced_binary(self.overrides)
         )
 
     @staticmethod
-    def _unpack(engine, values, batch: int) -> np.ndarray:
-        if not values:
+    def _unpack(masks, batch: int) -> np.ndarray:
+        if not masks:
             return np.zeros((batch, 0), dtype=bool)
-        return np.stack([engine.unpack_column(v, batch) for v in values], axis=1)
+        return np.stack([mask_to_column(m, batch) for m in masks], axis=1)
 
     def step(
         self, states: np.ndarray, inputs: Sequence[bool]
@@ -103,16 +96,12 @@ class BatchedBinarySimulator:
         """One cycle for every lane: returns ``(outputs, next_states)``
         of shapes ``(batch, num_outputs)`` and ``(batch, num_latches)``.
         """
-        engine = get_lane_engine(self.lane_engine)
         compiled = compile_circuit(self.circuit)
-        state_vals, batch = self._check_and_pack(states, engine)
-        ctx = engine.context(batch)
-        out_vals, next_vals = self._step_packed(
-            compiled, engine, state_vals, tuple(inputs), ctx
+        state_masks, batch = self._check_and_pack(states)
+        out_masks, next_masks = self._step_packed(
+            compiled, state_masks, tuple(inputs), (1 << batch) - 1
         )
-        return self._unpack(engine, out_vals, batch), self._unpack(
-            engine, next_vals, batch
-        )
+        return self._unpack(out_masks, batch), self._unpack(next_masks, batch)
 
     def run(
         self, states: np.ndarray, input_sequence: Iterable[Sequence[bool]]
@@ -120,14 +109,13 @@ class BatchedBinarySimulator:
         """Simulate a whole sequence; returns ``(outputs_per_cycle,
         final_states)`` where each outputs entry has shape
         ``(batch, num_outputs)``.  State stays packed between cycles."""
-        engine = get_lane_engine(self.lane_engine)
         compiled = compile_circuit(self.circuit)
-        state_vals, batch = self._check_and_pack(states, engine)
-        ctx = engine.context(batch)
+        state_masks, batch = self._check_and_pack(states)
+        all_lanes = (1 << batch) - 1
         outputs_per_cycle: List[np.ndarray] = []
         for vector in input_sequence:
-            out_vals, state_vals = self._step_packed(
-                compiled, engine, state_vals, tuple(vector), ctx
+            out_masks, state_masks = self._step_packed(
+                compiled, state_masks, tuple(vector), all_lanes
             )
-            outputs_per_cycle.append(self._unpack(engine, out_vals, batch))
-        return outputs_per_cycle, self._unpack(engine, state_vals, batch)
+            outputs_per_cycle.append(self._unpack(out_masks, batch))
+        return outputs_per_cycle, self._unpack(state_masks, batch)

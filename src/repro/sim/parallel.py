@@ -2,9 +2,8 @@
 
 The paper's headline experiments are embarrassingly parallel: fault
 grading evaluates every stuck-at fault against the same test set
-(Section 2.2, Table 1), the exact simulator sweeps ``2**n`` independent
-power-up states (Section 2.1), and the validity/redundancy checkers
-judge many independent candidates.  This module is the one place that
+(Section 2.2, Table 1), and the validity/redundancy checkers judge
+many independent candidates.  This module is the one place that
 knows how to split such work across CPU cores:
 
 * :func:`run_sharded` -- the single primitive everything else uses.  It
@@ -28,14 +27,6 @@ knows how to split such work across CPU cores:
   one-shot path, which remains the default.
 * chunk-size auto-tuning (:func:`auto_chunk_size`): about four chunks
   per worker, balancing scheduling slack against IPC overhead.
-* a zero-copy array transport (:func:`make_array_pack`): bulk numpy
-  arrays -- packed input vectors, reference-output tables, power-up
-  state blocks -- go into one ``multiprocessing.shared_memory`` segment
-  created once by the parent; workers attach by name, so only the
-  segment name and the array layout cross the pickle boundary instead
-  of the arrays themselves.  :class:`ArrayPack` is the portability
-  fallback carrying the same arrays inline in the pickled payload; the
-  merge contract is identical either way (bit-for-bit deterministic).
 * graceful degradation: if the pool cannot start (restricted
   environments, missing ``fork``/``spawn``, unpicklable payloads) the
   work runs serially in-process and a :class:`ParallelStats` record
@@ -47,9 +38,11 @@ knows how to split such work across CPU cores:
 
 Consumers: :class:`repro.sim.fault.FaultSimulator`,
 :func:`repro.sim.atpg.grade_test_set`,
-:class:`repro.sim.exact.ExactSimulator`,
 :func:`repro.retime.validity.cls_equivalent` and
-:func:`repro.optimize.redundancy.remove_cls_redundancies`.
+:func:`repro.optimize.redundancy.remove_cls_redundancies`.  The exact
+power-up sweep of :class:`repro.sim.exact.ExactSimulator` is not
+sharded: on a pool it never measured faster than one in-process pass
+over integer lane masks.
 
 With ``jobs == 1`` (the default) no pool, no pickling and no extra
 process is involved: callers take their original serial code path, so
@@ -59,7 +52,6 @@ this layer existed.
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import os
 import pickle
@@ -68,18 +60,13 @@ import warnings
 from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
-
-import numpy as np
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
 
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
 
 __all__ = [
-    "ArrayPack",
     "ParallelStats",
-    "SharedArrayPack",
-    "TRANSPORTS",
     "WorkerPool",
     "add_observer",
     "auto_chunk_size",
@@ -87,7 +74,6 @@ __all__ = [
     "get_default_jobs",
     "get_shared_pool",
     "last_stats",
-    "make_array_pack",
     "remove_observer",
     "reset_fallback_warning",
     "resolve_jobs",
@@ -177,9 +163,6 @@ class ParallelStats:
     #: Bytes of the pickled payload shipped to each worker (0 when the
     #: call stayed serial and nothing was pickled).
     payload_bytes: int = 0
-    #: Bytes parked in shared-memory segments referenced by the payload
-    #: (0 when no :class:`SharedArrayPack` was involved).
-    shm_bytes: int = 0
     #: True when the chunks ran on a reusable :class:`WorkerPool`
     #: (workers survived from an earlier call) instead of a one-shot
     #: executor.
@@ -200,8 +183,8 @@ class ParallelStats:
             mode,
             self.elapsed,
         )
-        if self.payload_bytes or self.shm_bytes:
-            text += ", %d payload B + %d shm B" % (self.payload_bytes, self.shm_bytes)
+        if self.payload_bytes:
+            text += ", %d payload B" % self.payload_bytes
         return text
 
 
@@ -275,215 +258,6 @@ def auto_chunk_size(num_items: int, jobs: int) -> int:
     if num_items <= 0:
         return 1
     return max(1, -(-num_items // (max(1, jobs) * CHUNKS_PER_WORKER)))
-
-
-# ---------------------------------------------------------------------------
-# Array transports: how bulk numpy arrays reach the workers.
-# ---------------------------------------------------------------------------
-
-#: Transport choices for :func:`make_array_pack`.  ``auto`` tries shared
-#: memory and silently falls back to inline pickling where segments
-#: cannot be created (restricted sandboxes, exotic platforms).
-TRANSPORTS = ("auto", "shm", "pickle")
-
-
-class ArrayPack:
-    """A read-only bundle of named numpy arrays, pickled inline.
-
-    This is the portability baseline: the arrays travel inside the
-    payload bytes like any other attribute.  The mapping interface
-    (``pack["tests"]``) is shared with :class:`SharedArrayPack`, so
-    worker tasks never know which transport carried their data.
-    """
-
-    transport = "pickle"
-
-    def __init__(self, arrays: Dict[str, np.ndarray]) -> None:
-        self._arrays = {
-            name: np.ascontiguousarray(a) for name, a in arrays.items()
-        }
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._arrays
-
-    def keys(self):
-        return self._arrays.keys()
-
-    @property
-    def nbytes(self) -> int:
-        """Total array bytes carried by this pack."""
-        return sum(int(a.nbytes) for a in self._arrays.values())
-
-    @property
-    def shm_bytes(self) -> int:
-        """Bytes parked in shared memory (0 for the inline transport)."""
-        return 0
-
-    def release(self) -> None:
-        """Free transport resources (no-op for the inline transport)."""
-
-
-#: Shared-memory segments this *worker* process attached to, closed at
-#: interpreter exit so the parent's unlink is the only lifetime owner.
-_ATTACHED_SEGMENTS: List[Any] = []
-_ATEXIT_REGISTERED = False
-
-
-def _close_attached_segments() -> None:
-    for shm in _ATTACHED_SEGMENTS:
-        try:
-            shm.close()
-        except (BufferError, OSError):  # views may outlive us; best effort
-            pass
-    del _ATTACHED_SEGMENTS[:]
-
-
-class SharedArrayPack:
-    """Named numpy arrays in one ``multiprocessing.shared_memory`` segment.
-
-    The parent copies every array into a single segment at construction;
-    pickling ships only ``(segment name, per-array layout)``, and worker
-    processes attach to the segment by name in ``__setstate__`` -- the
-    array payload itself never crosses the pickle boundary.  Views are
-    zero-copy on both sides.
-
-    Lifetime contract: the **creator** owns the segment and must call
-    :meth:`release` (unlinks) once the sharded call returns; workers
-    only ever close their attachment, which :func:`_close_attached_segments`
-    guarantees at exit even when tasks raise.
-    """
-
-    transport = "shm"
-
-    def __init__(self, arrays: Dict[str, np.ndarray]) -> None:
-        from multiprocessing import shared_memory
-
-        layout: Dict[str, Tuple[int, Tuple[int, ...], str]] = {}
-        offset = 0
-        staged = {}
-        for name, array in arrays.items():
-            a = np.ascontiguousarray(array)
-            # 8-byte alignment keeps uint64 views valid at any offset.
-            offset = (offset + 7) & ~7
-            layout[name] = (offset, a.shape, a.dtype.str)
-            staged[name] = a
-            offset += int(a.nbytes)
-        self._layout = layout
-        self._owner = True
-        self._views: Dict[str, np.ndarray] = {}
-        self._shm = shared_memory.SharedMemory(create=True, size=max(1, offset))
-        for name, a in staged.items():
-            off, shape, dtype = layout[name]
-            view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=self._shm.buf, offset=off)
-            view[...] = a
-        if _TRACE.enabled:
-            counters = _TRACE.counters
-            counters["parallel.shm.segments"] = (
-                counters.get("parallel.shm.segments", 0) + 1
-            )
-            counters["parallel.shm.bytes"] = (
-                counters.get("parallel.shm.bytes", 0) + self._shm.size
-            )
-
-    # -- mapping interface (shared with ArrayPack) -------------------------
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        view = self._views.get(name)
-        if view is None:
-            off, shape, dtype = self._layout[name]
-            view = np.ndarray(
-                shape, dtype=np.dtype(dtype), buffer=self._shm.buf, offset=off
-            )
-            view.flags.writeable = False
-            self._views[name] = view
-        return view
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._layout
-
-    def keys(self):
-        return self._layout.keys()
-
-    @property
-    def nbytes(self) -> int:
-        """Total array bytes carried by this pack."""
-        return sum(
-            int(np.dtype(dtype).itemsize) * int(np.prod(shape, dtype=np.int64))
-            for _, shape, dtype in self._layout.values()
-        )
-
-    @property
-    def shm_bytes(self) -> int:
-        """Size of the backing shared-memory segment."""
-        return int(self._shm.size)
-
-    # -- pickling: name + layout only --------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {"shm_name": self._shm.name, "layout": self._layout}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        from multiprocessing import shared_memory
-
-        self._layout = state["layout"]
-        self._owner = False
-        self._views = {}
-        self._shm = shared_memory.SharedMemory(name=state["shm_name"])
-        global _ATEXIT_REGISTERED
-        _ATTACHED_SEGMENTS.append(self._shm)
-        if not _ATEXIT_REGISTERED:
-            _ATEXIT_REGISTERED = True
-            atexit.register(_close_attached_segments)
-
-    # -- lifetime ----------------------------------------------------------
-
-    def release(self) -> None:
-        """Drop views and close; the creator additionally unlinks."""
-        self._views.clear()
-        try:
-            self._shm.close()
-        except (BufferError, OSError):
-            pass
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-
-
-def make_array_pack(
-    arrays: Dict[str, np.ndarray], transport: str = "auto"
-) -> "ArrayPack":
-    """Bundle *arrays* for worker delivery using *transport*.
-
-    ``auto`` prefers shared memory and degrades to the inline pickled
-    pack when a segment cannot be created; ``shm``/``pickle`` force one
-    transport (``shm`` then raises where unsupported).
-    """
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            "unknown transport %r (choose from %s)" % (transport, TRANSPORTS)
-        )
-    if transport == "pickle":
-        return ArrayPack(arrays)
-    try:
-        return SharedArrayPack(arrays)
-    except Exception:
-        if transport == "shm":
-            raise
-        _TRACE.incr("parallel.shm.fallbacks")
-        return ArrayPack(arrays)
-
-
-def _payload_shm_bytes(payload: Any) -> int:
-    """Shared-memory bytes referenced by a (possibly tuple) payload."""
-    parts = payload if isinstance(payload, (tuple, list)) else (payload,)
-    return sum(
-        int(obj.shm_bytes) for obj in parts if isinstance(obj, (ArrayPack, SharedArrayPack))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +503,6 @@ def run_sharded(
                 chunk_size=0,
                 elapsed=perf_counter() - started,
                 fallback=fallback,
-                payload_bytes=0,
-                shm_bytes=_payload_shm_bytes(payload),
             )
         )
         return results
@@ -758,18 +530,13 @@ def run_sharded(
             _warn_fallback_once(label, jobs, exc)
             return _serial(fallback=True)
 
-        if pooled and _TRACE.enabled:
-            _TRACE.incr("parallel.pool.runs")
-
-        shm_bytes = _payload_shm_bytes(payload)
         if _TRACE.enabled:
+            if pooled:
+                _TRACE.incr("parallel.pool.runs")
             counters = _TRACE.counters
             counters["parallel.payload.bytes"] = (
                 counters.get("parallel.payload.bytes", 0) + len(payload_bytes)
             )
-
-        if _TRACE.enabled:
-            counters = _TRACE.counters
             counters["parallel.chunks"] = counters.get("parallel.chunks", 0) + len(chunks)
             for _, shard_elapsed in parts:
                 _TRACE.record_timing("shard", shard_elapsed)
@@ -793,7 +560,6 @@ def run_sharded(
             elapsed=perf_counter() - started,
             fallback=False,
             payload_bytes=len(payload_bytes),
-            shm_bytes=shm_bytes,
             pooled=pooled,
         )
     )

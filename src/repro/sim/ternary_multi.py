@@ -24,11 +24,10 @@ lane-by-lane in the test-suite; exotic cells fall back to scalar
 evaluation per lane.
 
 Since the compile-once refactor the simulator itself delegates to the
-lane-parallel core in :mod:`repro.sim.compiled` through its pluggable
-:class:`~repro.sim.compiled.LaneBackend` (same dual-rail algebra over
-integer masks or ``uint64`` word arrays, one lane value per rail); the
-per-cell helpers below remain as the executable specification of the
-encoding and keep the ndarray rail interface for callers.  Packing and
+lane-parallel core in :mod:`repro.sim.compiled` (same dual-rail
+algebra over integer lane masks, one mask per rail); the per-cell
+helpers below remain as the executable specification of the encoding
+and keep the ndarray rail interface for callers.  Packing and
 unpacking happen column-wise per net, never lane by lane.
 """
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from ..logic.ternary import ONE, T, X, ZERO
 from ..netlist.circuit import Circuit
-from .compiled import compile_circuit, get_lane_engine
+from .compiled import column_to_mask, compile_circuit, mask_to_column
 
 __all__ = ["BatchedTernarySimulator", "encode_ternary", "decode_ternary"]
 
@@ -168,15 +167,10 @@ class BatchedTernarySimulator:
     """
 
     def __init__(
-        self,
-        circuit: Circuit,
-        overrides: Optional[Mapping[str, T]] = None,
-        *,
-        lane_engine: Optional[str] = None,
+        self, circuit: Circuit, overrides: Optional[Mapping[str, T]] = None
     ) -> None:
         self.circuit = circuit
         self.overrides = dict(overrides) if overrides else {}
-        self.lane_engine = lane_engine
 
     def step(
         self, state: List[Rail], inputs: List[Rail]
@@ -190,26 +184,22 @@ class BatchedTernarySimulator:
         batch = inputs[0][0].shape[0] if inputs else (
             state[0][0].shape[0] if state else 1
         )
-        engine = get_lane_engine(self.lane_engine)
         compiled = compile_circuit(circuit)
-        ctx = engine.context(batch)
-        state_vals = [
-            (engine.pack_column(c0), engine.pack_column(c1)) for c0, c1 in state
-        ]
-        input_vals = [
-            (engine.pack_column(c0), engine.pack_column(c1)) for c0, c1 in inputs
-        ]
-        out_vals, next_vals = engine.step_ternary(
-            compiled, state_vals, input_vals, ctx, compiled.forced_ternary(self.overrides)
+        state_masks = [(column_to_mask(c0), column_to_mask(c1)) for c0, c1 in state]
+        input_masks = [(column_to_mask(c0), column_to_mask(c1)) for c0, c1 in inputs]
+        out_masks, next_masks = compiled.step_ternary_masks(
+            state_masks,
+            input_masks,
+            (1 << batch) - 1,
+            compiled.forced_ternary(self.overrides),
         )
 
         def unpack(rails):
             return [
-                (engine.unpack_column(a, batch), engine.unpack_column(b, batch))
-                for a, b in rails
+                (mask_to_column(a, batch), mask_to_column(b, batch)) for a, b in rails
             ]
 
-        return unpack(out_vals), unpack(next_vals)
+        return unpack(out_masks), unpack(next_masks)
 
     def run_sequences(
         self, sequences: Sequence[Sequence[Sequence[T]]]
@@ -228,27 +218,28 @@ class BatchedTernarySimulator:
         if any(len(seq) != length for seq in sequences):
             raise ValueError("sequences must share one length")
 
-        engine = get_lane_engine(self.lane_engine)
         compiled = compile_circuit(self.circuit)
-        ctx = engine.context(batch)
+        all_lanes = (1 << batch) - 1
         forced = compiled.forced_ternary(self.overrides)
-        all_x = engine.constant_ternary(X, ctx)
-        state = [all_x] * compiled.num_latches  # all-X power-up
+        state = [(all_lanes, all_lanes)] * compiled.num_latches  # all-X power-up
         per_cycle = []
         for cycle in range(length):
-            inputs = [
-                engine.pack_ternary_column(
+            inputs = []
+            for pin in range(compiled.num_inputs):
+                can0, can1 = encode_ternary(
                     [sequences[lane][cycle][pin] for lane in range(batch)]
                 )
-                for pin in range(compiled.num_inputs)
-            ]
-            outputs, state = engine.step_ternary(compiled, state, inputs, ctx, forced)
+                inputs.append((column_to_mask(can0), column_to_mask(can1)))
+            outputs, state = compiled.step_ternary_masks(
+                state, inputs, all_lanes, forced
+            )
             per_cycle.append(outputs)
 
         results: List[List[Tuple[T, ...]]] = [[] for _ in range(batch)]
         for cycle in range(length):
             columns = [
-                engine.unpack_ternary_column(rail, batch) for rail in per_cycle[cycle]
+                decode_ternary((mask_to_column(a, batch), mask_to_column(b, batch)))
+                for a, b in per_cycle[cycle]
             ]
             for lane in range(batch):
                 results[lane].append(tuple(column[lane] for column in columns))

@@ -47,9 +47,7 @@ class TernarySimulator:
     backend:
         ``"compiled"`` (the default) evaluates through the flat program
         of :mod:`repro.sim.compiled`; ``"interpreted"`` walks the
-        netlist with the reference :func:`~repro.sim.core.propagate`;
-        ``"words"`` behaves like ``compiled`` here (the word lane
-        engine only changes batched sweeps).
+        netlist with the reference :func:`~repro.sim.core.propagate`.
     """
 
     def __init__(
@@ -69,7 +67,7 @@ class TernarySimulator:
         """One clock cycle: returns ``(outputs, next_state)``."""
         in_vec = tuple(to_ternary(v) for v in inputs)
         st_vec = tuple(to_ternary(v) for v in state)
-        if self.backend != "interpreted":  # compiled and words share the scalar core
+        if self.backend == "compiled":
             return compile_circuit(self.circuit).step_ternary(
                 st_vec, in_vec, overrides=self.overrides or None
             )

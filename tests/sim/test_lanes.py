@@ -1,20 +1,17 @@
-"""Property tests for the lane backends (int masks vs ``uint64`` words).
+"""Property tests for the lane-mask representation.
 
-The historical int-mask engine is the differential oracle here: for
-every circuit, batch size, override map and cell family the word
-engine must produce **bit-for-bit** the same lane values once both are
-unpacked back into boolean columns.  The suite covers
+Every batched simulator carries its lanes as arbitrary-precision Python
+int masks (bit ``i`` = lane ``i``).  The suite covers
 
 * round trips of the packing helpers (``column_to_mask`` /
-  ``mask_to_column`` and ``column_to_words`` / ``words_to_column``)
-  across batch sizes that are not multiples of 8, batch 0 and
-  batches crossing the 64-lane word boundary,
-* mask-vs-words agreement on hypothesis-generated random circuits and
-  on the paper's Figure 1 designs, binary and dual-rail ternary, with
-  and without forced (stuck-at) overrides and with GENERIC cells,
-* the sparse set-bit walk in the generic-cell fallbacks,
-* the :class:`~repro.sim.compiled.LaneBackend` registry contract and
-  the lane-engine-aware consumers.
+  ``mask_to_column``) across batch sizes that are not multiples of 8,
+  batch 0 and batches crossing machine-word boundaries, plus the
+  dual-rail ternary columns of the batched CLS,
+* the memoised exhaustive power-up masks of the exact simulator,
+* GENERIC (non-library) cells in multi-lane steps, binary and dual-rail
+  ternary, with and without a stuck-at override, lane by lane against
+  the reference interpreter :func:`~repro.sim.core.propagate`,
+* the sparse set-bit walk in the generic-cell fallbacks.
 """
 
 from __future__ import annotations
@@ -24,59 +21,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.generators import random_sequential_circuit
-from repro.bench.paper_circuits import figure1_design_c, figure1_design_d
 from repro.logic.functions import CellFunction, make_gate
 from repro.logic.ternary import ONE, X, ZERO
 from repro.netlist.circuit import Circuit
 from repro.sim.compiled import (
-    LANE_ENGINES,
-    MaskLaneBackend,
-    WordLaneBackend,
     _generic_binary,
-    _generic_binary_words,
     _generic_ternary,
-    _generic_ternary_words,
     column_to_mask,
-    column_to_words,
     compile_circuit,
-    get_default_backend,
-    get_lane_engine,
     mask_to_column,
-    num_words_for,
-    resolve_lane_engine,
-    set_default_backend,
-    words_to_column,
 )
-from repro.sim.exact import ExactSimulator
-from repro.sim.multi import BatchedBinarySimulator, all_states_array
-from repro.sim.ternary_multi import BatchedTernarySimulator
+from repro.sim.core import propagate
+from repro.sim.exact import _exhaustive_state_masks
+from repro.sim.multi import all_states_array
+from repro.sim.ternary_multi import decode_ternary, encode_ternary
 
-MASK = get_lane_engine("mask")
-WORDS = get_lane_engine("words")
 TERNARY = (ZERO, ONE, X)
 
 # Batch sizes probing every packing edge: empty, sub-byte, byte
 # boundaries, the 64-lane word boundary, and multi-word tails.
 EDGE_BATCHES = (0, 1, 5, 7, 8, 9, 63, 64, 65, 100, 128, 130)
-
-
-def build(seed, num_inputs, num_gates, num_latches):
-    return random_sequential_circuit(
-        seed,
-        num_inputs=num_inputs,
-        num_gates=num_gates,
-        num_latches=num_latches,
-    )
-
-
-circuits = st.builds(
-    build,
-    seed=st.integers(0, 40),
-    num_inputs=st.integers(1, 3),
-    num_gates=st.integers(2, 12),
-    num_latches=st.integers(0, 4),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +49,6 @@ circuits = st.builds(
 
 
 class TestPackingRoundTrips:
-    def test_num_words_for(self):
-        assert num_words_for(0) == 0
-        assert num_words_for(1) == 1
-        assert num_words_for(64) == 1
-        assert num_words_for(65) == 2
-        assert num_words_for(128) == 2
-        assert num_words_for(129) == 3
-        with pytest.raises(ValueError):
-            num_words_for(-1)
-
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.booleans(), min_size=0, max_size=200))
     def test_mask_round_trip(self, column):
@@ -102,227 +56,52 @@ class TestPackingRoundTrips:
         mask = column_to_mask(col)
         assert np.array_equal(mask_to_column(mask, col.size), col)
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.booleans(), min_size=0, max_size=200))
-    def test_words_round_trip(self, column):
-        col = np.asarray(column, dtype=bool)
-        words = column_to_words(col)
-        assert words.dtype == np.uint64
-        assert words.shape == (num_words_for(col.size),)
-        assert np.array_equal(words_to_column(words, col.size), col)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.booleans(), min_size=0, max_size=200))
-    def test_words_and_mask_describe_the_same_lane_order(self, column):
-        col = np.asarray(column, dtype=bool)
-        words = column_to_words(col)
-        as_int = sum(int(w) << (64 * i) for i, w in enumerate(words))
-        assert as_int == column_to_mask(col)
-
     @pytest.mark.parametrize("batch", EDGE_BATCHES)
     def test_edge_batches(self, batch):
         rng = np.random.default_rng(batch)
         col = rng.random(batch) < 0.5
         assert np.array_equal(mask_to_column(column_to_mask(col), batch), col)
-        assert np.array_equal(words_to_column(column_to_words(col), batch), col)
 
     def test_batch_zero_is_empty_everywhere(self):
         empty = np.zeros(0, dtype=bool)
         assert column_to_mask(empty) == 0
         assert mask_to_column(0, 0).size == 0
-        assert column_to_words(empty).size == 0
-        assert words_to_column(np.zeros(0, dtype=np.uint64), 0).size == 0
 
-    def test_tail_bits_beyond_batch_are_zero(self):
-        col = np.ones(70, dtype=bool)
-        words = column_to_words(col)
-        assert words.shape == (2,)
-        assert int(words[0]) == (1 << 64) - 1
-        assert int(words[1]) == (1 << 6) - 1  # 70 - 64 live lanes only
-
-
-# ---------------------------------------------------------------------------
-# Backend contexts and verdict helpers.
-# ---------------------------------------------------------------------------
-
-
-class TestBackendContexts:
-    @pytest.mark.parametrize("batch", EDGE_BATCHES)
-    def test_contexts_agree(self, batch):
-        mask_ctx = MASK.context(batch)
-        word_ctx = WORDS.context(batch)
-        assert mask_ctx == (1 << batch) - 1
-        assert word_ctx.shape == (num_words_for(batch),)
-        as_int = sum(int(w) << (64 * i) for i, w in enumerate(word_ctx))
-        assert as_int == mask_ctx
-
-    @pytest.mark.parametrize("engine", [MASK, WORDS])
-    @pytest.mark.parametrize("batch", (1, 63, 64, 65, 130))
-    def test_verdicts(self, engine, batch):
-        ctx = engine.context(batch)
-        assert engine.all_ones(engine.constant(True, ctx), ctx)
-        assert not engine.all_zeros(engine.constant(True, ctx))
-        assert engine.all_zeros(engine.constant(False, ctx))
-        assert not engine.all_ones(engine.constant(False, ctx), ctx)
-        mixed = np.zeros(batch, dtype=bool)
-        mixed[0] = True
-        packed = engine.pack_column(mixed)
-        if batch > 1:
-            assert not engine.all_ones(packed, ctx)
-        assert not engine.all_zeros(packed)
-
-    @pytest.mark.parametrize("engine", [MASK, WORDS])
-    def test_ternary_constants_and_columns(self, engine):
+    def test_ternary_columns_round_trip_through_masks(self):
         batch = 67
-        ctx = engine.context(batch)
-        for value in TERNARY:
-            rails = engine.constant_ternary(value, ctx)
-            decoded = engine.unpack_ternary_column(rails, batch)
-            assert decoded == (value,) * batch
         rng = np.random.default_rng(7)
         column = tuple(TERNARY[i] for i in rng.integers(0, 3, size=batch))
-        rails = engine.pack_ternary_column(column)
-        assert engine.unpack_ternary_column(rails, batch) == column
+        can0, can1 = encode_ternary(column)
+        rails = (column_to_mask(can0), column_to_mask(can1))
+        decoded = decode_ternary(
+            (mask_to_column(rails[0], batch), mask_to_column(rails[1], batch))
+        )
+        assert decoded == column
         # Decoded values must be the module singletons: downstream code
         # compares with ``is``.
-        for value in engine.unpack_ternary_column(rails, batch):
-            assert value in (ZERO, ONE, X)
+        assert all(any(v is t for t in TERNARY) for v in decoded)
 
 
 # ---------------------------------------------------------------------------
-# Differential: the word engine against the mask oracle.
+# The exhaustive power-up masks of the exact simulator.
 # ---------------------------------------------------------------------------
 
 
-def _step_both_binary(circuit, states, inputs, overrides=None):
-    """Step both engines over the same lane block; return unpacked columns."""
-    compiled = compile_circuit(circuit)
-    batch = len(states)
-    forced = compiled.forced_binary(overrides)
-    results = []
-    for engine in (MASK, WORDS):
-        ctx = engine.context(batch)
-        state_vals = [
-            engine.pack_column(np.array([row[j] for row in states], dtype=bool))
-            for j in range(circuit.num_latches)
-        ]
-        input_vals = [
-            engine.pack_column(np.array([row[j] for row in inputs], dtype=bool))
-            for j in range(len(circuit.inputs))
-        ]
-        outs, nxt = engine.step_binary(compiled, state_vals, input_vals, ctx, forced)
-        results.append(
-            (
-                tuple(engine.unpack_column(v, batch).tolist() for v in outs),
-                tuple(engine.unpack_column(v, batch).tolist() for v in nxt),
-            )
-        )
-    return results
-
-
-def _step_both_ternary(circuit, states, inputs, overrides=None):
-    compiled = compile_circuit(circuit)
-    batch = len(states)
-    forced = compiled.forced_ternary(overrides)
-    results = []
-    for engine in (MASK, WORDS):
-        ctx = engine.context(batch)
-        state_vals = [
-            engine.pack_ternary_column([row[j] for row in states])
-            for j in range(circuit.num_latches)
-        ]
-        input_vals = [
-            engine.pack_ternary_column([row[j] for row in inputs])
-            for j in range(len(circuit.inputs))
-        ]
-        outs, nxt = engine.step_ternary(compiled, state_vals, input_vals, ctx, forced)
-        results.append(
-            (
-                tuple(engine.unpack_ternary_column(r, batch) for r in outs),
-                tuple(engine.unpack_ternary_column(r, batch) for r in nxt),
-            )
-        )
-    return results
-
-
-class TestWordsMatchMasks:
-    @settings(max_examples=40, deadline=None)
-    @given(circuit=circuits, data=st.data())
-    def test_binary_random_circuits(self, circuit, data):
-        # Lane counts beyond 64 force multi-word values with tails.
-        lanes = data.draw(st.integers(1, 130), label="lanes")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31), label="rng"))
-        states = (rng.random((lanes, circuit.num_latches)) < 0.5).tolist()
-        inputs = (rng.random((lanes, len(circuit.inputs))) < 0.5).tolist()
-        nets = sorted(circuit.nets())
-        picked = data.draw(
-            st.lists(st.sampled_from(nets), max_size=2, unique=True),
-            label="override_nets",
-        )
-        overrides = (
-            {net: data.draw(st.booleans(), label=net) for net in picked} or None
-        )
-        got_mask, got_words = _step_both_binary(circuit, states, inputs, overrides)
-        assert got_words == got_mask
-
-    @settings(max_examples=30, deadline=None)
-    @given(circuit=circuits, data=st.data())
-    def test_ternary_random_circuits(self, circuit, data):
-        tern = st.sampled_from(TERNARY)
-        lanes = data.draw(st.integers(1, 130), label="lanes")
-        states = [
-            tuple(data.draw(tern) for _ in range(circuit.num_latches))
-            for _ in range(min(lanes, 5))
-        ]
-        # Tile a few drawn rows out to the full lane count to keep the
-        # draw budget small while still crossing word boundaries.
-        states = [states[i % len(states)] for i in range(lanes)] if states else []
-        base_inputs = [
-            tuple(data.draw(tern) for _ in circuit.inputs) for _ in range(min(lanes, 5))
-        ]
-        inputs = [base_inputs[i % len(base_inputs)] for i in range(lanes)]
-        nets = sorted(circuit.nets())
-        picked = data.draw(
-            st.lists(st.sampled_from(nets), max_size=2, unique=True),
-            label="override_nets",
-        )
-        overrides = {net: data.draw(tern, label=net) for net in picked} or None
-        got_mask, got_words = _step_both_ternary(circuit, states, inputs, overrides)
-        assert got_words == got_mask
-
-    @pytest.mark.parametrize("batch", (1, 2, 63, 64, 65, 130))
-    def test_paper_circuits_binary(self, batch):
-        for circuit in (figure1_design_d(), figure1_design_c()):
-            rng = np.random.default_rng(batch)
-            states = (rng.random((batch, circuit.num_latches)) < 0.5).tolist()
-            inputs = (rng.random((batch, len(circuit.inputs))) < 0.5).tolist()
-            for overrides in (None, {circuit.outputs[0]: True}):
-                got_mask, got_words = _step_both_binary(
-                    circuit, states, inputs, overrides
-                )
-                assert got_words == got_mask
-
-    @pytest.mark.parametrize("batch", (1, 63, 64, 65, 130))
-    def test_paper_circuits_ternary(self, batch):
-        for circuit in (figure1_design_d(), figure1_design_c()):
-            rng = np.random.default_rng(batch)
-            states = [
-                tuple(TERNARY[i] for i in row)
-                for row in rng.integers(0, 3, size=(batch, circuit.num_latches))
-            ]
-            inputs = [
-                tuple(TERNARY[i] for i in row)
-                for row in rng.integers(0, 3, size=(batch, len(circuit.inputs)))
-            ]
-            for overrides in (None, {circuit.outputs[0]: X}):
-                got_mask, got_words = _step_both_ternary(
-                    circuit, states, inputs, overrides
-                )
-                assert got_words == got_mask
+class TestExhaustiveStates:
+    @pytest.mark.parametrize("n", (0, 1, 3, 7))
+    def test_exhaustive_states_match_all_states_array(self, n):
+        rows = all_states_array(n)
+        masks = _exhaustive_state_masks(n)
+        assert len(masks) == n
+        for j in range(n):
+            assert np.array_equal(mask_to_column(masks[j], rows.shape[0]), rows[:, j])
+        # Memoised per latch count: exact fault grading rebuilds an
+        # ExactSimulator per fault and must not re-pack the sweep.
+        assert _exhaustive_state_masks(n) is masks
 
 
 # ---------------------------------------------------------------------------
-# GENERIC cells: the lane-by-lane fallback inside both engines.
+# GENERIC cells: the lane-by-lane fallback inside the compiled core.
 # ---------------------------------------------------------------------------
 
 
@@ -347,21 +126,94 @@ def _generic_circuit():
     return circuit
 
 
+def _reference_step(circuit, state, inputs, *, ternary, overrides):
+    """One cycle of one lane through ``propagate``: ``(outputs, next)``."""
+    values = propagate(circuit, inputs, state, ternary=ternary, overrides=overrides)
+    return (
+        tuple(values[net] for net in circuit.outputs),
+        tuple(values[latch.data_in] for latch in circuit.latches),
+    )
+
+
+def _assert_binary_lanes_match_propagate(circuit, states, inputs, overrides):
+    compiled = compile_circuit(circuit)
+    batch = len(states)
+    state_masks = [
+        column_to_mask(np.array([row[j] for row in states], dtype=bool))
+        for j in range(circuit.num_latches)
+    ]
+    input_masks = [
+        column_to_mask(np.array([row[j] for row in inputs], dtype=bool))
+        for j in range(len(circuit.inputs))
+    ]
+    outs, nxt = compiled.step_binary_masks(
+        state_masks, input_masks, (1 << batch) - 1, compiled.forced_binary(overrides)
+    )
+    out_cols = [mask_to_column(m, batch) for m in outs]
+    next_cols = [mask_to_column(m, batch) for m in nxt]
+    for lane in range(batch):
+        expected = _reference_step(
+            circuit, states[lane], inputs[lane], ternary=False, overrides=overrides
+        )
+        got = (
+            tuple(bool(col[lane]) for col in out_cols),
+            tuple(bool(col[lane]) for col in next_cols),
+        )
+        assert got == expected, "lane %d" % lane
+
+
+def _assert_ternary_lanes_match_propagate(circuit, states, inputs, overrides):
+    compiled = compile_circuit(circuit)
+    batch = len(states)
+
+    def rails(rows, width):
+        packed = []
+        for j in range(width):
+            can0, can1 = encode_ternary([row[j] for row in rows])
+            packed.append((column_to_mask(can0), column_to_mask(can1)))
+        return packed
+
+    def unpack(rails_out):
+        return [
+            decode_ternary((mask_to_column(a, batch), mask_to_column(b, batch)))
+            for a, b in rails_out
+        ]
+
+    outs, nxt = compiled.step_ternary_masks(
+        rails(states, circuit.num_latches),
+        rails(inputs, len(circuit.inputs)),
+        (1 << batch) - 1,
+        compiled.forced_ternary(overrides),
+    )
+    out_cols, next_cols = unpack(outs), unpack(nxt)
+    for lane in range(batch):
+        expected = _reference_step(
+            circuit, states[lane], inputs[lane], ternary=True, overrides=overrides
+        )
+        got = (
+            tuple(col[lane] for col in out_cols),
+            tuple(col[lane] for col in next_cols),
+        )
+        assert got == expected, "lane %d" % lane
+
+
 class TestGenericCells:
     def test_family_is_generic(self):
         assert HALF_ADDER.family == "GENERIC"
 
     @pytest.mark.parametrize("batch", (1, 63, 64, 65, 130))
-    def test_binary_generic_words_match_masks(self, batch):
+    def test_binary_generic_lanes_match_propagate(self, batch):
         circuit = _generic_circuit()
         rng = np.random.default_rng(batch)
-        states = (rng.random((batch, 1)) < 0.5).tolist()
-        inputs = (rng.random((batch, 2)) < 0.5).tolist()
-        got_mask, got_words = _step_both_binary(circuit, states, inputs)
-        assert got_words == got_mask
+        states = [tuple(row) for row in (rng.random((batch, 1)) < 0.5).tolist()]
+        inputs = [tuple(row) for row in (rng.random((batch, 2)) < 0.5).tolist()]
+        # Without overrides the codegen path runs; a stuck-at on one
+        # GENERIC output runs the override-aware interpreter.
+        for overrides in (None, {"sum": True}):
+            _assert_binary_lanes_match_propagate(circuit, states, inputs, overrides)
 
     @pytest.mark.parametrize("batch", (1, 64, 100))
-    def test_ternary_generic_words_match_masks(self, batch):
+    def test_ternary_generic_lanes_match_propagate(self, batch):
         circuit = _generic_circuit()
         rng = np.random.default_rng(batch)
         states = [
@@ -372,8 +224,8 @@ class TestGenericCells:
             tuple(TERNARY[i] for i in row)
             for row in rng.integers(0, 3, size=(batch, 2))
         ]
-        got_mask, got_words = _step_both_ternary(circuit, states, inputs)
-        assert got_words == got_mask
+        for overrides in (None, {"sum": ONE}):
+            _assert_ternary_lanes_match_propagate(circuit, states, inputs, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -427,147 +279,3 @@ class TestSparseGenericWalk:
             a, b = got[pin]
             assert (a | b) & self.SPARSE == self.SPARSE  # every lane decodes
             assert (a & ~self.SPARSE) == 0 and (b & ~self.SPARSE) == 0
-
-    def test_word_fallbacks_match_mask_fallbacks(self):
-        fn = HALF_ADDER
-        batch = 130
-        rng = np.random.default_rng(3)
-        cols = [rng.random(batch) < 0.5 for _ in range(2)]
-        mask_ctx = MASK.context(batch)
-        word_ctx = WORDS.context(batch)
-        mask_out = _generic_binary(fn, [column_to_mask(c) for c in cols], mask_ctx)
-        word_out = _generic_binary_words(
-            fn, [column_to_words(c) for c in cols], word_ctx
-        )
-        for m, w in zip(mask_out, word_out):
-            assert np.array_equal(
-                words_to_column(w, batch), mask_to_column(m, batch)
-            )
-        tern_cols = [
-            tuple(TERNARY[i] for i in rng.integers(0, 3, size=batch))
-            for _ in range(2)
-        ]
-        mask_rails = [MASK.pack_ternary_column(c) for c in tern_cols]
-        word_rails = [WORDS.pack_ternary_column(c) for c in tern_cols]
-        mask_t = _generic_ternary(fn, mask_rails, mask_ctx)
-        word_t = _generic_ternary_words(fn, word_rails, word_ctx)
-        for m, w in zip(mask_t, word_t):
-            assert WORDS.unpack_ternary_column(w, batch) == (
-                MASK.unpack_ternary_column(m, batch)
-            )
-
-
-# ---------------------------------------------------------------------------
-# Registry, resolution and state enumeration.
-# ---------------------------------------------------------------------------
-
-
-class TestLaneEngineRegistry:
-    def test_registry(self):
-        assert LANE_ENGINES == ("mask", "words")
-        assert isinstance(get_lane_engine("mask"), MaskLaneBackend)
-        assert isinstance(get_lane_engine("words"), WordLaneBackend)
-        assert get_lane_engine("mask") is MASK  # singletons
-        with pytest.raises(ValueError, match="lane engine"):
-            get_lane_engine("nope")
-
-    def test_none_tracks_the_default_backend(self):
-        previous = get_default_backend()
-        try:
-            set_default_backend("compiled")
-            assert resolve_lane_engine(None) == "mask"
-            set_default_backend("words")
-            assert resolve_lane_engine(None) == "words"
-            set_default_backend("interpreted")
-            assert resolve_lane_engine(None) == "mask"
-        finally:
-            set_default_backend(previous)
-        assert resolve_lane_engine("words") == "words"
-
-    @pytest.mark.parametrize("engine", [MASK, WORDS])
-    @pytest.mark.parametrize("n", (0, 1, 3, 7))
-    def test_exhaustive_states_match_all_states_array(self, engine, n):
-        rows = all_states_array(n)
-        vals = engine.exhaustive_states(n)
-        assert len(vals) == n
-        for j in range(n):
-            assert np.array_equal(
-                engine.unpack_column(vals[j], rows.shape[0]), rows[:, j]
-            )
-
-    @pytest.mark.parametrize("engine", [MASK, WORDS])
-    def test_state_range_blocks_tile_the_sweep(self, engine):
-        n = 7  # 128 states = exactly two words
-        rows = all_states_array(n)
-        for start, stop in ((0, 128), (0, 70), (70, 128), (5, 6)):
-            vals = engine.state_range(start, stop, n)
-            batch = stop - start
-            for j in range(n):
-                assert np.array_equal(
-                    engine.unpack_column(vals[j], batch), rows[start:stop, j]
-                )
-
-
-# ---------------------------------------------------------------------------
-# Lane-engine-aware consumers: words == mask end to end.
-# ---------------------------------------------------------------------------
-
-
-class TestConsumersAgree:
-    def _sequences(self, circuit, length=5, seed=0):
-        rng = np.random.default_rng(seed)
-        width = len(circuit.inputs)
-        return [
-            tuple(bool(v) for v in rng.random(width) < 0.5) for _ in range(length)
-        ]
-
-    def test_exact_simulator(self):
-        circuit = build(11, num_inputs=2, num_gates=10, num_latches=7)
-        seq = self._sequences(circuit)
-        by_mask = ExactSimulator(circuit, lane_engine="mask")
-        by_words = ExactSimulator(circuit, lane_engine="words")
-        assert by_words.outputs(seq) == by_mask.outputs(seq)
-        assert np.array_equal(
-            by_words.final_states(seq), by_mask.final_states(seq)
-        )
-
-    def test_exact_simulator_with_faulty_overrides(self):
-        circuit = figure1_design_c()
-        seq = self._sequences(circuit, length=6, seed=3)
-        net = sorted(circuit.nets())[0]
-        by_mask = ExactSimulator(circuit, overrides={net: True}, lane_engine="mask")
-        by_words = ExactSimulator(circuit, overrides={net: True}, lane_engine="words")
-        assert by_words.outputs(seq) == by_mask.outputs(seq)
-
-    def test_batched_binary_simulator(self):
-        circuit = build(5, num_inputs=2, num_gates=8, num_latches=3)
-        batch = 100
-        rng = np.random.default_rng(1)
-        states = rng.random((batch, circuit.num_latches)) < 0.5
-        seq = [
-            tuple(bool(v) for v in rng.random(len(circuit.inputs)) < 0.5)
-            for _ in range(4)
-        ]
-        by_mask = BatchedBinarySimulator(circuit, lane_engine="mask")
-        by_words = BatchedBinarySimulator(circuit, lane_engine="words")
-        outs_m, final_m = by_mask.run(states, seq)
-        outs_w, final_w = by_words.run(states, seq)
-        assert np.array_equal(final_w, final_m)
-        for m, w in zip(outs_m, outs_w):
-            assert np.array_equal(w, m)
-
-    def test_batched_ternary_simulator(self):
-        circuit = figure1_design_d()
-        rng = np.random.default_rng(2)
-        sequences = [
-            [
-                tuple(
-                    TERNARY[i] for i in rng.integers(0, 3, size=len(circuit.inputs))
-                )
-                for _ in range(4)
-            ]
-            for _ in range(70)  # crosses the word boundary
-        ]
-        by_mask = BatchedTernarySimulator(circuit, lane_engine="mask")
-        by_words = BatchedTernarySimulator(circuit, lane_engine="words")
-        assert by_words.run_sequences(sequences) == by_mask.run_sequences(sequences)

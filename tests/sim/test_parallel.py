@@ -2,41 +2,32 @@
 
 The contract under test: with ``jobs > 1`` every parallel consumer
 produces **bit-for-bit** the serial result (verdict maps, orders,
-ternary outputs, state arrays, report counters), and when the pool
-cannot start the work silently degrades to the serial in-process path.
+ternary outputs, report counters), and when the pool cannot start the
+work silently degrades to the serial in-process path.  Exact power-up
+sweeps are not a consumer: they stay in-process under any ``--jobs``.
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
-from repro.bench.generators import lfsr_circuit
-from repro.bench.iscas import BENCHMARKS
-from repro.bench.paper_circuits import (
-    TABLE1_INPUT_SEQUENCE,
-    figure1_design_c,
-    figure1_design_d,
-)
+from repro.bench.iscas import BENCHMARKS, load
+from repro.bench.paper_circuits import figure1_design_c, figure1_design_d
 from repro.netlist.io_bench import parse_bench
 from repro.netlist.transform import normalize_fanout
 from repro.optimize.redundancy import remove_cls_redundancies
 from repro.retime.validity import cls_equivalent, first_cls_difference
 from repro.sim import parallel
 from repro.sim.atpg import generate_tests, grade_test_set
-from repro.sim.exact import ExactSimulator
+from repro.sim.exact import exact_outputs
 from repro.sim.fault import FaultSimulator
 from repro.sim.parallel import (
-    ArrayPack,
     ParallelStats,
-    SharedArrayPack,
-    TRANSPORTS,
     auto_chunk_size,
     get_default_jobs,
     last_stats,
-    make_array_pack,
     resolve_jobs,
     run_sharded,
     set_default_jobs,
@@ -236,40 +227,25 @@ class TestFaultGradingDeterminism:
             assert sharded == serial
 
 
-class TestExactSweepDeterminism:
-    def _sequences(self, circuit, length=6, seed=0):
-        rng = random.Random(seed)
+class TestExactSweepsStayInProcess:
+    def test_default_jobs_do_not_shard_exact_sweeps(self):
+        # ``repro --jobs 2`` sets the process default; exact sweeps
+        # (including fault grading's fault-free reference runs) must
+        # still run in-process and never reach run_sharded.
+        circuit = load("s298")
+        rng = random.Random(0)
         width = len(circuit.inputs)
-        return [tuple(rng.random() < 0.5 for _ in range(width)) for _ in range(length)]
-
-    def test_exhaustive_outputs_and_final_states(self):
-        circuit = lfsr_circuit([0, 3, 5, 9])  # 10 latches -> 1024 lanes
-        seq = self._sequences(circuit)
-        serial = ExactSimulator(circuit)
-        sharded = ExactSimulator(circuit, jobs=4)
-        assert sharded.outputs(seq) == serial.outputs(seq)
-        assert np.array_equal(sharded.final_states(seq), serial.final_states(seq))
-
-    def test_sampled_and_explicit_states(self):
-        circuit = lfsr_circuit([0, 2, 4, 7])
-        seq = self._sequences(circuit, seed=1)
-        serial = ExactSimulator(circuit, sample=400, seed=7)
-        sharded = ExactSimulator(circuit, sample=400, seed=7, jobs=3)
-        assert sharded.outputs(seq) == serial.outputs(seq)
-        states = np.array(
-            [[bool((i >> j) & 1) for j in range(circuit.num_latches)] for i in range(200)]
-        )
-        assert ExactSimulator(circuit, jobs=2).outputs(seq, states=states) == (
-            ExactSimulator(circuit).outputs(seq, states=states)
-        )
-
-    def test_small_sweeps_stay_serial(self):
-        # Figure 1's D has one latch; 2 lanes is under the parallel floor.
-        d = figure1_design_d()
-        sim = ExactSimulator(d, jobs=4)
-        seq = [(bool(v[0]),) for v in TABLE1_INPUT_SEQUENCE]
-        assert sim._use_parallel(None) == 0
-        assert sim.outputs(seq) == ExactSimulator(d).outputs(seq)
+        vectors = [tuple(rng.random() < 0.5 for _ in range(width)) for _ in range(64)]
+        published = []
+        previous = get_default_jobs()
+        parallel.add_observer(published.append)
+        set_default_jobs(2)
+        try:
+            exact_outputs(circuit, vectors)
+        finally:
+            set_default_jobs(previous)
+            parallel.remove_observer(published.append)
+        assert published == []
 
 
 class TestValidityAndRedundancyDeterminism:
@@ -318,120 +294,13 @@ class TestValidityAndRedundancyDeterminism:
         assert sharded.after == serial.after
 
 
-# ---------------------------------------------------------------------------
-# Array transports: inline pickling vs shared memory.
-# ---------------------------------------------------------------------------
-
-
-def _sample_arrays():
-    rng = np.random.default_rng(0)
-    return {
-        "tests": rng.random((5, 3, 2)) < 0.5,  # bool, odd byte count
-        "goods": rng.integers(0, 3, size=(5, 3, 4)).astype(np.uint8),
-        "lengths": np.arange(5, dtype=np.int64),
-        "words": rng.integers(0, 2**63, size=7).astype(np.uint64),
-    }
-
-
-def _read_from_pack(payload, chunk):
-    pack, scale = payload
-    lengths = pack["lengths"]
-    return [int(lengths[i]) * scale for i in chunk]
-
-
-class TestArrayPacks:
-    def test_inline_pack_interface(self):
-        arrays = _sample_arrays()
-        pack = ArrayPack(arrays)
-        assert pack.transport == "pickle"
-        assert set(pack.keys()) == set(arrays)
-        assert "tests" in pack and "absent" not in pack
-        for name, source in arrays.items():
-            assert np.array_equal(pack[name], source)
-        assert pack.nbytes == sum(a.nbytes for a in arrays.values())
-        assert pack.shm_bytes == 0
-        pack.release()  # no-op, callable twice
-        pack.release()
-
-    def test_shared_pack_views_match_sources(self):
-        arrays = _sample_arrays()
-        pack = make_array_pack(arrays, transport="shm")
-        try:
-            assert isinstance(pack, SharedArrayPack)
-            assert pack.transport == "shm"
-            assert set(pack.keys()) == set(arrays)
-            for name, source in arrays.items():
-                view = pack[name]
-                assert np.array_equal(view, source)
-                assert view.dtype == source.dtype
-                assert not view.flags.writeable  # read-only on purpose
-            # The segment is 8-byte aligned per array, so it may carry
-            # padding beyond the raw array bytes -- never less.
-            assert pack.shm_bytes >= pack.nbytes
-        finally:
-            pack.release()
-
-    def test_shared_pack_pickles_by_name_not_by_payload(self):
-        import pickle as pickle_mod
-
-        arrays = {"big": np.ones(100_000, dtype=np.uint64)}
-        pack = make_array_pack(arrays, transport="shm")
-        try:
-            blob = pickle_mod.dumps(pack)
-            # The 800 kB array must not cross the pickle boundary.
-            assert len(blob) < 1000
-            clone = pickle_mod.loads(blob)
-            try:
-                assert np.array_equal(clone["big"], arrays["big"])
-                assert clone.shm_bytes == pack.shm_bytes
-            finally:
-                clone.release()  # attachment close; creator still owns
-            assert np.array_equal(pack["big"], arrays["big"])
-        finally:
-            pack.release()
-
-    def test_transport_selection_and_fallback(self, monkeypatch):
-        arrays = {"a": np.arange(4)}
-        assert isinstance(make_array_pack(arrays, transport="pickle"), ArrayPack)
-        auto = make_array_pack(arrays)
-        assert auto.transport in ("shm", "pickle")  # shm where supported
-        auto.release()
-        with pytest.raises(ValueError, match="transport"):
-            make_array_pack(arrays, transport="smoke-signals")
-        assert "auto" in TRANSPORTS
-
-        def broken(arrays_):
-            raise OSError("no shared memory here")
-
-        monkeypatch.setattr(parallel, "SharedArrayPack", broken)
-        degraded = make_array_pack(arrays)  # auto degrades silently
-        assert isinstance(degraded, ArrayPack)
-        with pytest.raises(OSError):
-            make_array_pack(arrays, transport="shm")  # forced shm does not
-
-    def test_workers_read_through_the_pack(self):
-        pack = make_array_pack(_sample_arrays())
-        try:
-            out = run_sharded(
-                _read_from_pack, (pack, 10), [0, 1, 2, 3, 4], jobs=2, label="pack"
-            )
-        finally:
-            pack.release()
-        assert out == [0, 10, 20, 30, 40]
-        stats = last_stats()
-        if pack.transport == "shm":
-            assert stats.shm_bytes == pack.shm_bytes
-        if not stats.fallback and stats.chunks:
-            assert stats.payload_bytes > 0
-
-
 class TestParallelStatsBytes:
     def test_defaults_and_summary(self):
         stats = ParallelStats(
             label="x", jobs=2, items=3, chunks=1, chunk_size=3,
             elapsed=0.0, fallback=False,
         )
-        assert stats.payload_bytes == 0 and stats.shm_bytes == 0
+        assert stats.payload_bytes == 0
         assert "payload" not in stats.summary()
         loud = ParallelStats(
             label="x",
@@ -442,58 +311,8 @@ class TestParallelStatsBytes:
             elapsed=0.0,
             fallback=False,
             payload_bytes=120,
-            shm_bytes=4096,
         )
         assert "120 payload B" in loud.summary()
-        assert "4096 shm B" in loud.summary()
-
-    def test_serial_path_records_shm_bytes(self):
-        pack = make_array_pack({"lengths": np.arange(3, dtype=np.int64)})
-        try:
-            run_sharded(_read_from_pack, (pack, 1), [0, 1, 2], jobs=1, label="serial")
-            stats = last_stats()
-            assert stats.payload_bytes == 0  # nothing pickled
-            assert stats.shm_bytes == pack.shm_bytes
-        finally:
-            pack.release()
-
-
-# ---------------------------------------------------------------------------
-# The words lane engine under sharding: still bit-for-bit.
-# ---------------------------------------------------------------------------
-
-
-class TestWordsBackendDeterminism:
-    def _sequences(self, circuit, length=6, seed=0):
-        rng = random.Random(seed)
-        width = len(circuit.inputs)
-        return [tuple(rng.random() < 0.5 for _ in range(width)) for _ in range(length)]
-
-    def test_exact_sweep_words_parallel_matches_mask_serial(self):
-        circuit = lfsr_circuit([0, 3, 5, 9])
-        seq = self._sequences(circuit)
-        reference = ExactSimulator(circuit, lane_engine="mask")
-        sharded = ExactSimulator(circuit, lane_engine="words", jobs=4)
-        assert sharded.outputs(seq) == reference.outputs(seq)
-        assert np.array_equal(
-            sharded.final_states(seq), reference.final_states(seq)
-        )
-
-    def test_fault_grading_words_backend_matches(self):
-        from repro.sim.compiled import get_default_backend, set_default_backend
-
-        circuit = _s27()
-        tests = generate_tests(circuit, max_attempts=8, max_length=4).tests
-        reference = FaultSimulator(circuit).run_test_set(tests)
-        previous = get_default_backend()
-        set_default_backend("words")
-        try:
-            serial = FaultSimulator(circuit).run_test_set(tests)
-            sharded = FaultSimulator(circuit, jobs=2).run_test_set(tests)
-        finally:
-            set_default_backend(previous)
-        assert serial == reference
-        assert sharded == reference
 
 
 # ---------------------------------------------------------------------------
