@@ -2,9 +2,6 @@
 
 Global options (before the subcommand):
 
-``--backend {compiled,interpreted}``
-    simulator evaluation backend -- ``compiled`` (the flat-program
-    default) or ``interpreted`` (the reference netlist walk)
 ``--jobs N``
     worker processes for the parallelisable sweeps (fault grading,
     CLS invariance and redundancy checks); ``1`` (the default) is the
@@ -48,8 +45,8 @@ Subcommands:
                 requests are micro-batched into shared lane passes
                 (protocol reference: ``docs/SERVICE.md``)
 ``fuzz``        cross-engine conformance fuzzing: replay the regression
-                corpus, stream seeded random cases through the engine x
-                backend matrix, shrink and bundle any disagreement
+                corpus, stream seeded random cases through the engine
+                matrix, shrink and bundle any disagreement
                 (exit 1 if one survives; contract: ``docs/TESTING.md``)
 
 All commands read and write ISCAS-89 ``.bench`` files (BLIF via the
@@ -77,7 +74,6 @@ from .retime.min_area import min_area_retiming
 from .retime.validity import cls_equivalent
 from .sim.atpg import generate_tests
 from .sim.binary import BinarySimulator, parse_state
-from .sim.compiled import BACKENDS, set_default_backend
 from .sim.exact import exact_outputs
 from .sim.parallel import default_job_count, set_default_jobs
 from .sim.ternary_sim import TernarySimulator
@@ -138,6 +134,13 @@ def _parse_sequence(text: str, width: int):
     return vectors
 
 
+def _definite(sequence, mode: str):
+    """The Boolean vectors of a ternary *sequence*; exits on any X."""
+    if any(v.value == 2 for vec in sequence for v in vec):
+        raise SystemExit("%s simulation needs a definite input sequence" % mode)
+    return [tuple(v.value == 1 for v in vec) for vec in sequence]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -189,12 +192,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ]
         print(ascii_table(("cycle", "inputs", "outputs", "state after"), rows))
     elif args.mode == "exact":
-        bool_seq = [
-            tuple(v.value == 1 for v in vec) for vec in sequence
-        ]
-        if any(v.value == 2 for vec in sequence for v in vec):
-            raise SystemExit("exact simulation needs a definite input sequence")
-        outs = exact_outputs(circuit, bool_seq)
+        outs = exact_outputs(circuit, _definite(sequence, "exact"))
         rows = [
             (cycle, format_ternary_sequence(out, sep=""))
             for cycle, out in enumerate(outs)
@@ -203,9 +201,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:  # binary
         if args.state is None:
             raise SystemExit("--state is required for binary simulation")
-        state = parse_state(args.state)
-        bool_seq = [tuple(v.value == 1 for v in vec) for vec in sequence]
-        trace = BinarySimulator(circuit).run(state, bool_seq)
+        try:
+            state = parse_state(args.state)
+        except ValueError as exc:
+            raise SystemExit("--state %s: %s" % (args.state, exc))
+        if len(state) != circuit.num_latches:
+            raise SystemExit(
+                "--state %s has %d bits, circuit has %d latches"
+                % (args.state, len(state), circuit.num_latches)
+            )
+        trace = BinarySimulator(circuit).run(state, _definite(sequence, "binary"))
         trace_for_vcd = trace
         rows = [
             (
@@ -422,7 +427,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     from .bench.generators import random_sequential_circuit
     from .retime.apply import lag_to_moves
-    from .sim.compiled import compile_circuit, get_default_backend
+    from .sim.compiled import compile_circuit
     from .sim.fault import FaultSimulator
 
     if args.circuit:
@@ -438,8 +443,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     with obs.span("compile"):
         compiled = compile_circuit(circuit)
     print(
-        "compile:       %d ops, %d latches (backend %s)"
-        % (len(compiled.ops), circuit.num_latches, get_default_backend())
+        "compile:       %d ops, %d latches"
+        % (len(compiled.ops), circuit.num_latches)
     )
 
     with obs.span("simulate"):
@@ -599,13 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Retiming-validity toolkit (Singhal/Pixley/Rudell/Brayton, DAC'95)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="simulator evaluation backend: 'compiled' (flat-program, the "
-        "default) or 'interpreted' (reference netlist walk)",
     )
     parser.add_argument(
         "--jobs",
@@ -826,8 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.backend is not None:
-        set_default_backend(args.backend)
     if args.jobs is not None:
         if args.jobs < 0:
             parser.error("--jobs must be >= 0")

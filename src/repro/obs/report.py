@@ -7,7 +7,7 @@ reports as CI artefacts and perf PRs can diff before/after runs::
 
     {
       "schema": 1,
-      "meta":     {"label": "bench", "backend": "compiled", ...},
+      "meta":     {"label": "bench", "command": "bench", ...},
       "counters": {"compile.circuits": 3, "sim.compiled.binary.cycles": 40, ...},
       "spans":    [{"path": "bench/compile", "count": 3,
                     "total_s": 0.0021, "min_s": ..., "max_s": ...}, ...]

@@ -59,7 +59,7 @@ class Tracer:
     stack:
         Names of the currently open spans, outermost first.
     meta:
-        Free-form run metadata carried into the report (backend, jobs,
+        Free-form run metadata carried into the report (command, jobs,
         CLI argv, ...).
     """
 

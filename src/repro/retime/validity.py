@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..logic.ternary import ONE, T, X, ZERO
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
 from ..sim.parallel import resolve_jobs, run_sharded
-from ..sim.ternary_sim import cls_outputs
+from ..sim.ternary_multi import BatchedTernarySimulator
 from ..stg.delayed import delay_needed_for_implication, delayed_implies
 from ..stg.equivalence import implies
 from ..stg.explicit import extract_stg
@@ -42,6 +42,7 @@ __all__ = [
     "random_ternary_sequences",
     "cls_equivalent",
     "first_cls_difference",
+    "first_difference",
     "ValidityReport",
     "check_retiming_validity",
 ]
@@ -91,36 +92,46 @@ def cls_equivalent(
     return first_cls_difference(original, retimed, sequences, jobs=jobs, **kwargs) is None
 
 
-def _first_difference_per_sequence(payload, sequences):
-    """Worker task: per sequence, the first differing cycle or ``None``.
+def first_difference(outs_a, outs_b) -> Optional[Tuple[int, int]]:
+    """The first ``(sequence index, cycle)`` at which two batches of
+    per-sequence output traces differ, or ``None`` if none does.
 
-    The payload carries the circuit pair; each worker compares the CLS
-    outputs of its sequence shard independently.
+    ``outs_a[i][t]`` is the output vector of sequence *i* at cycle *t*.
+    """
+    for index, (trace_a, trace_b) in enumerate(zip(outs_a, outs_b)):
+        for cycle, (va, vb) in enumerate(zip(trace_a, trace_b)):
+            if va != vb:
+                return index, cycle
+    return None
+
+
+def _cls_sweep(circuit: Circuit, sequences) -> List[List[Tuple[T, ...]]]:
+    """CLS outputs of every sequence from all-X, in input order.
+
+    Sequences of equal length share one batched dual-rail pass; a
+    ragged batch costs one pass per distinct length.
+    """
+    by_length: Dict[int, List[int]] = {}
+    for index, seq in enumerate(sequences):
+        by_length.setdefault(len(seq), []).append(index)
+    simulator = BatchedTernarySimulator(circuit)
+    outs: List[List[Tuple[T, ...]]] = [[] for _ in sequences]
+    for indices in by_length.values():
+        batch = simulator.run_sequences([sequences[i] for i in indices])
+        for index, trace in zip(indices, batch):
+            outs[index] = trace
+    return outs
+
+
+def _first_difference_per_sequence(payload, sequences):
+    """Per sequence, its first difference or ``None``.
+
+    The payload carries the circuit pair.  This is the serial path and,
+    under ``jobs > 1``, the worker task that sweeps one shard.
     """
     original, retimed = payload
-    lengths = {len(seq) for seq in sequences}
-    if len(sequences) > 1 and len(lengths) == 1:
-        from ..sim.ternary_multi import BatchedTernarySimulator
-
-        outs = (
-            BatchedTernarySimulator(original).run_sequences(sequences),
-            BatchedTernarySimulator(retimed).run_sequences(sequences),
-        )
-        pairs = [zip(outs[0][i], outs[1][i]) for i in range(len(sequences))]
-    else:
-        pairs = [
-            zip(cls_outputs(original, seq), cls_outputs(retimed, seq))
-            for seq in sequences
-        ]
-    verdicts: List[Optional[int]] = []
-    for trace in pairs:
-        first: Optional[int] = None
-        for cycle, (va, vb) in enumerate(trace):
-            if va != vb:
-                first = cycle
-                break
-        verdicts.append(first)
-    return verdicts
+    traces = zip(_cls_sweep(original, sequences), _cls_sweep(retimed, sequences))
+    return [first_difference([a], [b]) for a, b in traces]
 
 
 def first_cls_difference(
@@ -134,12 +145,11 @@ def first_cls_difference(
     """The first (sequence index, cycle) where CLS outputs differ, or
     ``None`` when all checked sequences agree.
 
-    Equal-length sequence batches run through the batched dual-rail
-    simulator (one compiled lane-mask pass per cycle for the whole
-    batch); ragged batches fall back to the scalar CLS.  With
-    ``jobs > 1`` the sequences are sharded across worker processes and
-    every shard is checked; the reported difference is still the first
-    in input order, exactly as the serial scan finds it.
+    Every sequence runs through the batched dual-rail simulator (one
+    compiled lane-mask pass per cycle for all sequences of one length).
+    With ``jobs > 1`` the sequences are sharded across worker processes
+    and every shard is checked; the reported difference is still the
+    first in input order, exactly as the serial scan finds it.
     """
     if sequences is None:
         sequences = random_ternary_sequences(len(original.inputs), **kwargs)
@@ -158,27 +168,11 @@ def first_cls_difference(
             jobs=resolved,
             label="cls-invariance",
         )
-        for index, cycle in enumerate(per_sequence):
-            if cycle is not None:
-                return index, cycle
-        return None
-    lengths = {len(seq) for seq in sequences}
-    if len(lengths) == 1:
-        from ..sim.ternary_multi import BatchedTernarySimulator
-
-        out_a = BatchedTernarySimulator(original).run_sequences(sequences)
-        out_b = BatchedTernarySimulator(retimed).run_sequences(sequences)
-        for index in range(len(sequences)):
-            for cycle, (va, vb) in enumerate(zip(out_a[index], out_b[index])):
-                if va != vb:
-                    return index, cycle
-        return None
-    for index, sequence in enumerate(sequences):
-        a = cls_outputs(original, sequence)
-        b = cls_outputs(retimed, sequence)
-        for cycle, (va, vb) in enumerate(zip(a, b)):
-            if va != vb:
-                return index, cycle
+    else:
+        per_sequence = _first_difference_per_sequence((original, retimed), sequences)
+    for index, hit in enumerate(per_sequence):
+        if hit is not None:
+            return index, hit[1]
     return None
 
 

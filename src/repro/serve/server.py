@@ -49,8 +49,7 @@ from ..netlist.transform import normalize_fanout
 from ..netlist.validate import validate
 from ..retime.graph import build_retiming_graph
 from ..retime.leiserson_saxe import min_period_retiming
-from ..retime.validity import random_ternary_sequences
-from ..sim.compiled import get_default_backend
+from ..retime.validity import first_difference, random_ternary_sequences
 from ..sim.fault import FaultSimulator
 from ..sim.parallel import (
     WorkerPool,
@@ -493,7 +492,6 @@ class ReproServer:
         return {
             "pong": True,
             "protocol": PROTOCOL_VERSION,
-            "backend": get_default_backend(),
             "engine": get_default_engine(),
             "reorder": get_default_reorder(),
             "jobs": self.jobs,
@@ -529,23 +527,17 @@ class ReproServer:
         )
         return original, retimed, sequences
 
-    @staticmethod
-    def _first_difference(outs_o, outs_r) -> Optional[Dict[str, int]]:
-        for index, (trace_o, trace_r) in enumerate(zip(outs_o, outs_r)):
-            for cycle, (vo, vr) in enumerate(zip(trace_o, trace_r)):
-                if vo != vr:
-                    return {"sequence": index, "cycle": cycle}
-        return None
-
     def _check_validity_result(
         self, request: Dict[str, Any], original, retimed, sequences, outs_o, outs_r
     ) -> Dict[str, Any]:
-        first = self._first_difference(outs_o, outs_r)
+        first = first_difference(outs_o, outs_r)
         result: Dict[str, Any] = {
             "equivalent": first is None,
             "samples": len(sequences),
             "length": len(sequences[0]) if sequences else 0,
-            "first_difference": first,
+            "first_difference": (
+                None if first is None else {"sequence": first[0], "cycle": first[1]}
+            ),
             "exhaustive": None,
         }
         if request.get("exhaustive"):

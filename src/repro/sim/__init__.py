@@ -1,11 +1,12 @@
 """Simulators: binary, conservative three-valued (CLS), exact, faulty.
 
 All of them evaluate through the compile-once core in
-:mod:`repro.sim.compiled`; :func:`propagate` remains the reference
-interpreter the property tests cross-check against.
+:mod:`repro.sim.compiled`, the product's only evaluation path.  The
+reference interpreter the property tests cross-check it against lives
+with the tests (``tests/reference.py``), not here.
 """
 
-from .core import SimulationTrace, propagate  # noqa: F401
+from .core import SimulationTrace  # noqa: F401
 from .parallel import (  # noqa: F401
     ParallelStats,
     default_job_count,
@@ -14,14 +15,7 @@ from .parallel import (  # noqa: F401
     run_sharded,
     set_default_jobs,
 )
-from .compiled import (  # noqa: F401
-    BACKENDS,
-    CompiledCircuit,
-    compile_circuit,
-    get_default_backend,
-    resolve_backend,
-    set_default_backend,
-)
+from .compiled import CompiledCircuit, compile_circuit  # noqa: F401
 from .binary import (  # noqa: F401
     BinarySimulator,
     all_power_up_states,
@@ -55,7 +49,6 @@ from .fault import (  # noqa: F401
     good_outputs,
 )
 from .atpg import AtpgResult, generate_tests, grade_test_set  # noqa: F401
-from .event_driven import ActivityStats, EventDrivenSimulator  # noqa: F401
 from .ternary_multi import (  # noqa: F401
     BatchedTernarySimulator,
     decode_ternary,

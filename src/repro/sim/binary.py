@@ -3,7 +3,10 @@
 This is an ordinary logic simulator: given a concrete power-up state it
 computes exact Boolean outputs cycle by cycle.  The paper uses it
 implicitly everywhere a specific power-up state is discussed -- e.g. the
-rows of Table 1 are one binary simulation per power-up state.
+rows of Table 1 are one binary simulation per power-up state.  Each
+cycle runs on the compile-once core of :mod:`repro.sim.compiled`; the
+batched sweeps of :mod:`repro.sim.multi` and :mod:`repro.sim.exact`
+run the same program over many states at once.
 
 The state vector convention is shared with the whole library: element
 ``i`` of a state tuple is the content of ``circuit.latch_names[i]``.
@@ -15,8 +18,8 @@ import itertools
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..netlist.circuit import Circuit
-from .compiled import compile_circuit, resolve_backend
-from .core import SimulationTrace, propagate
+from .compiled import compile_circuit
+from .core import SimulationTrace
 
 __all__ = [
     "BinarySimulator",
@@ -40,37 +43,22 @@ class BinarySimulator:
     overrides:
         Optional stuck-at fault forcing: net -> bool.  See
         :mod:`repro.sim.fault` for the high-level fault API.
-    backend:
-        ``"compiled"`` (the default) evaluates through the flat program
-        of :mod:`repro.sim.compiled`; ``"interpreted"`` walks the
-        netlist with the reference :func:`~repro.sim.core.propagate`.
-        ``None`` picks the process default (see
-        :func:`repro.sim.compiled.set_default_backend`).
+
+    Every cycle evaluates through the flat program of
+    :mod:`repro.sim.compiled`.
     """
 
     def __init__(
-        self,
-        circuit: Circuit,
-        overrides: Optional[Mapping[str, bool]] = None,
-        *,
-        backend: Optional[str] = None,
+        self, circuit: Circuit, overrides: Optional[Mapping[str, bool]] = None
     ) -> None:
         self.circuit = circuit
         self.overrides = dict(overrides) if overrides else {}
-        self.backend = resolve_backend(backend)
 
     def step(self, state: Sequence[bool], inputs: Sequence[bool]) -> Tuple[BoolVec, BoolVec]:
         """One clock cycle: returns ``(outputs, next_state)``."""
-        if self.backend == "compiled":
-            return compile_circuit(self.circuit).step_binary(
-                tuple(state), tuple(inputs), overrides=self.overrides or None
-            )
-        values = propagate(
-            self.circuit, tuple(inputs), tuple(state), ternary=False, overrides=self.overrides
+        return compile_circuit(self.circuit).step_binary(
+            tuple(state), tuple(inputs), overrides=self.overrides or None
         )
-        outputs = tuple(values[n] for n in self.circuit.outputs)
-        next_state = tuple(values[latch.data_in] for latch in self.circuit.latches)
-        return outputs, next_state
 
     def run(
         self, state: Sequence[bool], input_sequence: Iterable[Sequence[bool]]

@@ -4,8 +4,7 @@ Every experiment in this repository ultimately evaluates the same
 combinational core thousands of times -- Table 1 sweeps, the exact
 power-up-state sweep, CLS-invariance checks, fault grading, STG
 extraction.  Instead of re-walking the name-keyed netlist cell by cell
-each cycle (:func:`repro.sim.core.propagate`, kept as the reference
-interpreter), :class:`CompiledCircuit` lowers a
+each cycle, :class:`CompiledCircuit` lowers a
 :class:`~repro.netlist.circuit.Circuit` **once** into a flat program:
 
 * dense integer net ids (``net_index`` / ``net_names``),
@@ -48,18 +47,21 @@ Three public scalar/mask entry points wrap this core:
   :mod:`repro.sim.ternary_multi`, :mod:`repro.sim.exact` and
   :mod:`repro.stg.explicit`.
 
-Each entry point takes the stuck-at ``overrides`` contract of the
-reference interpreter: an overridden net holds the forced value no
-matter what its driver computes, sources included, so fault injection
-(:mod:`repro.sim.fault`) works unchanged.
+Each entry point takes the stuck-at ``overrides`` contract: an
+overridden net holds the forced value no matter what its driver
+computes, sources included, so fault injection (:mod:`repro.sim.fault`)
+works unchanged.
 
 Execution strategy: when no override is active the program is *code-
 generated* -- one Python statement per op, compiled with :func:`compile`
 once and memoised globally by source text, so structurally identical
 circuits (e.g. a benchmark rebuilding Figure 1 every round) share one
-code object.  With overrides the flat program is interpreted op by op;
-both paths are exact mirrors and the property suite cross-checks them
-against :func:`~repro.sim.core.propagate`.
+code object.  With overrides the flat program is interpreted op by op.
+This is the only evaluation path of the product; the test suite keeps
+a netlist-walking reference interpreter (``tests/reference.py``) that
+evaluates cells through their
+:class:`~repro.logic.functions.CellFunction` tables alone, and checks
+both execution paths against it.
 """
 
 from __future__ import annotations
@@ -77,46 +79,9 @@ from ..obs.trace import span as _span
 __all__ = [
     "CompiledCircuit",
     "compile_circuit",
-    "BACKENDS",
-    "get_default_backend",
-    "set_default_backend",
-    "resolve_backend",
     "column_to_mask",
     "mask_to_column",
 ]
-
-# ---------------------------------------------------------------------------
-# Backend selection registry (the CLI's --backend escape hatch).
-# ---------------------------------------------------------------------------
-
-#: ``compiled``/``interpreted`` pick the evaluation strategy of the
-#: scalar simulators; batched lane sweeps always run the compiled core.
-BACKENDS = ("compiled", "interpreted")
-
-_default_backend = "compiled"
-
-
-def set_default_backend(name: str) -> None:
-    """Set the process-wide default simulator backend."""
-    if name not in BACKENDS:
-        raise ValueError("unknown backend %r (choose from %s)" % (name, BACKENDS))
-    global _default_backend
-    _default_backend = name
-
-
-def get_default_backend() -> str:
-    """The process-wide default simulator backend."""
-    return _default_backend
-
-
-def resolve_backend(name: Optional[str]) -> str:
-    """Resolve an explicit backend choice (``None`` -> the default)."""
-    if name is None:
-        return _default_backend
-    if name not in BACKENDS:
-        raise ValueError("unknown backend %r (choose from %s)" % (name, BACKENDS))
-    return name
-
 
 # ---------------------------------------------------------------------------
 # Opcodes.
@@ -500,7 +465,7 @@ class CompiledCircuit:
             return None
         return {self.net_index[net]: v for net, v in overrides.items()}
 
-    # -- mask-level backends ----------------------------------------------
+    # -- mask-level entry points ------------------------------------------
 
     def step_binary_masks(
         self,
@@ -570,7 +535,7 @@ class CompiledCircuit:
             fn = self._fn_ternary = _memoised_fn(self, "t")
         return fn(state_rails, input_rails, all_lanes)
 
-    # -- scalar backends ---------------------------------------------------
+    # -- scalar entry points -----------------------------------------------
 
     def _check_arity(self, n_inputs: int, n_state: int) -> None:
         if n_inputs != self.num_inputs:

@@ -1,7 +1,7 @@
-"""Shared cycle-simulation machinery.
+"""The trace record every cycle simulator returns.
 
-All three scalar simulators (binary, conservative ternary, faulty
-variants of either) follow the same schedule each clock cycle:
+All scalar simulators (binary, conservative ternary, faulty variants of
+either) follow the same schedule each clock cycle:
 
 1. fix the *source nets* -- primary inputs and latch outputs -- from the
    applied input vector and the current state;
@@ -14,96 +14,18 @@ The only degrees of freedom are the value domain (``bool`` vs
 :class:`~repro.logic.ternary.T`) and an optional set of *net overrides*
 used for stuck-at fault injection (an overridden net takes the forced
 value no matter what its driver computes -- including source nets).
-
-:func:`propagate` implements step 1-2 generically.  Since the
-compile-once refactor it is the **reference interpreter**: production
-simulation runs through the flat-program core in
-:mod:`repro.sim.compiled` (select with ``backend="interpreted"`` on the
-scalar simulators to come back here), and the property tests
-cross-check every compiled backend against this function.
+Steps 1-4 run on the compile-once core in :mod:`repro.sim.compiled`;
+this module holds the :class:`SimulationTrace` they fill in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generic, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, List, Tuple, TypeVar
 
-from ..netlist.circuit import Circuit
-from ..obs.trace import TRACER as _TRACE
-
-__all__ = ["propagate", "SimulationTrace"]
+__all__ = ["SimulationTrace"]
 
 V = TypeVar("V")
-
-
-def propagate(
-    circuit: Circuit,
-    input_values: Sequence[V],
-    state: Sequence[V],
-    *,
-    ternary: bool,
-    overrides: Optional[Mapping[str, V]] = None,
-) -> Dict[str, V]:
-    """Evaluate the combinational core for one cycle.
-
-    Parameters
-    ----------
-    circuit:
-        The circuit to evaluate (must have an acyclic combinational core).
-    input_values:
-        One value per primary input, in :attr:`Circuit.inputs` order.
-    state:
-        One value per latch, in :attr:`Circuit.latch_names` order.
-    ternary:
-        Selects :meth:`CellFunction.eval_ternary` (conservative) vs
-        :meth:`CellFunction.eval_binary`.
-    overrides:
-        Optional stuck-at forcing: net name -> forced value.
-
-    Returns the complete net -> value map for the cycle.
-    """
-    inputs = circuit.inputs
-    latch_names = circuit.latch_names
-    if len(input_values) != len(inputs):
-        raise ValueError(
-            "circuit %s has %d inputs, got %d values"
-            % (circuit.name, len(inputs), len(input_values))
-        )
-    if len(state) != len(latch_names):
-        raise ValueError(
-            "circuit %s has %d latches, got state of length %d"
-            % (circuit.name, len(latch_names), len(state))
-        )
-    overrides = overrides or {}
-
-    values: Dict[str, V] = {}
-
-    def write(net: str, value: V) -> None:
-        values[net] = overrides.get(net, value)
-
-    for net, value in zip(inputs, input_values):
-        write(net, value)
-    for latch, value in zip(circuit.latches, state):
-        write(latch.data_out, value)
-
-    cells = circuit._cells  # noqa: SLF001 - hot path, avoid tuple rebuilds
-    for cell_name in circuit.topological_cells():
-        cell = cells[cell_name]
-        in_vals = tuple(values[n] for n in cell.inputs)
-        out_vals = (
-            cell.function.eval_ternary(in_vals)
-            if ternary
-            else cell.function.eval_binary(in_vals)
-        )
-        for net, value in zip(cell.outputs, out_vals):
-            write(net, value)
-    if _TRACE.enabled:
-        counters = _TRACE.counters
-        counters["sim.interpreted.cycles"] = counters.get("sim.interpreted.cycles", 0) + 1
-        counters["sim.interpreted.cell_evals"] = (
-            counters.get("sim.interpreted.cell_evals", 0) + len(cells)
-        )
-    return values
 
 
 @dataclass

@@ -12,8 +12,7 @@ knows how to split such work across CPU cores:
   via the pool initializer, applies a module-level *task* function to
   each chunk, and reassembles the per-item results **in input order**,
   so results are bit-for-bit identical to a serial run.
-* a process-wide default worker count (:func:`set_default_jobs`),
-  mirroring the backend registry of :mod:`repro.sim.compiled` and set
+* a process-wide default worker count (:func:`set_default_jobs`), set
   from the CLI's top-level ``--jobs`` flag.
 * a reusable pool handle (:class:`WorkerPool`): by default every
   :func:`run_sharded` call spins a fresh ``ProcessPoolExecutor`` up and

@@ -16,7 +16,10 @@ element", which is why the invariance theorem holds.
 
 Inputs may themselves be ternary (the theorems quantify over sequences
 of three-valued input vectors); :func:`cls_outputs` is the convenience
-entry point used by the benchmarks and the retiming validity checker.
+entry point used by the benchmarks.  Each cycle runs on the dual-rail
+program of :mod:`repro.sim.compiled`; the retiming validity checker
+sweeps whole sequence batches through the same program with
+:class:`~repro.sim.ternary_multi.BatchedTernarySimulator`.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple
 from ..logic.ternary import T, TernaryLike, X, to_ternary
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
-from .compiled import compile_circuit, resolve_backend
-from .core import SimulationTrace, propagate
+from .compiled import compile_circuit
+from .core import SimulationTrace
 
 __all__ = ["TernarySimulator", "all_x_state", "cls_outputs", "cls_resets", "TernaryVec"]
 
@@ -44,22 +47,16 @@ class TernarySimulator:
     overrides:
         Optional stuck-at forcing (net -> :class:`T`), used by the
         three-valued fault analyses of Section 4's testing discussion.
-    backend:
-        ``"compiled"`` (the default) evaluates through the flat program
-        of :mod:`repro.sim.compiled`; ``"interpreted"`` walks the
-        netlist with the reference :func:`~repro.sim.core.propagate`.
+
+    Every cycle evaluates through the dual-rail flat program of
+    :mod:`repro.sim.compiled`.
     """
 
     def __init__(
-        self,
-        circuit: Circuit,
-        overrides: Optional[Mapping[str, T]] = None,
-        *,
-        backend: Optional[str] = None,
+        self, circuit: Circuit, overrides: Optional[Mapping[str, T]] = None
     ) -> None:
         self.circuit = circuit
         self.overrides = dict(overrides) if overrides else {}
-        self.backend = resolve_backend(backend)
 
     def step(
         self, state: Sequence[TernaryLike], inputs: Sequence[TernaryLike]
@@ -67,16 +64,9 @@ class TernarySimulator:
         """One clock cycle: returns ``(outputs, next_state)``."""
         in_vec = tuple(to_ternary(v) for v in inputs)
         st_vec = tuple(to_ternary(v) for v in state)
-        if self.backend == "compiled":
-            return compile_circuit(self.circuit).step_ternary(
-                st_vec, in_vec, overrides=self.overrides or None
-            )
-        values = propagate(
-            self.circuit, in_vec, st_vec, ternary=True, overrides=self.overrides
+        return compile_circuit(self.circuit).step_ternary(
+            st_vec, in_vec, overrides=self.overrides or None
         )
-        outputs = tuple(values[n] for n in self.circuit.outputs)
-        next_state = tuple(values[latch.data_in] for latch in self.circuit.latches)
-        return outputs, next_state
 
     def run(
         self,

@@ -53,8 +53,9 @@ picks the explicit path below :data:`AUTO_SYMBOLIC_LATCH_THRESHOLD`
 latches (where tabulated STGs are cheap and battle-tested) and the
 symbolic path above it -- never the ``sat`` engine
 (:mod:`repro.sat`), which is opt-in because its budgets can leave a
-query undecided (it raises rather than guessing).  :func:`set_default_engine` installs a process-wide
-default, mirroring ``repro.sim.compiled.set_default_backend``.
+query undecided (it raises rather than guessing).
+:func:`set_default_engine` installs a process-wide default, set from
+the CLI's top-level ``--engine`` flag.
 
 Dynamic variable reordering
 ---------------------------

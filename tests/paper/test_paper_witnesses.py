@@ -2,16 +2,18 @@
 
 Every claim here is a number printed in the paper (Table 1, the
 Section 2.1 simulation results, the Section 2.2 testing example, and
-Proposition 4.2's delayed containment).  They are asserted against both
-the compiled flat-program backend and the interpreted reference
-backend, so no future performance work can silently change what the
-reproduction reproduces.
+Proposition 4.2's delayed containment).  They are asserted through two
+independent evaluators -- the product's compiled simulators and the
+test-side reference interpreter (``tests/reference.py``, parameter id
+``interpreted``) -- so no future performance work can silently change
+what the reproduction reproduces.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import reference
 from repro.bench.paper_circuits import (
     FIGURE3_TEST_SEQUENCE,
     TABLE1_INPUT_SEQUENCE,
@@ -21,47 +23,117 @@ from repro.bench.paper_circuits import (
     figure3_design_d,
     figure3_fault,
 )
-from repro.logic.ternary import ONE, X, ZERO, format_ternary_sequence
+from repro.logic.ternary import (
+    ONE,
+    X,
+    ZERO,
+    format_ternary_sequence,
+    is_definite,
+    to_ternary,
+)
 from repro.sim.binary import BinarySimulator, all_power_up_states
-from repro.sim.compiled import get_default_backend, set_default_backend
 from repro.sim.exact import exact_outputs
+from repro.sim.fault import TestEvaluation as Evaluation
 from repro.sim.fault import detects_cls, detects_exact, faulty_overrides
-from repro.sim.ternary_sim import cls_outputs
+from repro.sim.ternary_sim import TernarySimulator, all_x_state
 from repro.stg.delayed import delay_needed_for_implication, delayed_implies
 from repro.stg.equivalence import implies
 from repro.stg.explicit import extract_stg
 
 
-@pytest.fixture(params=["compiled", "interpreted"])
-def backend(request):
-    """Run the test under each simulator backend as the process default."""
-    saved = get_default_backend()
-    set_default_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        set_default_backend(saved)
-
-
-def _exact_output_column(circuit, sequence, backend_name, overrides=None):
+def _exact_outputs(evaluator, circuit, sequence, overrides=None):
     """Exact unknown-power-up outputs via an explicit per-state sweep.
 
     Re-derives the Section 2.1 "sufficiently powerful simulator" verdict
-    from first principles with the scalar :class:`BinarySimulator`, so
-    the golden values are checked through whichever backend the fixture
-    selected (the production :class:`ExactSimulator` is lane-mask only).
+    from first principles: per cycle and output, the value every
+    power-up state agrees on, else X.
     """
-    per_state = [
-        BinarySimulator(circuit, overrides, backend=backend_name)
-        .run(state, sequence)
-        .output_column(0)
+    runs = [
+        evaluator.binary_outputs(circuit, state, sequence, overrides)
         for state in all_power_up_states(circuit)
     ]
     verdicts = []
     for cycle in range(len(sequence)):
-        seen = {outputs[cycle] for outputs in per_state}
-        verdicts.append((ONE if True in seen else ZERO) if len(seen) == 1 else X)
+        vector = []
+        for pin in range(len(circuit.outputs)):
+            seen = {run[cycle][pin] for run in runs}
+            vector.append((ONE if True in seen else ZERO) if len(seen) == 1 else X)
+        verdicts.append(tuple(vector))
     return tuple(verdicts)
+
+
+def _first_distinguishing(good, bad):
+    """The first definite good/faulty output mismatch, as a verdict."""
+    for t, (good_vec, bad_vec) in enumerate(zip(good, bad)):
+        for o, (g, b) in enumerate(zip(good_vec, bad_vec)):
+            if is_definite(g) and is_definite(b) and g is not b:
+                return Evaluation(True, t, o, g is ONE)
+    return Evaluation(False)
+
+
+class _Compiled:
+    """The product's simulators, all on the compiled core."""
+
+    @staticmethod
+    def binary_outputs(circuit, state, sequence, overrides=None):
+        return BinarySimulator(circuit, overrides).run(state, sequence).outputs
+
+    @staticmethod
+    def cls_outputs(circuit, sequence, overrides=None):
+        return TernarySimulator(circuit, overrides).run_from_unknown(sequence).outputs
+
+    detects_exact = staticmethod(detects_exact)
+    detects_cls = staticmethod(detects_cls)
+
+
+class _Oracle:
+    """The same questions answered by the reference interpreter alone."""
+
+    @staticmethod
+    def _run(circuit, state, sequence, ternary, overrides):
+        outputs = []
+        for vector in sequence:
+            outs, state = reference.step(
+                circuit, state, vector, ternary=ternary, overrides=overrides
+            )
+            outputs.append(outs)
+        return outputs
+
+    @classmethod
+    def binary_outputs(cls, circuit, state, sequence, overrides=None):
+        return cls._run(circuit, state, sequence, False, overrides)
+
+    @classmethod
+    def cls_outputs(cls, circuit, sequence, overrides=None):
+        ternary_seq = [tuple(to_ternary(v) for v in vec) for vec in sequence]
+        return cls._run(circuit, all_x_state(circuit), ternary_seq, True, overrides)
+
+    @classmethod
+    def detects_exact(cls, circuit, fault, sequence):
+        return _first_distinguishing(
+            _exact_outputs(cls, circuit, sequence),
+            _exact_outputs(cls, circuit, sequence, faulty_overrides(fault)),
+        )
+
+    @classmethod
+    def detects_cls(cls, circuit, fault, sequence):
+        stuck = {fault.net: ONE if fault.value else ZERO}
+        return _first_distinguishing(
+            cls.cls_outputs(circuit, sequence), cls.cls_outputs(circuit, sequence, stuck)
+        )
+
+
+@pytest.fixture(params=[_Compiled, _Oracle], ids=["compiled", "interpreted"])
+def backend(request):
+    """The evaluator a test checks its golden values through."""
+    return request.param
+
+
+def _exact_output_column(circuit, sequence, evaluator, overrides=None):
+    """Output 0 of :func:`_exact_outputs`."""
+    return tuple(
+        vec[0] for vec in _exact_outputs(evaluator, circuit, sequence, overrides)
+    )
 
 
 class TestTable1Witness:
@@ -81,8 +153,8 @@ class TestTable1Witness:
         c = figure1_design_c()
         rows = {}
         for state in all_power_up_states(c):
-            trace = BinarySimulator(c, backend=backend).run(state, TABLE1_INPUT_SEQUENCE)
-            rows[state] = "".join("1" if b else "0" for b in trace.output_column(0))
+            outputs = backend.binary_outputs(c, state, TABLE1_INPUT_SEQUENCE)
+            rows[state] = "".join("1" if vec[0] else "0" for vec in outputs)
         assert rows[(True, False)] == "0101"
         for state, row in rows.items():
             if state != (True, False):
@@ -98,7 +170,7 @@ class TestTable1Witness:
         # Corollary 5.3 on the same witness input: the conservative
         # simulator reports identical (all-X-diluted) outputs for both.
         sequence = [(ZERO,), (ONE,), (ONE,), (ONE,)]
-        assert cls_outputs(figure1_design_d(), sequence) == cls_outputs(
+        assert backend.cls_outputs(figure1_design_d(), sequence) == backend.cls_outputs(
             figure1_design_c(), sequence
         )
 
@@ -107,13 +179,17 @@ class TestFigure3Witness:
     """Section 2.2: retiming loses the stuck-at test ``0·1``."""
 
     def test_d_detects_the_marked_fault(self, backend):
-        verdict = detects_exact(figure3_design_d(), figure3_fault(), FIGURE3_TEST_SEQUENCE)
+        verdict = backend.detects_exact(
+            figure3_design_d(), figure3_fault(), FIGURE3_TEST_SEQUENCE
+        )
         assert verdict.detected
         assert verdict.time_step == 1
         assert verdict.good_value is False  # fault-free 0, faulty 1
 
     def test_retimed_c_misses_the_same_fault(self, backend):
-        verdict = detects_exact(figure3_design_c(), figure3_fault(), FIGURE3_TEST_SEQUENCE)
+        verdict = backend.detects_exact(
+            figure3_design_c(), figure3_fault(), FIGURE3_TEST_SEQUENCE
+        )
         assert not verdict.detected
 
     def test_detection_from_first_principles(self, backend):
@@ -136,7 +212,7 @@ class TestFigure3Witness:
         fault = figure3_fault()
         for prefix in (False, True):
             sequence = ((prefix,),) + FIGURE3_TEST_SEQUENCE
-            assert detects_exact(c, fault, sequence).detected
+            assert backend.detects_exact(c, fault, sequence).detected
 
     def test_cls_semantics_is_strictly_weaker(self, backend):
         # The conservative methodology pays a price (Section 2.2's
@@ -145,14 +221,14 @@ class TestFigure3Witness:
         # test on either design -- exact detection on D has no CLS
         # counterpart here.
         fault = figure3_fault()
-        assert not detects_cls(figure3_design_d(), fault, FIGURE3_TEST_SEQUENCE).detected
-        assert not detects_cls(figure3_design_c(), fault, FIGURE3_TEST_SEQUENCE).detected
+        for design in (figure3_design_d(), figure3_design_c()):
+            assert not backend.detects_cls(design, fault, FIGURE3_TEST_SEQUENCE).detected
         # Even prefixing the (exactly-initialising) input 0 does not
         # help: the CLS sees AND(X, X) = X at AND gate-1 (Section 5),
         # so the latch never leaves X and no definite fault-free 0 ever
         # appears at the output AND.
         prefixed = ((False,),) + FIGURE3_TEST_SEQUENCE
-        assert not detects_cls(figure3_design_d(), fault, prefixed).detected
+        assert not backend.detects_cls(figure3_design_d(), fault, prefixed).detected
 
 
 class TestProposition42:

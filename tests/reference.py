@@ -1,0 +1,195 @@
+"""The reference interpreter: the test suite's one simulation oracle.
+
+The product evaluates circuits only through the compile-once core of
+:mod:`repro.sim.compiled` (generated code without overrides, an
+op-by-op interpreter with them).  This module checks that core from
+outside.  It walks the netlist by name in topological order and
+evaluates each cell only through its
+:class:`~repro.logic.functions.CellFunction`
+(:meth:`~repro.logic.functions.CellFunction.eval_binary` /
+:meth:`~repro.logic.functions.CellFunction.eval_ternary`), never
+through ``CompiledCircuit.ops`` or the generated code.
+
+Binary evaluation is bit-parallel.  A net's value is a Python int
+whose bit ``i`` is lane ``i``.  Each cell visits the rows of its truth
+table that at least one lane selects, and ORs ``eval_binary(row)``
+into exactly those lanes, so one call evaluates all ``2**L`` power-up
+states of an ``L``-latch circuit.  With a single lane it is a plain
+scalar interpreter.  Ternary evaluation runs one lane at a time.
+
+Overrides follow the stuck-at contract of the product simulators: a
+forced net holds its value whatever its driver computes, primary
+inputs and latch outputs included.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.netlist.circuit import Circuit
+
+__all__ = [
+    "exhaustive_masks",
+    "lane_mismatch",
+    "propagate",
+    "propagate_masks",
+    "step",
+    "step_masks",
+]
+
+
+def _check_arity(circuit: Circuit, n_inputs: int, n_state: int) -> None:
+    if n_inputs != len(circuit.inputs):
+        raise ValueError(
+            "circuit %s has %d inputs, got %d values"
+            % (circuit.name, len(circuit.inputs), n_inputs)
+        )
+    if n_state != circuit.num_latches:
+        raise ValueError(
+            "circuit %s has %d latches, got state of length %d"
+            % (circuit.name, circuit.num_latches, n_state)
+        )
+
+
+def _walk(circuit, input_values, state, overrides, evaluate: Callable) -> Dict:
+    """Sources, then every cell in topological order, by net name."""
+    values: Dict[str, object] = {}
+
+    def write(net, value):
+        values[net] = overrides.get(net, value)
+
+    for net, value in zip(circuit.inputs, input_values):
+        write(net, value)
+    for latch, value in zip(circuit.latches, state):
+        write(latch.data_out, value)
+    for name in circuit.topological_cells():
+        cell = circuit.cell(name)
+        outs = evaluate(cell.function, [values[net] for net in cell.inputs])
+        for net, value in zip(cell.outputs, outs):
+            write(net, value)
+    return values
+
+
+def _eval_lanes(function, ins: Sequence[int], all_lanes: int) -> List[int]:
+    """``function`` over lane masks, one ``eval_binary`` per selected row."""
+    outs = [0] * function.n_outputs
+
+    def visit(pin: int, selected: int, row: Tuple[bool, ...]) -> None:
+        if not selected:
+            return
+        if pin == len(ins):
+            for k, bit in enumerate(function.eval_binary(row)):
+                if bit:
+                    outs[k] |= selected
+            return
+        visit(pin + 1, selected & ~ins[pin], row + (False,))
+        visit(pin + 1, selected & ins[pin], row + (True,))
+
+    visit(0, all_lanes, ())
+    return outs
+
+
+def propagate_masks(
+    circuit: Circuit,
+    input_masks: Sequence[int],
+    state_masks: Sequence[int],
+    all_lanes: int,
+    overrides: Optional[Mapping[str, bool]] = None,
+) -> Dict[str, int]:
+    """One binary cycle over lane masks: the complete net -> mask map.
+
+    *all_lanes* has bit ``i`` set for every live lane; an overridden net
+    is forced to 1 (or 0) in all of them.
+    """
+    _check_arity(circuit, len(input_masks), len(state_masks))
+    forced = {net: all_lanes if v else 0 for net, v in (overrides or {}).items()}
+    return _walk(
+        circuit,
+        input_masks,
+        state_masks,
+        forced,
+        lambda fn, ins: _eval_lanes(fn, ins, all_lanes),
+    )
+
+
+def propagate(
+    circuit: Circuit,
+    input_values: Sequence,
+    state: Sequence,
+    *,
+    ternary: bool,
+    overrides: Optional[Mapping] = None,
+) -> Dict:
+    """One cycle of one lane: the complete net -> value map.
+
+    Values are ``bool`` (``ternary=False``) or
+    :class:`~repro.logic.ternary.T` (``ternary=True``), one per primary
+    input in :attr:`Circuit.inputs` order and one per latch in
+    :attr:`Circuit.latch_names` order.
+    """
+    if ternary:
+        _check_arity(circuit, len(input_values), len(state))
+        return _walk(
+            circuit,
+            input_values,
+            state,
+            overrides or {},
+            lambda fn, ins: fn.eval_ternary(tuple(ins)),
+        )
+    masks = propagate_masks(
+        circuit,
+        [1 if v else 0 for v in input_values],
+        [1 if v else 0 for v in state],
+        1,
+        overrides,
+    )
+    return {net: bool(mask) for net, mask in masks.items()}
+
+
+def step(circuit: Circuit, state, inputs, *, ternary: bool, overrides=None):
+    """One cycle of one lane: ``(outputs, next_state)``."""
+    values = propagate(circuit, inputs, state, ternary=ternary, overrides=overrides)
+    return (
+        tuple(values[net] for net in circuit.outputs),
+        tuple(values[latch.data_in] for latch in circuit.latches),
+    )
+
+
+def step_masks(circuit: Circuit, state_masks, input_masks, all_lanes: int):
+    """One binary cycle over lane masks: ``(output masks, next-state masks)``."""
+    values = propagate_masks(circuit, input_masks, state_masks, all_lanes)
+    return (
+        tuple(values[net] for net in circuit.outputs),
+        tuple(values[latch.data_in] for latch in circuit.latches),
+    )
+
+
+def lane_mismatch(got: Sequence[int], expected: Sequence[int]) -> Optional[str]:
+    """``None`` when two tuples of lane masks agree, else where they
+    first differ (the masks are too long to print usefully)."""
+    if len(got) != len(expected):
+        return "%d masks, expected %d" % (len(got), len(expected))
+    for pin, (a, b) in enumerate(zip(got, expected)):
+        if a != b:
+            diff = a ^ b
+            return "pin %d, lane %d" % (pin, (diff & -diff).bit_length() - 1)
+    return None
+
+
+def exhaustive_masks(n: int) -> Tuple[int, ...]:
+    """Lane masks enumerating all ``2**n`` assignments of *n* variables.
+
+    Lane ``i`` carries the binary expansion of ``i`` with variable 0 as
+    the most significant bit -- the row order of
+    :func:`repro.sim.multi.all_states_array`.
+    """
+    total = 1 << n
+    masks = []
+    for var in range(n):
+        half = 1 << (n - 1 - var)
+        mask, width = ((1 << half) - 1) << half, 2 * half
+        while width < total:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return tuple(masks)

@@ -189,6 +189,37 @@ def test_first_cls_difference_locates_divergence():
     assert cycle >= 0
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_first_cls_difference_on_a_ragged_batch(jobs):
+    """Sequences of several lengths share batched passes per length; the
+    reported difference is still the first in input order -- here in a
+    short sequence listed after a longer one that agrees throughout."""
+    from repro.netlist.builder import CircuitBuilder
+    from repro.sim.ternary_sim import cls_outputs
+
+    def make(kind):
+        b = CircuitBuilder()
+        q = b.latch(b.gate(kind, b.input("i")), name="l")
+        b.output(b.gate("BUF", q))
+        return b.build()
+
+    buf, inv = make("BUF"), make("NOT")
+    sequences = [
+        [(X,)] * 5,
+        [(X,), (ONE,), (X,)],
+        [(X,), (X,), (ZERO,), (X,), (X,)],
+        [(ZERO,), (X,), (X,)],
+    ]
+    expected = next(
+        (index, cycle)
+        for index, seq in enumerate(sequences)
+        for cycle, (a, b) in enumerate(zip(cls_outputs(buf, seq), cls_outputs(inv, seq)))
+        if a != b
+    )
+    assert expected == (1, 2)
+    assert first_cls_difference(buf, inv, sequences, jobs=jobs) == expected
+
+
 def test_strict_latch_reset_transfer_fails_but_outputs_agree():
     """The strict all-latches-definite reading of Cor 5.3's reset
     sentence is NOT invariant: a backward move can leave an X parked in

@@ -1,8 +1,9 @@
-"""Property tests: the compiled core agrees with ``propagate`` exactly.
+"""Property tests: the compiled core agrees with the oracle exactly.
 
-:func:`repro.sim.core.propagate` is the reference interpreter; the
-compiled flat program in :mod:`repro.sim.compiled` must be
-observationally identical in all three backends:
+The test-side reference interpreter (``tests/reference.py``) walks the
+netlist through each cell's own truth table; the compiled flat program
+in :mod:`repro.sim.compiled` must be observationally identical to it
+at all three entry points:
 
 * scalar binary (``step_binary``),
 * scalar conservative ternary / CLS (``step_ternary``),
@@ -11,7 +12,7 @@ observationally identical in all three backends:
 Each property drives randomly generated sequential circuits with random
 states, inputs and stuck-at override maps and compares outputs and
 next-state bit-for-bit, plus a spot-check of CLS X-monotonicity on the
-compiled ternary backend.
+compiled ternary program.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import step as reference_step
 from repro.bench.generators import random_sequential_circuit
 from repro.logic.ternary import ONE, T, X, ZERO
 from repro.sim.compiled import (
@@ -27,7 +29,6 @@ from repro.sim.compiled import (
     compile_circuit,
     mask_to_column,
 )
-from repro.sim.core import propagate
 
 TERNARY = (ZERO, ONE, X)
 
@@ -48,17 +49,6 @@ circuits = st.builds(
     num_gates=st.integers(2, 12),
     num_latches=st.integers(0, 4),
 )
-
-
-def reference_step(circuit, state, inputs, *, ternary, overrides=None):
-    """One cycle through ``propagate``: ``(outputs, next_state)``."""
-    values = propagate(
-        circuit, inputs, state, ternary=ternary, overrides=overrides
-    )
-    return (
-        tuple(values[net] for net in circuit.outputs),
-        tuple(values[latch.data_in] for latch in circuit.latches),
-    )
 
 
 def draw_overrides(data, circuit, domain):

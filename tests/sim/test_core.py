@@ -1,11 +1,12 @@
-"""Tests for the shared simulation core (propagate / SimulationTrace)."""
+"""Tests for the trace record and the test-side reference interpreter."""
 
 from __future__ import annotations
 
 import pytest
 
+from reference import propagate
 from repro.bench.paper_circuits import figure1_design_d
-from repro.sim.core import SimulationTrace, propagate
+from repro.sim.core import SimulationTrace
 
 
 def test_propagate_returns_full_net_map():

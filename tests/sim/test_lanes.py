@@ -10,7 +10,7 @@ int masks (bit ``i`` = lane ``i``).  The suite covers
 * the memoised exhaustive power-up masks of the exact simulator,
 * GENERIC (non-library) cells in multi-lane steps, binary and dual-rail
   ternary, with and without a stuck-at override, lane by lane against
-  the reference interpreter :func:`~repro.sim.core.propagate`,
+  the test-side reference interpreter (``tests/reference.py``),
 * the sparse set-bit walk in the generic-cell fallbacks.
 """
 
@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import step as _reference_step
 from repro.logic.functions import CellFunction, make_gate
 from repro.logic.ternary import ONE, X, ZERO
 from repro.netlist.circuit import Circuit
@@ -31,7 +32,6 @@ from repro.sim.compiled import (
     compile_circuit,
     mask_to_column,
 )
-from repro.sim.core import propagate
 from repro.sim.exact import _exhaustive_state_masks
 from repro.sim.multi import all_states_array
 from repro.sim.ternary_multi import decode_ternary, encode_ternary
@@ -124,15 +124,6 @@ def _generic_circuit():
     circuit.add_output("out")
     circuit.add_output("sum")
     return circuit
-
-
-def _reference_step(circuit, state, inputs, *, ternary, overrides):
-    """One cycle of one lane through ``propagate``: ``(outputs, next)``."""
-    values = propagate(circuit, inputs, state, ternary=ternary, overrides=overrides)
-    return (
-        tuple(values[net] for net in circuit.outputs),
-        tuple(values[latch.data_in] for latch in circuit.latches),
-    )
 
 
 def _assert_binary_lanes_match_propagate(circuit, states, inputs, overrides):

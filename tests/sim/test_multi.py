@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import exhaustive_masks, lane_mismatch, step_masks
 from repro.bench.generators import random_sequential_circuit
 from repro.bench.iscas import load
 from repro.logic.functions import CellFunction
 from repro.netlist.builder import CircuitBuilder
 from repro.sim.binary import BinarySimulator, all_power_up_states
+from repro.sim.compiled import column_to_mask
 from repro.sim.multi import BatchedBinarySimulator, all_states_array
+
+#: Latch count up to which the scalar simulator also walks every state
+#: (65536 states stay within a couple of seconds).
+SCALAR_MAX_LATCHES = 16
 
 
 def test_all_states_array_matches_scalar_enumeration():
@@ -55,14 +61,30 @@ def test_batched_equals_scalar_simulation(seed, data):
 
 
 def test_batched_on_iscas_matches_scalar(iscas_circuit):
+    """Every power-up state: the batched sweep against the oracle's
+    lane walk, and against the scalar simulator where that is cheap."""
     seq = [tuple((i + j) % 2 == 0 for j, _ in enumerate(iscas_circuit.inputs)) for i in range(3)]
     states = all_states_array(iscas_circuit.num_latches)
     per_cycle, _ = BatchedBinarySimulator(iscas_circuit).run(states, seq)
+
+    all_lanes = (1 << states.shape[0]) - 1
+    state_masks = exhaustive_masks(iscas_circuit.num_latches)
+    for t, vector in enumerate(seq):
+        outs, state_masks = step_masks(
+            iscas_circuit,
+            state_masks,
+            [all_lanes if bit else 0 for bit in vector],
+            all_lanes,
+        )
+        batched = tuple(column_to_mask(per_cycle[t][:, pin]) for pin in range(len(outs)))
+        assert lane_mismatch(batched, outs) is None, "cycle %d" % t
+
+    if iscas_circuit.num_latches > SCALAR_MAX_LATCHES:
+        return
     scalar = BinarySimulator(iscas_circuit)
-    for lane, state in enumerate(all_power_up_states(iscas_circuit)):
-        outs = scalar.output_sequence(state, seq)
-        for t in range(len(seq)):
-            assert tuple(bool(v) for v in per_cycle[t][lane]) == outs[t]
+    rows = [scalar.output_sequence(state, seq) for state in all_power_up_states(iscas_circuit)]
+    for t in range(len(seq)):
+        assert np.array_equal(np.array([row[t] for row in rows], dtype=bool), per_cycle[t])
 
 
 def test_batched_overrides():

@@ -69,6 +69,30 @@ def test_simulate_width_mismatch(s27_path):
         main(["simulate", s27_path, "--sequence", "01"])
 
 
+def test_simulate_binary_rejects_x_inputs(s27_path):
+    with pytest.raises(SystemExit, match="definite"):
+        main(
+            ["simulate", s27_path, "--mode", "binary", "--state", "000",
+             "--sequence", "X000,1111"]
+        )
+
+
+def test_simulate_binary_rejects_short_state(s27_path):
+    with pytest.raises(SystemExit, match="3 latches"):
+        main(
+            ["simulate", s27_path, "--mode", "binary", "--state", "00",
+             "--sequence", "0000,1111"]
+        )
+
+
+def test_simulate_binary_rejects_bad_state_character(s27_path):
+    with pytest.raises(SystemExit, match="invalid state character"):
+        main(
+            ["simulate", s27_path, "--mode", "binary", "--state", "0a0",
+             "--sequence", "0000,1111"]
+        )
+
+
 def test_retime_roundtrip(traffic_path, tmp_path, capsys):
     out_path = str(tmp_path / "retimed.bench")
     assert main(["retime", traffic_path, "-o", out_path]) == 0

@@ -8,8 +8,11 @@ docs promise each other.
 
 from __future__ import annotations
 
+import ast
 import doctest
 import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -76,4 +79,77 @@ def test_cli_docstring_mentions_reference():
     import repro.cli
 
     assert "docs/CLI.md" in repro.cli.__doc__
-    assert "--jobs" in repro.cli.__doc__ and "--backend" in repro.cli.__doc__
+    assert "--jobs" in repro.cli.__doc__
+
+
+#: Calls that open (or fold in) a named span: the context manager, the
+#: decorator, the isolated ``obs.timed`` block and the worker-shard
+#: timing the process pool records under the open span.
+SPAN_CALLS = {"span", "_span", "traced", "_traced", "timed", "record_timing"}
+
+
+def _source_span_names():
+    """Every span name the library passes to a span call, with ``%s``
+    standing for a formatted-in label."""
+    names = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called not in SPAN_CALLS:
+                continue
+            arg = node.args[0]
+            if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mod):
+                arg = arg.left  # "parallel.%s" % label
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                names.add(arg.value)
+    return names
+
+
+def _documented_span_names():
+    """The span names in OBSERVABILITY.md's span table.
+
+    A nested path such as ``parallel.<label>/merge`` documents the span
+    its last component names; ``<label>`` stands for ``%s``.
+    """
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
+    table = text.split("| Span | Where | Meaning |", 1)[1].split("\n\n", 1)[0]
+    names = set()
+    for row in table.splitlines()[2:]:
+        for token in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            names.add(re.sub(r"<[^>]+>", "%s", token.rsplit("/", 1)[-1]))
+    return names
+
+
+def test_observability_span_table_matches_the_source():
+    source = _source_span_names()
+    assert "stg.symbolic.compile" in source and "merge" in source
+    documented = _documented_span_names()
+    assert sorted(source - documented) == [], "spans missing from the table"
+    assert sorted(documented - source) == [], "table lists spans the code never opens"
+
+
+def _cli_access_commands():
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
+    section = text.split("## CLI access", 1)[1]
+    return [
+        shlex.split(line.split("#", 1)[0])[3:]
+        for line in section.splitlines()
+        if line.startswith("    python -m repro ")
+    ]
+
+
+def test_observability_cli_examples_run(tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+    from repro.obs import RunReport
+
+    commands = _cli_access_commands()
+    assert [argv[0] for argv in commands] == ["--trace", "--report"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert "RunReport" in capsys.readouterr().err
+    report = RunReport.from_json((tmp_path / "run.json").read_text())
+    assert report.meta["command"] == "bench"
