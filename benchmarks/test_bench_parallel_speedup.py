@@ -1,19 +1,24 @@
-"""Parallel execution layer -- ``--jobs 1`` vs ``--jobs 2`` wall clock.
+"""Where parallel hardware pays: lane-packed fault grading, and the pool.
 
 Not a paper artefact: the paper's circuits are small enough that the
 serial compiled core regenerates every table in milliseconds.  This
-benchmark records what the process-pool layer (:mod:`repro.sim.parallel`)
-buys on fault-partitioned grading -- exact semantics on s27, whose
-faults are too cheap to pay for starting workers, and CLS semantics on
-s386, where they are not -- so downstream adopters with larger circuits
-know what to expect.
+benchmark records the data behind two decisions, so downstream adopters
+with larger circuits know what to expect:
 
-The asserted contract is **determinism**, not speed: the sharded run
-must reproduce the serial verdicts bit for bit.  Wall-clock ratios are
-recorded (best of :data:`REPEATS` runs) but not asserted, because they
-are a property of the host (on a single-core container the pool is pure
-overhead; the artefact records the core count next to the numbers for
-exactly that reason).
+* **Fault grading packs faults into lanes.**  One fault at a time (the
+  single-fault ``detects_exact`` / ``detects_cls`` API in a loop with
+  fault dropping) against :class:`~repro.sim.fault.FaultSimulator`,
+  which grades the survivors of each test in packed sweeps of the
+  forced compiled program -- exact semantics on s27, CLS on s386.
+* **The process pool** (:mod:`repro.sim.parallel`) against the serial
+  path, on its two remaining consumers: the sampled CLS-invariance check
+  (``cls_equivalent``) and CLS redundancy removal.
+
+The asserted contract is **determinism**, not speed: both sides of
+every row must reach the same verdicts, bit for bit.  Wall-clock ratios
+are recorded (best of :data:`REPEATS` runs) but not asserted, because
+they are a property of the host (the artefact records the core count
+next to the numbers for that reason).
 """
 
 from __future__ import annotations
@@ -26,8 +31,19 @@ from repro.analysis.reporting import ascii_table, banner
 from repro.bench.iscas import BENCHMARKS, load
 from repro.netlist.io_bench import parse_bench
 from repro.netlist.transform import normalize_fanout
+from repro.optimize.redundancy import remove_cls_redundancies
+from repro.retime.apply import lag_to_moves
+from repro.retime.graph import build_retiming_graph
+from repro.retime.leiserson_saxe import min_period_retiming
+from repro.retime.validity import cls_equivalent
 from repro.sim.atpg import generate_tests
-from repro.sim.fault import FaultSimulator
+from repro.sim.fault import (
+    FaultSimulator,
+    detects_cls,
+    detects_exact,
+    enumerate_faults,
+    good_outputs,
+)
 
 JOBS = 2
 #: Best of this many runs per cell: single runs on a shared host swing
@@ -44,59 +60,111 @@ def _timed(fn):
     return result, best
 
 
+def _speedup(before: float, after: float) -> str:
+    return "%.2fx" % (before / after if after else float("inf"))
+
+
+def one_fault_at_a_time(circuit, tests, semantics):
+    """Grade every fault of *circuit* alone, test by test, dropping the
+    detected ones: the verdict map packed grading must reproduce."""
+    detect = detects_exact if semantics == "exact" else detects_cls
+    faults = enumerate_faults(circuit)
+    verdicts = {fault: None for fault in faults}
+    remaining = list(faults)
+    for index, test in enumerate(tests):
+        good = good_outputs(circuit, test, semantics=semantics)
+        still = []
+        for fault in remaining:
+            if detect(circuit, fault, test, good=good).detected:
+                verdicts[fault] = index
+            else:
+                still.append(fault)
+        remaining = still
+        if not remaining:
+            break
+    return verdicts
+
+
+def _random_tests(circuit, count: int, cycles: int):
+    rng = random.Random(0)
+    width = len(circuit.inputs)
+    return [
+        tuple(tuple(rng.random() < 0.5 for _ in range(width)) for _ in range(cycles))
+        for _ in range(count)
+    ]
+
+
 def parallel_speedup_report():
-    rows = []
     checks = []
 
-    # Workload 1: fault-partitioned test-set grading on s27.
-    circuit = normalize_fanout(parse_bench(BENCHMARKS["s27"], name="s27"))
-    tests = generate_tests(circuit, max_attempts=40, max_length=8).tests
-    serial_sim = FaultSimulator(circuit)
-    sharded_sim = FaultSimulator(circuit, jobs=JOBS)
-    serial, t1 = _timed(lambda: serial_sim.run_test_set(tests))
-    sharded, tn = _timed(lambda: sharded_sim.run_test_set(tests))
-    checks.append(sharded == serial)
-    rows.append(
-        (
-            "fault grading, s27 (%d faults x %d tests)"
-            % (len(serial), len(tests)),
-            "%.3f" % t1,
-            "%.3f" % tn,
-            "%.2fx" % (t1 / tn if tn else float("inf")),
-        )
-    )
-
-    # Workload 2: CLS fault grading on s386, 4 seeded tests x 4 cycles.
+    grading_rows = []
+    s27 = normalize_fanout(parse_bench(BENCHMARKS["s27"], name="s27"))
     s386 = load("s386")
-    rng = random.Random(0)
-    width = len(s386.inputs)
-    cls_tests = [
-        tuple(tuple(rng.random() < 0.5 for _ in range(width)) for _ in range(4))
-        for _ in range(4)
-    ]
-    serial_sim = FaultSimulator(s386, semantics="cls")
-    sharded_sim = FaultSimulator(s386, semantics="cls", jobs=JOBS)
-    serial, t1 = _timed(lambda: serial_sim.run_test_set(cls_tests))
-    sharded, tn = _timed(lambda: sharded_sim.run_test_set(cls_tests))
-    checks.append(sharded == serial)
-    rows.append(
+    s27_tests = generate_tests(s27, max_attempts=40, max_length=8).tests
+    cases = (
+        ("exact fault grading, s27", s27, s27_tests, "exact"),
+        ("CLS fault grading, s386", s386, _random_tests(s386, 4, 4), "cls"),
+    )
+    for label, circuit, tests, semantics in cases:
+        simulator = FaultSimulator(circuit, semantics=semantics)
+        alone, t1 = _timed(lambda: one_fault_at_a_time(circuit, tests, semantics))
+        packed, tn = _timed(lambda: simulator.run_test_set(tests))
+        checks.append(list(packed.items()) == list(alone.items()))
+        grading_rows.append(
+            (
+                "%s (%d faults x %d tests of up to %d cycles)"
+                % (label, len(packed), len(tests), max(len(test) for test in tests)),
+                "%.3f" % t1,
+                "%.3f" % tn,
+                _speedup(t1, tn),
+            )
+        )
+
+    pool_rows = []
+    lag = min_period_retiming(build_retiming_graph(s386)).lag
+    retimed = lag_to_moves(s386, lag).current
+
+    def invariance(jobs):
+        return cls_equivalent(s386, retimed, count=200, length=12, jobs=jobs)
+
+    serial, t1 = _timed(lambda: invariance(1))
+    pooled, tn = _timed(lambda: invariance(JOBS))
+    checks.append(serial is pooled is True)
+    pool_rows.append(
         (
-            "CLS fault grading, s386 (%d faults x %d tests x 4 cycles)"
-            % (len(serial), len(cls_tests)),
+            "cls_equivalent, s386 vs min-period retiming (200 sequences x 12 cycles)",
             "%.3f" % t1,
             "%.3f" % tn,
-            "%.2fx" % (t1 / tn if tn else float("inf")),
+            _speedup(t1, tn),
+        )
+    )
+    serial, t1 = _timed(lambda: remove_cls_redundancies(s27, jobs=1))
+    pooled, tn = _timed(lambda: remove_cls_redundancies(s27, jobs=JOBS))
+    checks.append(
+        (serial.substitutions, serial.tested, serial.after)
+        == (pooled.substitutions, pooled.tested, pooled.after)
+    )
+    pool_rows.append(
+        (
+            "remove_cls_redundancies, s27 (%d candidates judged)" % serial.tested,
+            "%.3f" % t1,
+            "%.3f" % tn,
+            _speedup(t1, tn),
         )
     )
 
-    table = ascii_table(
-        ("workload", "jobs=1 [s]", "jobs=%d [s]" % JOBS, "speedup"), rows
-    )
-    text = "%s\n%s\nhost: %s CPU core(s); determinism checks: %s" % (
-        banner("Process-pool layer: serial vs --jobs %d (best of %d)" % (JOBS, REPEATS)),
-        table,
-        os.cpu_count(),
-        "all identical" if all(checks) else "MISMATCH",
+    text = "\n".join(
+        (
+            banner("Fault grading: one fault at a time vs lane-packed (best of %d)" % REPEATS),
+            ascii_table(("workload", "per fault [s]", "packed [s]", "speedup"), grading_rows),
+            "",
+            banner("Process pool: serial vs --jobs %d (best of %d)" % (JOBS, REPEATS)),
+            ascii_table(
+                ("workload", "jobs=1 [s]", "jobs=%d [s]" % JOBS, "speedup"), pool_rows
+            ),
+            "host: %s CPU core(s); determinism checks: %s"
+            % (os.cpu_count(), "all identical" if all(checks) else "MISMATCH"),
+        )
     )
     return text, checks
 

@@ -3,9 +3,9 @@
 Global options (before the subcommand):
 
 ``--jobs N``
-    worker processes for the parallelisable sweeps (fault grading,
-    CLS invariance and redundancy checks); ``1`` (the default) is the
-    bit-for-bit serial path, ``0`` means "one per CPU core"
+    worker processes for the sharded sweeps (sampled CLS invariance and
+    redundancy checks); ``1`` (the default) is the bit-for-bit serial
+    path, ``0`` means "one per CPU core"
 ``--engine {explicit,symbolic,auto}``
     containment engine for the ``⊑`` / ``≼`` analyses -- ``explicit``
     (enumerated STGs + subset construction), ``symbolic`` (BDD
@@ -610,8 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for fault grading, CLS-invariance and "
-        "redundancy checks; 1 (default) = serial, 0 = one per CPU core",
+        help="worker processes for the CLS-invariance and redundancy "
+        "checks; 1 (default) = serial, 0 = one per CPU core",
     )
     parser.add_argument(
         "--engine",

@@ -217,10 +217,12 @@ class ReproServer:
     unix_socket:
         Path for a unix-domain socket; overrides host/port when given.
     jobs:
-        Worker processes for the sharded sweeps (``None`` -> the process
-        default set by the CLI's ``--jobs``).  With more than one, a
-        reusable :class:`WorkerPool` is started once and installed as
-        the process-wide shared pool for the server's lifetime.
+        Worker processes for the sharded CLS-invariance and redundancy
+        sweeps (``None`` -> the process default set by the CLI's
+        ``--jobs``); fault grading always runs in-process.  With more
+        than one, a reusable :class:`WorkerPool` is started once and
+        installed as the process-wide shared pool for the server's
+        lifetime.
     budget:
         Default search budget for containment/equivalence analyses
         (``None`` -> the library defaults); individual requests may
@@ -294,8 +296,9 @@ class ReproServer:
         )
         if self.jobs > 1:
             # Install both the reusable pool and the process default, so
-            # library code that resolves its own jobs (fault grading,
-            # sharded sweeps) runs pooled without per-call plumbing.
+            # library code that resolves its own jobs (the sharded CLS
+            # invariance and redundancy sweeps) runs pooled without
+            # per-call plumbing.
             self._pool = WorkerPool(self.jobs)
             self._prev_shared_pool = set_shared_pool(self._pool)
             self._prev_default_jobs = get_default_jobs()

@@ -30,15 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
-from .fault import (
-    StuckAtFault,
-    _first_detecting_index,
-    detects_cls,
-    detects_exact,
-    enumerate_faults,
-    good_outputs,
-)
-from .parallel import resolve_jobs, run_sharded
+from .fault import StuckAtFault, enumerate_faults, first_detections
 
 __all__ = ["AtpgResult", "generate_tests", "grade_test_set"]
 
@@ -80,14 +72,6 @@ class AtpgResult:
             self.coverage * 100,
             self.attempts,
         )
-
-
-def _detects(
-    circuit: Circuit, fault: StuckAtFault, test: Test, semantics: str, good=None
-) -> bool:
-    if semantics == "exact":
-        return detects_exact(circuit, fault, test, good=good).detected
-    return detects_cls(circuit, fault, test, good=good).detected
 
 
 def generate_tests(
@@ -138,18 +122,19 @@ def generate_tests(
                 tuple(rng.random() < 0.5 for _ in range(width)) for _ in range(length)
             )
             result.attempts += 1
-            good = good_outputs(circuit, candidate, semantics=semantics)
-            caught = [
-                fault
-                for fault in result.undetected
-                if _detects(circuit, fault, candidate, semantics, good)
-            ]
-            if caught:
+            first = first_detections(
+                circuit, [candidate], result.undetected, semantics=semantics
+            )
+            if any(hit is not None for hit in first):
                 index = len(result.tests)
                 result.tests.append(candidate)
-                for fault in caught:
-                    result.detected[fault] = index
-                result.undetected = [f for f in result.undetected if f not in caught]
+                still: List[StuckAtFault] = []
+                for fault, hit in zip(result.undetected, first):
+                    if hit is None:
+                        still.append(fault)
+                    else:
+                        result.detected[fault] = index
+                result.undetected = still
     if _TRACE.enabled:
         counters = _TRACE.counters
         counters["sim.atpg.candidates"] = (
@@ -167,55 +152,21 @@ def grade_test_set(
     *,
     faults: Optional[Sequence[StuckAtFault]] = None,
     semantics: str = "exact",
-    jobs: Optional[int] = None,
 ) -> AtpgResult:
     """Grade an existing test set (e.g. one generated for the original
     design, replayed on the retimed design).
 
-    With ``jobs > 1`` (or a process-wide default from
-    :mod:`repro.sim.parallel`) the fault list is sharded across worker
-    processes, each receiving the circuit plus the fault-free reference
-    outputs computed once here; the merged :class:`AtpgResult` --
-    including the order of ``detected`` and ``undetected`` -- is
-    identical to the serial one.
+    ``detected`` fills test by test, in fault-list order within a test,
+    and ``attempts`` counts every test of the set.
     """
     fault_list = list(faults) if faults is not None else list(enumerate_faults(circuit))
-    result = AtpgResult(tests=list(tests), undetected=list(fault_list))
+    result = AtpgResult(tests=list(tests))
+    result.attempts = len(result.tests)
     if _TRACE.enabled:
         _TRACE.incr("sim.atpg.faults_graded", len(fault_list))
-    resolved = resolve_jobs(jobs)
-    if resolved > 1 and len(fault_list) > 1 and tests:
-        frozen = tuple(tuple(tuple(v) for v in test) for test in tests)
-        goods = tuple(good_outputs(circuit, test, semantics=semantics) for test in frozen)
-        with _span("sim.atpg.grade"):
-            first = run_sharded(
-                _first_detecting_index,
-                (circuit, frozen, goods, semantics),
-                fault_list,
-                jobs=resolved,
-                label="test-set-grading",
-            )
-        by_fault = dict(zip(fault_list, first))
-        # Re-play the serial bookkeeping so insertion orders match:
-        # detected fills per test index, fault-list order within each.
-        for index in range(len(tests)):
-            for fault in fault_list:
-                if by_fault[fault] == index:
-                    result.detected[fault] = index
-        result.undetected = [f for f in fault_list if by_fault[f] is None]
-        result.attempts = len(tests)
-        return result
     with _span("sim.atpg.grade"):
-        for index, test in enumerate(tests):
-            vectors = tuple(tuple(v) for v in test)
-            good = good_outputs(circuit, vectors, semantics=semantics)
-            caught = [
-                fault
-                for fault in result.undetected
-                if _detects(circuit, fault, vectors, semantics, good)
-            ]
-            for fault in caught:
-                result.detected[fault] = index
-            result.undetected = [f for f in result.undetected if f not in caught]
-            result.attempts += 1
+        first = first_detections(circuit, result.tests, fault_list, semantics=semantics)
+    for hit, pos in sorted((hit, pos) for pos, hit in enumerate(first) if hit is not None):
+        result.detected[fault_list[pos]] = hit
+    result.undetected = [fault for fault, hit in zip(fault_list, first) if hit is None]
     return result

@@ -49,24 +49,28 @@ Three public scalar/mask entry points wrap this core:
 
 Each entry point takes the stuck-at ``overrides`` contract: an
 overridden net holds the forced value no matter what its driver
-computes, sources included, so fault injection (:mod:`repro.sim.fault`)
-works unchanged.
+computes, sources included.  The mask entry points generalise it to
+per-lane forcing (:meth:`CompiledCircuit.binary_forcing`,
+:meth:`CompiledCircuit.ternary_forcing`): a net may be stuck at 0 in
+some lanes and at 1 in others, which is how :mod:`repro.sim.fault`
+grades a pack of faults in one sweep.
 
-Execution strategy: when no override is active the program is *code-
-generated* -- one Python statement per op, compiled with :func:`compile`
-once and memoised globally by source text, so structurally identical
-circuits (e.g. a benchmark rebuilding Figure 1 every round) share one
-code object.  With overrides the flat program is interpreted op by op.
-This is the only evaluation path of the product; the test suite keeps
-a netlist-walking reference interpreter (``tests/reference.py``) that
-evaluates cells through their
+Execution strategy: the program is *code-generated* -- one Python
+statement per op, compiled with :func:`compile` once and memoised
+globally by source text, so structurally identical circuits (e.g. a
+benchmark rebuilding Figure 1 every round) share one code object.
+Each domain has a plain and a forced step function; the forced one
+also masks every net right after the net is loaded or computed, and
+serves every override.  This is the only evaluation path of the
+product; the test suite keeps a netlist-walking reference interpreter
+(``tests/reference.py``) that evaluates cells through their
 :class:`~repro.logic.functions.CellFunction` tables alone, and checks
-both execution paths against it.
+both step functions against it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Sized, Tuple
 
 import numpy as np
 
@@ -78,6 +82,8 @@ from ..obs.trace import span as _span
 
 __all__ = [
     "CompiledCircuit",
+    "Forcing",
+    "check_width",
     "compile_circuit",
     "column_to_mask",
     "mask_to_column",
@@ -120,6 +126,15 @@ _FAMILY_TO_OP = {
 #: One program step: (opcode, input net ids, output net ids, cell function).
 #: The function reference is only consulted for ``OP_GENERIC``.
 Op = Tuple[int, Tuple[int, ...], Tuple[int, ...], CellFunction]
+
+#: Per-net operands of a forced step function, indexed by net id:
+#: ``None`` for a free net, else the masks that force it (see
+#: :meth:`CompiledCircuit.binary_forcing` and
+#: :meth:`CompiledCircuit.ternary_forcing`).
+Forcing = Tuple[Optional[Tuple[int, ...]], ...]
+
+#: The memoised step functions a :class:`CompiledCircuit` holds.
+_FN_SLOTS = ("_fn_binary", "_fn_ternary", "_fn_binary_forced", "_fn_ternary_forced")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +203,7 @@ def _generic_ternary(
 
 
 # ---------------------------------------------------------------------------
-# Code generation (the no-override fast path).
+# Code generation.
 # ---------------------------------------------------------------------------
 
 _CODE_CACHE: Dict[str, Any] = {}
@@ -210,14 +225,15 @@ def _compile_source(source: str, env: Dict[str, Any]) -> Callable:
 
 
 def _memoised_fn(cc: "CompiledCircuit", domain: str) -> Callable:
-    """Compiled step function for *domain*: ``b`` (binary lane masks)
-    or ``t`` (dual-rail ternary lane masks)."""
+    """Compiled step function for *domain*: ``b`` (binary lane masks),
+    ``t`` (dual-rail ternary lane masks), or ``bf``/``tf``, their forced
+    variants (see :meth:`CompiledCircuit.binary_forcing`)."""
     key = (domain, cc.signature)
     fn = _FN_CACHE.get(key)
     if fn is None:
         with _span("compile.codegen"):
-            emit = _emit_binary if domain == "b" else _emit_ternary
-            source, env = emit(cc)
+            emit = _emit_binary if domain[0] == "b" else _emit_ternary
+            source, env = emit(cc, forced=domain.endswith("f"))
             fn = _compile_source(source, env)
         _FN_CACHE[key] = fn
         _TRACE.incr("compile.codegen")
@@ -226,19 +242,37 @@ def _memoised_fn(cc: "CompiledCircuit", domain: str) -> Callable:
     return fn
 
 
-def _emit_binary(cc: "CompiledCircuit") -> Tuple[str, Dict[str, Any]]:
+def _prologue(cc: "CompiledCircuit", forced: bool) -> List[str]:
+    """The ``def`` line, plus (forced) one local per net operand."""
+    if not forced:
+        return ["def _f(S, I, M):"]
+    lines = ["def _f(S, I, M, F):"]
+    if cc.num_nets:
+        lines.append("    %s= F" % "".join("f%d, " % i for i in range(cc.num_nets)))
+    return lines
+
+
+def _emit_binary(cc: "CompiledCircuit", forced: bool) -> Tuple[str, Dict[str, Any]]:
     """Generate the binary lane-mask step function.
 
     Signature of the generated function:
     ``_f(S, I, M) -> (output_masks, next_state_masks)`` where ``S``/``I``
     are sequences of latch/input masks and ``M`` the all-lanes mask.
+    The *forced* variant takes a fourth argument, the per-net operands
+    of :meth:`CompiledCircuit.binary_forcing`, and applies them to each
+    net right after the net is loaded or computed.
     """
-    lines = ["def _f(S, I, M):"]
+    lines = _prologue(cc, forced)
     env: Dict[str, Any] = {"_gb": _generic_binary}
+    force = "    if f{0}: v{0} = (v{0} | f{0}[0]) & f{0}[1]"
     for pin, net in enumerate(cc.input_ids):
         lines.append("    v%d = I[%d]" % (net, pin))
+        if forced:
+            lines.append(force.format(net))
     for pos, net in enumerate(cc.latch_out_ids):
         lines.append("    v%d = S[%d]" % (net, pos))
+        if forced:
+            lines.append(force.format(net))
     for index, (opcode, in_ids, out_ids, fn) in enumerate(cc.ops):
         xs = ["v%d" % i for i in in_ids]
         o = "v%d" % out_ids[0]
@@ -279,24 +313,35 @@ def _emit_binary(cc: "CompiledCircuit") -> Tuple[str, Dict[str, Any]]:
                     "".join("%s, " % x for x in xs),
                 )
             )
+        if forced:
+            lines.extend(force.format(out) for out in out_ids)
     outs = "".join("v%d, " % i for i in cc.output_ids)
     nxt = "".join("v%d, " % i for i in cc.latch_in_ids)
     lines.append("    return (%s), (%s)" % (outs, nxt))
     return "\n".join(lines) + "\n", env
 
 
-def _emit_ternary(cc: "CompiledCircuit") -> Tuple[str, Dict[str, Any]]:
+def _emit_ternary(cc: "CompiledCircuit", forced: bool) -> Tuple[str, Dict[str, Any]]:
     """Generate the dual-rail ternary lane-mask step function.
 
     ``_f(S, I, M)`` takes sequences of ``(can0, can1)`` rail pairs and
-    returns ``(output_rails, next_state_rails)``.
+    returns ``(output_rails, next_state_rails)``; the *forced* variant
+    takes the operands of :meth:`CompiledCircuit.ternary_forcing` as
+    ``F``, like :func:`_emit_binary`'s.
     """
-    lines = ["def _f(S, I, M):"]
+    lines = _prologue(cc, forced)
     env: Dict[str, Any] = {"_gt": _generic_ternary}
+    force = (
+        "    if f{0}: a{0} = (a{0} | f{0}[0]) & f{0}[1]; b{0} = (b{0} | f{0}[2]) & f{0}[3]"
+    )
     for pin, net in enumerate(cc.input_ids):
         lines.append("    a%d, b%d = I[%d]" % (net, net, pin))
+        if forced:
+            lines.append(force.format(net))
     for pos, net in enumerate(cc.latch_out_ids):
         lines.append("    a%d, b%d = S[%d]" % (net, net, pos))
+        if forced:
+            lines.append(force.format(net))
 
     def rails(ids):
         return ["a%d" % i for i in ids], ["b%d" % i for i in ids]
@@ -355,6 +400,8 @@ def _emit_ternary(cc: "CompiledCircuit") -> Tuple[str, Dict[str, Any]]:
             )
             for k, out in enumerate(out_ids):
                 lines.append("    a%d, b%d = r%d_%d" % (out, out, index, k))
+        if forced:
+            lines.extend(force.format(out) for out in out_ids)
     outs = "".join("(a%d, b%d), " % (i, i) for i in cc.output_ids)
     nxt = "".join("(a%d, b%d), " % (i, i) for i in cc.latch_in_ids)
     lines.append("    return (%s), (%s)" % (outs, nxt))
@@ -431,6 +478,8 @@ class CompiledCircuit:
         )
         self._fn_binary: Optional[Callable] = None
         self._fn_ternary: Optional[Callable] = None
+        self._fn_binary_forced: Optional[Callable] = None
+        self._fn_ternary_forced: Optional[Callable] = None
 
     # -- pickling ----------------------------------------------------------
     #
@@ -443,27 +492,71 @@ class CompiledCircuit:
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
-        state["_fn_binary"] = None
-        state["_fn_ternary"] = None
+        for slot in _FN_SLOTS:
+            state[slot] = None
         return state
 
-    # -- override plumbing -------------------------------------------------
+    # -- forcing -----------------------------------------------------------
+
+    def net_id(self, net: str) -> int:
+        """The dense id of *net*; :class:`CircuitError` if there is none."""
+        try:
+            return self.net_index[net]
+        except KeyError:
+            raise CircuitError("circuit %s has no net %r" % (self.name, net)) from None
+
+    def binary_forcing(self, stuck: Mapping[int, Tuple[int, int]]) -> Forcing:
+        """Operands of the forced binary step for per-lane stuck nets.
+
+        *stuck* maps a net id to ``(zeros, ones)``, the lanes where the
+        net is stuck at 0 and at 1.  The forced step computes
+        ``v = (v | ones) & ~zeros`` right after the net is loaded or
+        computed; a net missing from *stuck* costs one test of ``None``.
+        """
+        operands: List[Optional[Tuple[int, ...]]] = [None] * self.num_nets
+        for net, (zeros, ones) in stuck.items():
+            operands[net] = (ones, ~zeros)
+        return tuple(operands)
+
+    def ternary_forcing(self, stuck: Mapping[int, Tuple[int, int]]) -> Forcing:
+        """Operands of the forced dual-rail step.
+
+        *stuck* maps a net id to the rails ``(can0, can1)`` of its forced
+        value over the forced lanes: a stuck-at-0 lane sets ``can0``, a
+        stuck-at-1 lane ``can1``, an X lane both.  For stuck-at lanes
+        ``s0``/``s1`` the forced step computes ``a = (a | s0) & ~s1`` and
+        ``b = (b | s1) & ~s0``.
+        """
+        operands: List[Optional[Tuple[int, ...]]] = [None] * self.num_nets
+        for net, (can0, can1) in stuck.items():
+            operands[net] = (can0, ~(can1 & ~can0), can1, ~(can0 & ~can1))
+        return tuple(operands)
 
     def forced_binary(
-        self, overrides: Optional[Mapping[str, bool]]
-    ) -> Optional[Dict[int, bool]]:
-        """Translate a name-keyed stuck-at map to net ids (None if empty)."""
+        self, overrides: Optional[Mapping[str, bool]], all_lanes: int
+    ) -> Optional[Forcing]:
+        """Lower a name-keyed stuck-at map, forced in every lane (None if empty)."""
         if not overrides:
             return None
-        return {self.net_index[net]: bool(v) for net, v in overrides.items()}
+        return self.binary_forcing(
+            {
+                self.net_id(net): (0, all_lanes) if v else (all_lanes, 0)
+                for net, v in overrides.items()
+            }
+        )
 
     def forced_ternary(
-        self, overrides: Optional[Mapping[str, T]]
-    ) -> Optional[Dict[int, T]]:
-        """Translate a name-keyed ternary stuck-at map to net ids."""
+        self, overrides: Optional[Mapping[str, T]], all_lanes: int
+    ) -> Optional[Forcing]:
+        """Lower a name-keyed ternary stuck-at map, forced in every lane."""
         if not overrides:
             return None
-        return {self.net_index[net]: v for net, v in overrides.items()}
+        return self.ternary_forcing(
+            {
+                self.net_id(net): tuple(all_lanes * bit for bit in _RAIL_OF_T[v])
+                for net, v in overrides.items()
+            }
+        )
 
     # -- mask-level entry points ------------------------------------------
 
@@ -472,9 +565,13 @@ class CompiledCircuit:
         state_masks: Sequence[int],
         input_masks: Sequence[int],
         all_lanes: int,
-        forced: Optional[Mapping[int, bool]] = None,
+        forced: Optional[Forcing] = None,
     ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """One binary cycle over lane masks: ``(outputs, next_state)``."""
+        """One binary cycle over lane masks: ``(outputs, next_state)``.
+
+        *forced* holds the operands of :meth:`binary_forcing` (or
+        :meth:`forced_binary`), and selects the forced step function.
+        """
         if _TRACE.enabled:
             counters = _TRACE.counters
             counters["sim.compiled.binary.cycles"] = (
@@ -486,16 +583,15 @@ class CompiledCircuit:
             counters["sim.compiled.binary.lanes"] = (
                 counters.get("sim.compiled.binary.lanes", 0) + all_lanes.bit_length()
             )
-            if forced:
+            if forced is not None:
                 counters["sim.compiled.forced.cycles"] = (
                     counters.get("sim.compiled.forced.cycles", 0) + 1
                 )
-        if forced:
-            values = self._interpret_binary(state_masks, input_masks, all_lanes, forced)
-            return (
-                tuple(values[i] for i in self.output_ids),
-                tuple(values[i] for i in self.latch_in_ids),
-            )
+        if forced is not None:
+            fn = self._fn_binary_forced
+            if fn is None:
+                fn = self._fn_binary_forced = _memoised_fn(self, "bf")
+            return fn(state_masks, input_masks, all_lanes, forced)
         fn = self._fn_binary
         if fn is None:
             fn = self._fn_binary = _memoised_fn(self, "b")
@@ -506,9 +602,10 @@ class CompiledCircuit:
         state_rails: Sequence[Tuple[int, int]],
         input_rails: Sequence[Tuple[int, int]],
         all_lanes: int,
-        forced: Optional[Mapping[int, T]] = None,
+        forced: Optional[Forcing] = None,
     ) -> Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...]]:
-        """One dual-rail ternary cycle over lane masks."""
+        """One dual-rail ternary cycle over lane masks; *forced* holds
+        the operands of :meth:`ternary_forcing` (or :meth:`forced_ternary`)."""
         if _TRACE.enabled:
             counters = _TRACE.counters
             counters["sim.compiled.ternary.cycles"] = (
@@ -520,16 +617,15 @@ class CompiledCircuit:
             counters["sim.compiled.ternary.lanes"] = (
                 counters.get("sim.compiled.ternary.lanes", 0) + all_lanes.bit_length()
             )
-            if forced:
+            if forced is not None:
                 counters["sim.compiled.forced.cycles"] = (
                     counters.get("sim.compiled.forced.cycles", 0) + 1
                 )
-        if forced:
-            rails = self._interpret_ternary(state_rails, input_rails, all_lanes, forced)
-            return (
-                tuple(rails[i] for i in self.output_ids),
-                tuple(rails[i] for i in self.latch_in_ids),
-            )
+        if forced is not None:
+            fn = self._fn_ternary_forced
+            if fn is None:
+                fn = self._fn_ternary_forced = _memoised_fn(self, "tf")
+            return fn(state_rails, input_rails, all_lanes, forced)
         fn = self._fn_ternary
         if fn is None:
             fn = self._fn_ternary = _memoised_fn(self, "t")
@@ -537,16 +633,12 @@ class CompiledCircuit:
 
     # -- scalar entry points -----------------------------------------------
 
-    def _check_arity(self, n_inputs: int, n_state: int) -> None:
-        if n_inputs != self.num_inputs:
-            raise ValueError(
-                "circuit %s has %d inputs, got %d values"
-                % (self.name, self.num_inputs, n_inputs)
-            )
-        if n_state != self.num_latches:
+    def _check_arity(self, inputs: Sized, state: Sized) -> None:
+        check_width(self, inputs)
+        if len(state) != self.num_latches:
             raise ValueError(
                 "circuit %s has %d latches, got state of length %d"
-                % (self.name, self.num_latches, n_state)
+                % (self.name, self.num_latches, len(state))
             )
 
     def step_binary(
@@ -556,10 +648,10 @@ class CompiledCircuit:
         overrides: Optional[Mapping[str, bool]] = None,
     ) -> Tuple[Tuple[bool, ...], Tuple[bool, ...]]:
         """One scalar Boolean cycle: ``(outputs, next_state)``."""
-        self._check_arity(len(inputs), len(state))
+        self._check_arity(inputs, state)
         S = [1 if v else 0 for v in state]
         I = [1 if v else 0 for v in inputs]
-        outs, nxt = self.step_binary_masks(S, I, 1, self.forced_binary(overrides))
+        outs, nxt = self.step_binary_masks(S, I, 1, self.forced_binary(overrides, 1))
         return tuple(bool(v) for v in outs), tuple(bool(v) for v in nxt)
 
     def step_ternary(
@@ -569,126 +661,23 @@ class CompiledCircuit:
         overrides: Optional[Mapping[str, T]] = None,
     ) -> Tuple[Tuple[T, ...], Tuple[T, ...]]:
         """One scalar conservative-ternary (CLS) cycle."""
-        self._check_arity(len(inputs), len(state))
+        self._check_arity(inputs, state)
         S = [_RAIL_OF_T[v] for v in state]
         I = [_RAIL_OF_T[v] for v in inputs]
-        outs, nxt = self.step_ternary_masks(S, I, 1, self.forced_ternary(overrides))
+        outs, nxt = self.step_ternary_masks(S, I, 1, self.forced_ternary(overrides, 1))
         return (
             tuple(_T_OF_RAIL[r] for r in outs),
             tuple(_T_OF_RAIL[r] for r in nxt),
         )
 
-    # -- flat-program interpreters (override-aware mirror of the codegen) --
 
-    def _interpret_binary(
-        self,
-        state_masks: Sequence[int],
-        input_masks: Sequence[int],
-        M: int,
-        forced: Mapping[int, bool],
-    ) -> List[int]:
-        values = [0] * self.num_nets
-        for pin, net in enumerate(self.input_ids):
-            values[net] = input_masks[pin]
-        for pos, net in enumerate(self.latch_out_ids):
-            values[net] = state_masks[pos]
-        for net, v in forced.items():
-            values[net] = M if v else 0
-        for opcode, in_ids, out_ids, fn in self.ops:
-            if opcode == OP_AND or opcode == OP_NAND:
-                r = M
-                for i in in_ids:
-                    r &= values[i]
-                outs = (M ^ r if opcode == OP_NAND else r,)
-            elif opcode == OP_OR or opcode == OP_NOR:
-                r = 0
-                for i in in_ids:
-                    r |= values[i]
-                outs = (M ^ r if opcode == OP_NOR else r,)
-            elif opcode == OP_XOR or opcode == OP_XNOR:
-                r = 0
-                for i in in_ids:
-                    r ^= values[i]
-                outs = (M ^ r if opcode == OP_XNOR else r,)
-            elif opcode == OP_NOT:
-                outs = (M ^ values[in_ids[0]],)
-            elif opcode == OP_BUF:
-                outs = (values[in_ids[0]],)
-            elif opcode == OP_MUX:
-                s, w0, w1 = (values[i] for i in in_ids)
-                outs = ((s & w1) | ((M ^ s) & w0),)
-            elif opcode == OP_CONST0:
-                outs = (0,)
-            elif opcode == OP_CONST1:
-                outs = (M,)
-            elif opcode == OP_JUNC:
-                outs = (values[in_ids[0]],) * len(out_ids)
-            else:
-                outs = _generic_binary(fn, [values[i] for i in in_ids], M)
-            for net, r in zip(out_ids, outs):
-                if net not in forced:
-                    values[net] = r
-        return values
-
-    def _interpret_ternary(
-        self,
-        state_rails: Sequence[Tuple[int, int]],
-        input_rails: Sequence[Tuple[int, int]],
-        M: int,
-        forced: Mapping[int, T],
-    ) -> List[Tuple[int, int]]:
-        rails: List[Tuple[int, int]] = [(0, 0)] * self.num_nets
-        for pin, net in enumerate(self.input_ids):
-            rails[net] = input_rails[pin]
-        for pos, net in enumerate(self.latch_out_ids):
-            rails[net] = state_rails[pos]
-        forced_rails = {
-            net: tuple(M if bit else 0 for bit in _RAIL_OF_T[v])
-            for net, v in forced.items()
-        }
-        for net, rail in forced_rails.items():
-            rails[net] = rail
-        for opcode, in_ids, out_ids, fn in self.ops:
-            if opcode == OP_AND or opcode == OP_NAND:
-                a, b = 0, M
-                for i in in_ids:
-                    ra, rb = rails[i]
-                    a |= ra
-                    b &= rb
-                outs = ((b, a) if opcode == OP_NAND else (a, b),)
-            elif opcode == OP_OR or opcode == OP_NOR:
-                a, b = M, 0
-                for i in in_ids:
-                    ra, rb = rails[i]
-                    a &= ra
-                    b |= rb
-                outs = ((b, a) if opcode == OP_NOR else (a, b),)
-            elif opcode == OP_XOR or opcode == OP_XNOR:
-                a, b = rails[in_ids[0]]
-                for i in in_ids[1:]:
-                    ra, rb = rails[i]
-                    a, b = (a & ra) | (b & rb), (a & rb) | (b & ra)
-                outs = ((b, a) if opcode == OP_XNOR else (a, b),)
-            elif opcode == OP_NOT:
-                a, b = rails[in_ids[0]]
-                outs = ((b, a),)
-            elif opcode == OP_BUF:
-                outs = (rails[in_ids[0]],)
-            elif opcode == OP_MUX:
-                (sa, sb), (w0a, w0b), (w1a, w1b) = (rails[i] for i in in_ids)
-                outs = (((sb & w1a) | (sa & w0a), (sb & w1b) | (sa & w0b)),)
-            elif opcode == OP_CONST0:
-                outs = ((M, 0),)
-            elif opcode == OP_CONST1:
-                outs = ((0, M),)
-            elif opcode == OP_JUNC:
-                outs = (rails[in_ids[0]],) * len(out_ids)
-            else:
-                outs = _generic_ternary(fn, [rails[i] for i in in_ids], M)
-            for net, rail in zip(out_ids, outs):
-                if net not in forced_rails:
-                    rails[net] = rail
-        return rails
+def check_width(compiled: CompiledCircuit, vector: Sized) -> None:
+    """Raise :class:`ValueError` unless *vector* has one value per input."""
+    if len(vector) != compiled.num_inputs:
+        raise ValueError(
+            "circuit %s has %d inputs, got %d values"
+            % (compiled.name, compiled.num_inputs, len(vector))
+        )
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:

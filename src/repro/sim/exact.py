@@ -38,7 +38,7 @@ from ..logic.ternary import ONE, T, X, ZERO
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
-from .compiled import column_to_mask, compile_circuit, mask_to_column
+from .compiled import check_width, column_to_mask, compile_circuit, mask_to_column
 from .multi import all_states_array
 
 __all__ = [
@@ -143,10 +143,11 @@ class ExactSimulator:
                 column_to_mask(lanes[:, j]) for j in range(lanes.shape[1])
             )
         all_lanes = (1 << batch) - 1
-        forced = compiled.forced_binary(self.overrides)
+        forced = compiled.forced_binary(self.overrides, all_lanes)
         outputs_per_cycle: List[Tuple[int, ...]] = []
         with _span("sim.exact"):
             for vector in input_sequence:
+                check_width(compiled, vector)
                 input_masks = [all_lanes if bit else 0 for bit in vector]
                 out_masks, state_masks = compiled.step_binary_masks(
                     state_masks, input_masks, all_lanes, forced

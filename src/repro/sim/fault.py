@@ -27,12 +27,15 @@ machinery those arguments run on:
       conservative, CLS-detection implies exact-detection; the converse
       fails, which is the price a 3-valued test methodology pays.
 
-* a small fault simulator with fault dropping for whole test sets --
-  optionally fault-partitioned across worker processes
-  (:mod:`repro.sim.parallel`): each fault's verdict (the index of the
-  first detecting test) is independent of every other fault's, so the
-  fault list shards freely and the merged verdict map is bit-for-bit
-  the serial one.
+* a parallel-fault grader for whole test sets, with fault dropping:
+  before each test the faults still undetected are packed into the
+  lanes of one forced sweep of the compiled program
+  (:meth:`~repro.sim.compiled.CompiledCircuit.binary_forcing`).  Under
+  CLS a lane carries one fault from the all-X state; under exact
+  semantics a fault owns a block of ``2**n`` lanes, one per power-up
+  state.  A fault's verdict (the index of the first detecting test)
+  equals what :func:`detects_exact` / :func:`detects_cls` report for it
+  alone.
 """
 
 from __future__ import annotations
@@ -40,13 +43,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..logic.ternary import ONE, T, X, ZERO, from_bool, is_definite
+from ..logic.ternary import ONE, T, ZERO, is_definite, to_ternary
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
-from .exact import ExactSimulator
-from .parallel import resolve_jobs, run_sharded
-from .ternary_sim import TernarySimulator, all_x_state
+from .compiled import CompiledCircuit, check_width, compile_circuit
+from .exact import ExactSimulator, _exhaustive_state_masks
+from .ternary_sim import TernarySimulator
 
 __all__ = [
     "StuckAtFault",
@@ -57,7 +60,9 @@ __all__ = [
     "detects_cls",
     "detection_time",
     "FaultSimulator",
+    "PACK_LANES",
     "TestEvaluation",
+    "first_detections",
 ]
 
 BoolVec = Tuple[bool, ...]
@@ -194,33 +199,125 @@ def detection_time(
     return verdict.time_step if verdict.detected else None
 
 
-#: Shared worker context for fault-partitioned grading: the circuit, the
-#: test set, the per-test fault-free reference outputs (computed once in
-#: the parent) and the semantics.  It is pickled inline; ``T`` is an
-#: ``IntEnum``, so the reference outputs unpickle as the module's
-#: ``ZERO``/``ONE``/``X`` singletons that detection compares with ``is``.
-GradingPayload = Tuple[Circuit, Tuple, Tuple, str]
+#: Lanes per packed sweep.  A CLS pack gives each fault one lane; an
+#: exact pack gives each fault a block of ``2**n`` power-up lanes and
+#: holds at least one fault, however wide its block.  8192 lanes keep a
+#: net's mask near 1 KiB; 65536-lane packs measured several MB more peak
+#: memory on faultsim for no gain in speed.
+PACK_LANES = 8192
 
 
-def _first_detecting_index(
-    payload: GradingPayload, faults: Sequence[StuckAtFault]
+def _slot_any(mask: int, width: int) -> int:
+    """Fold each *width*-lane block onto its lowest lane: afterwards bit
+    ``k * width`` is set iff some lane of block ``k`` was (*width* is a
+    power of two; the other bits are left over)."""
+    shift = 1
+    while shift < width:
+        mask |= mask >> shift
+        shift <<= 1
+    return mask
+
+
+def _pack_detections(
+    compiled: CompiledCircuit,
+    semantics: str,
+    width: int,
+    test: Sequence[Sequence[bool]],
+    good: Sequence[Sequence[T]],
+    faults: Sequence[Tuple[int, bool]],
+) -> int:
+    """One forced sweep of *test* with ``faults[k] = (net id, value)``
+    in slot ``k`` of *width* lanes (1 under CLS, ``2**n`` under exact
+    semantics).  Returns bit ``k * width`` set for every slot whose
+    outputs contradict a definite fault-free value."""
+    block = (1 << width) - 1
+    lows = ((1 << (width * len(faults))) - 1) // block  # lane 0 of every slot
+    M = block * lows
+    stuck: Dict[int, Tuple[int, int]] = {}
+    for k, (net, value) in enumerate(faults):
+        lanes = block << (k * width)
+        zeros, ones = stuck.get(net, (0, 0))
+        stuck[net] = (zeros, ones | lanes) if value else (zeros | lanes, ones)
+    caught = 0
+    if semantics == "exact":
+        forcing = compiled.binary_forcing(stuck)
+        state = [mask * lows for mask in _exhaustive_state_masks(compiled.num_latches)]
+        for vector, good_vec in zip(test, good):
+            outs, state = compiled.step_binary_masks(
+                state, [M if bit else 0 for bit in vector], M, forcing
+            )
+            for mask, g in zip(outs, good_vec):
+                if g is ONE:  # detected where every power-up state gives 0
+                    caught |= ~_slot_any(mask, width)
+                elif g is ZERO:
+                    caught |= ~_slot_any(M ^ mask, width)
+        if _TRACE.enabled:
+            _TRACE.incr("sim.exact.sweeps")
+            _TRACE.incr("sim.exact.lanes", M.bit_length())
+            _TRACE.incr("sim.exact.cycles", len(test))
+    else:
+        forcing = compiled.ternary_forcing(stuck)
+        state = [(M, M)] * compiled.num_latches  # all-X power-up
+        for vector, good_vec in zip(test, good):
+            rails = []
+            for value in vector:
+                t = to_ternary(value)
+                rails.append((0 if t is ONE else M, 0 if t is ZERO else M))
+            outs, state = compiled.step_ternary_masks(state, rails, M, forcing)
+            for (can0, can1), g in zip(outs, good_vec):
+                if g is ZERO:  # detected where the faulty output is a definite 1
+                    caught |= can1 & ~can0
+                elif g is ONE:
+                    caught |= can0 & ~can1
+    return caught & lows
+
+
+def first_detections(
+    circuit: Circuit,
+    tests: Sequence[Sequence[Sequence[bool]]],
+    faults: Sequence[StuckAtFault],
+    *,
+    semantics: str,
 ) -> List[Optional[int]]:
-    """Worker task: first detecting test index per fault (or ``None``).
+    """Index of the first test in *tests* that detects each fault of
+    *faults*, in order (``None`` if none does), with fault dropping.
 
-    Must stay a module-level function so :func:`repro.sim.parallel.run_sharded`
-    can pickle it by reference.
+    Before each test the faults not yet detected are packed into lanes
+    (at most :data:`PACK_LANES` a sweep) of the forced compiled program,
+    and read off against one fault-free run; each fault's verdict is the
+    one :func:`detects_exact` / :func:`detects_cls` give it alone.
+    Every fault net and test width is checked before any simulation.
     """
-    circuit, tests, goods, semantics = payload
-    detect = detects_exact if semantics == "exact" else detects_cls
-    verdicts: List[Optional[int]] = []
-    for fault in faults:
-        found: Optional[int] = None
-        for index, (test, good) in enumerate(zip(tests, goods)):
-            if detect(circuit, fault, test, good=good).detected:
-                found = index
-                break
-        verdicts.append(found)
-    return verdicts
+    if semantics not in ("exact", "cls"):
+        raise ValueError("semantics must be 'exact' or 'cls', not %r" % semantics)
+    compiled = compile_circuit(circuit)
+    slots = [(compiled.net_id(fault.net), fault.value) for fault in faults]
+    frozen = [tuple(tuple(vector) for vector in test) for test in tests]
+    for test in frozen:
+        for vector in test:
+            check_width(compiled, vector)
+    width = 1 << compiled.num_latches if semantics == "exact" else 1
+    per_pack = max(1, PACK_LANES // width)
+    first: List[Optional[int]] = [None] * len(slots)
+    remaining = list(range(len(slots)))
+    for index, test in enumerate(frozen):
+        if not remaining:
+            break
+        good = good_outputs(circuit, test, semantics=semantics)
+        if _TRACE.enabled:
+            _TRACE.incr("sim.fault.evals", len(remaining))
+        for start in range(0, len(remaining), per_pack):
+            if _TRACE.enabled:
+                _TRACE.incr("sim.fault.packs")
+            pack = remaining[start : start + per_pack]
+            caught = _pack_detections(
+                compiled, semantics, width, test, good, [slots[pos] for pos in pack]
+            )
+            for k, pos in enumerate(pack):
+                if caught >> (k * width) & 1:
+                    first[pos] = index
+        remaining = [pos for pos in remaining if first[pos] is None]
+    return first
 
 
 class FaultSimulator:
@@ -233,35 +330,13 @@ class FaultSimulator:
     semantics:
         ``"exact"`` (power-up sweep) or ``"cls"`` (conservative
         three-valued, all-X start).
-    jobs:
-        Worker processes for fault-partitioned grading (``None`` -> the
-        process default of :mod:`repro.sim.parallel`; ``1`` = serial).
-        The verdicts are identical either way -- each fault's first
-        detecting test does not depend on any other fault.
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        *,
-        semantics: str = "exact",
-        jobs: Optional[int] = None,
-    ) -> None:
+    def __init__(self, circuit: Circuit, *, semantics: str = "exact") -> None:
         if semantics not in ("exact", "cls"):
             raise ValueError("semantics must be 'exact' or 'cls'")
         self.circuit = circuit
         self.semantics = semantics
-        self.jobs = jobs
-
-    def _detects(
-        self,
-        fault: StuckAtFault,
-        test: Sequence[Sequence[bool]],
-        good: Optional[Sequence[Sequence[T]]] = None,
-    ) -> bool:
-        if self.semantics == "exact":
-            return detects_exact(self.circuit, fault, test, good=good).detected
-        return detects_cls(self.circuit, fault, test, good=good).detected
 
     def run_test_set(
         self,
@@ -270,13 +345,8 @@ class FaultSimulator:
     ) -> Dict[StuckAtFault, Optional[int]]:
         """Map each fault to the index of the first detecting test
         (``None`` if the whole set misses it).  Detected faults are
-        dropped from later tests (classical fault dropping).
-
-        With ``jobs > 1`` the fault list is sharded across worker
-        processes; the fault-free reference outputs are computed once
-        here and shipped to every worker, and per-fault dropping (stop
-        at the first detecting test) happens inside each shard.  The
-        returned map is identical to the serial one.
+        dropped from later tests (classical fault dropping); see
+        :func:`first_detections`.
         """
         fault_list = list(faults) if faults is not None else list(enumerate_faults(self.circuit))
         if _TRACE.enabled:
@@ -285,41 +355,11 @@ class FaultSimulator:
                 counters.get("sim.fault.faults", 0) + len(fault_list)
             )
             counters["sim.fault.tests"] = counters.get("sim.fault.tests", 0) + len(tests)
-        jobs = resolve_jobs(self.jobs)
-        if jobs > 1 and len(fault_list) > 1:
-            frozen_tests = tuple(tuple(tuple(v) for v in test) for test in tests)
-            goods = tuple(
-                good_outputs(self.circuit, test, semantics=self.semantics)
-                for test in frozen_tests
-            )
-            payload: GradingPayload = (self.circuit, frozen_tests, goods, self.semantics)
-            with _span("sim.fault.grade"):
-                first = run_sharded(
-                    _first_detecting_index,
-                    payload,
-                    fault_list,
-                    jobs=jobs,
-                    label="fault-grading",
-                )
-            if _TRACE.enabled:
-                _TRACE.incr(
-                    "sim.fault.detected", sum(1 for v in first if v is not None)
-                )
-            return dict(zip(fault_list, first))
-        verdicts: Dict[StuckAtFault, Optional[int]] = {f: None for f in fault_list}
-        remaining = list(fault_list)
         with _span("sim.fault.grade"):
-            for index, test in enumerate(tests):
-                good = good_outputs(self.circuit, test, semantics=self.semantics)
-                still: List[StuckAtFault] = []
-                for fault in remaining:
-                    if self._detects(fault, test, good):
-                        verdicts[fault] = index
-                    else:
-                        still.append(fault)
-                remaining = still
-                if not remaining:
-                    break
+            first = first_detections(
+                self.circuit, tests, fault_list, semantics=self.semantics
+            )
+        verdicts = dict(zip(fault_list, first))
         if _TRACE.enabled:
             _TRACE.incr(
                 "sim.fault.detected",

@@ -81,7 +81,10 @@ class BatchedBinarySimulator:
             )
         input_masks = [all_lanes if bit else 0 for bit in inputs]
         return compiled.step_binary_masks(
-            state_masks, input_masks, all_lanes, compiled.forced_binary(self.overrides)
+            state_masks,
+            input_masks,
+            all_lanes,
+            compiled.forced_binary(self.overrides, all_lanes),
         )
 
     @staticmethod

@@ -35,13 +35,14 @@ knows how to split such work across CPU cores:
   recent record in :func:`last_stats`; the benchmark suite uses this to
   report worker counts and chunk shapes next to its timings.
 
-Consumers: :class:`repro.sim.fault.FaultSimulator`,
-:func:`repro.sim.atpg.grade_test_set`,
-:func:`repro.retime.validity.cls_equivalent` and
-:func:`repro.optimize.redundancy.remove_cls_redundancies`.  The exact
-power-up sweep of :class:`repro.sim.exact.ExactSimulator` is not
-sharded: on a pool it never measured faster than one in-process pass
-over integer lane masks.
+Consumers: :func:`repro.retime.validity.cls_equivalent` (through
+:func:`~repro.retime.validity.first_cls_difference`) and
+:func:`repro.optimize.redundancy.remove_cls_redundancies`.  Neither the
+exact power-up sweep of :class:`repro.sim.exact.ExactSimulator` nor
+fault grading (:mod:`repro.sim.fault`, :mod:`repro.sim.atpg`) is
+sharded: both pack their work into the lanes of one in-process pass of
+the compiled program, which no pool measured faster than
+(``benchmarks/results/parallel_speedup.txt``).
 
 With ``jobs == 1`` (the default) no pool, no pickling and no extra
 process is involved: callers take their original serial code path, so

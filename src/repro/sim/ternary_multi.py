@@ -185,13 +185,14 @@ class BatchedTernarySimulator:
             state[0][0].shape[0] if state else 1
         )
         compiled = compile_circuit(circuit)
+        all_lanes = (1 << batch) - 1
         state_masks = [(column_to_mask(c0), column_to_mask(c1)) for c0, c1 in state]
         input_masks = [(column_to_mask(c0), column_to_mask(c1)) for c0, c1 in inputs]
         out_masks, next_masks = compiled.step_ternary_masks(
             state_masks,
             input_masks,
-            (1 << batch) - 1,
-            compiled.forced_ternary(self.overrides),
+            all_lanes,
+            compiled.forced_ternary(self.overrides, all_lanes),
         )
 
         def unpack(rails):
@@ -220,7 +221,7 @@ class BatchedTernarySimulator:
 
         compiled = compile_circuit(self.circuit)
         all_lanes = (1 << batch) - 1
-        forced = compiled.forced_ternary(self.overrides)
+        forced = compiled.forced_ternary(self.overrides, all_lanes)
         state = [(all_lanes, all_lanes)] * compiled.num_latches  # all-X power-up
         per_cycle = []
         for cycle in range(length):

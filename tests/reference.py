@@ -1,9 +1,10 @@
 """The reference interpreter: the test suite's one simulation oracle.
 
 The product evaluates circuits only through the compile-once core of
-:mod:`repro.sim.compiled` (generated code without overrides, an
-op-by-op interpreter with them).  This module checks that core from
-outside.  It walks the netlist by name in topological order and
+:mod:`repro.sim.compiled`: generated step functions, a plain one and a
+forced one per domain, the forced one serving every stuck-at override
+and every packed fault-grading sweep.  This module checks that core
+from outside.  It walks the netlist by name in topological order and
 evaluates each cell only through its
 :class:`~repro.logic.functions.CellFunction`
 (:meth:`~repro.logic.functions.CellFunction.eval_binary` /

@@ -102,3 +102,18 @@ def test_overrides_flow_through():
     outs = sim.outputs(TABLE1_INPUT_SEQUENCE)
     # Output gate = AND(I, 1) = I.
     assert outs == ((ZERO,), (ONE,), (ONE,), (ONE,))
+
+
+def test_vectors_of_the_wrong_width_are_rejected():
+    # Exact simulation reads one value per primary input, like the CLS:
+    # extra values must not be ignored, and missing ones must not
+    # surface as an IndexError from inside the compiled program.
+    d = figure1_design_d()
+    message = "circuit %s has 1 inputs, got %%d values" % d.name
+    for vector in ((False, True), ()):
+        with pytest.raises(ValueError, match=message % len(vector)):
+            exact_outputs(d, [(True,), vector])
+        with pytest.raises(ValueError, match=message % len(vector)):
+            ExactSimulator(d).outputs([vector])
+        with pytest.raises(ValueError, match=message % len(vector)):
+            ExactSimulator(d).final_states([vector])

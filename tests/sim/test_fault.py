@@ -10,6 +10,9 @@ from repro.bench.paper_circuits import (
     figure3_design_d,
     figure3_fault,
 )
+from repro.bench.iscas import load
+from repro.netlist.circuit import CircuitError
+from repro.sim.atpg import generate_tests, grade_test_set
 from repro.sim.fault import (
     FaultSimulator,
     StuckAtFault,
@@ -117,3 +120,36 @@ def test_undetectable_fault_reports_none():
     # produces at every observed step of this trivial test.
     verdicts = sim.run_test_set([((False,),)], faults=[StuckAtFault("O", False)])
     assert verdicts[StuckAtFault("O", False)] is None
+
+
+@pytest.mark.parametrize("semantics", ("exact", "cls"))
+def test_grading_rejects_vectors_of_the_wrong_width(semantics):
+    # s27 has 4 inputs; a 5-bit vector used to grade "3 detected faults"
+    # under exact semantics, and a 3-bit one raised a bare IndexError.
+    s27 = load("s27")
+    good = ((False, True, True, False),)
+    for width in (5, 3):
+        bad = (tuple(i % 2 == 0 for i in range(width)),)
+        message = "circuit s27 has 4 inputs, got %d values" % width
+        with pytest.raises(ValueError, match=message):
+            FaultSimulator(s27, semantics=semantics).run_test_set([good, bad])
+        with pytest.raises(ValueError, match=message):
+            grade_test_set(s27, [good, bad], semantics=semantics)
+
+
+@pytest.mark.parametrize("semantics", ("exact", "cls"))
+def test_fault_on_a_missing_net_is_a_circuit_error(semantics):
+    d = figure3_design_d()
+    nope = StuckAtFault("nope", True)
+    pattern = "circuit %s has no net 'nope'" % d.name
+    with pytest.raises(CircuitError, match=pattern):
+        FaultSimulator(d, semantics=semantics).run_test_set(
+            [FIGURE3_TEST_SEQUENCE], faults=[figure3_fault(), nope]
+        )
+    with pytest.raises(CircuitError, match=pattern):
+        grade_test_set(d, [FIGURE3_TEST_SEQUENCE], faults=[nope], semantics=semantics)
+    with pytest.raises(CircuitError, match=pattern):
+        generate_tests(d, faults=[nope], semantics=semantics, max_attempts=2)
+    detect = detects_exact if semantics == "exact" else detects_cls
+    with pytest.raises(CircuitError, match=pattern):
+        detect(d, nope, FIGURE3_TEST_SEQUENCE)

@@ -137,8 +137,9 @@ def _assert_binary_lanes_match_propagate(circuit, states, inputs, overrides):
         column_to_mask(np.array([row[j] for row in inputs], dtype=bool))
         for j in range(len(circuit.inputs))
     ]
+    all_lanes = (1 << batch) - 1
     outs, nxt = compiled.step_binary_masks(
-        state_masks, input_masks, (1 << batch) - 1, compiled.forced_binary(overrides)
+        state_masks, input_masks, all_lanes, compiled.forced_binary(overrides, all_lanes)
     )
     out_cols = [mask_to_column(m, batch) for m in outs]
     next_cols = [mask_to_column(m, batch) for m in nxt]
@@ -170,11 +171,12 @@ def _assert_ternary_lanes_match_propagate(circuit, states, inputs, overrides):
             for a, b in rails_out
         ]
 
+    all_lanes = (1 << batch) - 1
     outs, nxt = compiled.step_ternary_masks(
         rails(states, circuit.num_latches),
         rails(inputs, len(circuit.inputs)),
-        (1 << batch) - 1,
-        compiled.forced_ternary(overrides),
+        all_lanes,
+        compiled.forced_ternary(overrides, all_lanes),
     )
     out_cols, next_cols = unpack(outs), unpack(nxt)
     for lane in range(batch):

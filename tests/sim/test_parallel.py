@@ -1,10 +1,11 @@
 """Tests for the process-pool execution layer (:mod:`repro.sim.parallel`).
 
 The contract under test: with ``jobs > 1`` every parallel consumer
-produces **bit-for-bit** the serial result (verdict maps, orders,
-ternary outputs, report counters), and when the pool cannot start the
-work silently degrades to the serial in-process path.  Exact power-up
-sweeps are not a consumer: they stay in-process under any ``--jobs``.
+produces **bit-for-bit** the serial result (verdicts, orders, ternary
+outputs, report counters), and when the pool cannot start the work
+silently degrades to the serial in-process path.  Exact power-up sweeps
+and fault grading are not consumers: they stay in-process under any
+``--jobs``.
 """
 
 from __future__ import annotations
@@ -135,18 +136,6 @@ class TestFallback:
         assert out == [2, 4]
         assert last_stats().fallback
 
-    def test_fault_grading_survives_broken_pool(self, monkeypatch):
-        def broken(jobs, payload_bytes):
-            raise OSError("pool unavailable")
-
-        monkeypatch.setattr(parallel, "_make_executor", broken)
-        circuit = _s27()
-        tests = generate_tests(circuit, max_attempts=6, max_length=4).tests
-        serial = FaultSimulator(circuit).run_test_set(tests)
-        with pytest.warns(RuntimeWarning):
-            fallback = FaultSimulator(circuit, jobs=4).run_test_set(tests)
-        assert fallback == serial
-
     def test_warning_fires_once_per_process(self, monkeypatch):
         # Regression: on 1-core CI boxes where the pool can never start,
         # every sharded call used to repeat the RuntimeWarning.  Only
@@ -188,45 +177,6 @@ def _lambda_ref_task(payload, chunk):
 # ---------------------------------------------------------------------------
 
 
-class TestFaultGradingDeterminism:
-    def test_run_test_set_identical_verdicts(self):
-        circuit = _s27()
-        tests = generate_tests(circuit, max_attempts=12, max_length=5).tests
-        assert tests
-        serial = FaultSimulator(circuit).run_test_set(tests)
-        for jobs in (2, 4):
-            sharded = FaultSimulator(circuit, jobs=jobs).run_test_set(tests)
-            assert sharded == serial
-            assert list(sharded) == list(serial)  # insertion order too
-
-    def test_run_test_set_cls_semantics(self):
-        circuit = _s27()
-        tests = generate_tests(
-            circuit, max_attempts=8, max_length=4, semantics="cls"
-        ).tests
-        serial = FaultSimulator(circuit, semantics="cls").run_test_set(tests)
-        sharded = FaultSimulator(circuit, semantics="cls", jobs=3).run_test_set(tests)
-        assert sharded == serial
-
-    def test_grade_test_set_identical_result(self):
-        circuit = _s27()
-        tests = generate_tests(circuit, max_attempts=12, max_length=5).tests
-        serial = grade_test_set(circuit, tests)
-        sharded = grade_test_set(circuit, tests, jobs=4)
-        assert sharded.detected == serial.detected
-        assert list(sharded.detected) == list(serial.detected)
-        assert sharded.undetected == serial.undetected
-        assert sharded.attempts == serial.attempts
-        assert sharded.coverage == serial.coverage
-
-    def test_paper_circuit_coverage_identical(self):
-        for circuit in (figure1_design_d(), figure1_design_c()):
-            tests = generate_tests(circuit, max_attempts=10, max_length=4).tests
-            serial = FaultSimulator(circuit).coverage(tests)
-            sharded = FaultSimulator(circuit, jobs=2).coverage(tests)
-            assert sharded == serial
-
-
 class TestExactSweepsStayInProcess:
     def test_default_jobs_do_not_shard_exact_sweeps(self):
         # ``repro --jobs 2`` sets the process default; exact sweeps
@@ -246,6 +196,39 @@ class TestExactSweepsStayInProcess:
             set_default_jobs(previous)
             parallel.remove_observer(published.append)
         assert published == []
+
+
+class TestFaultGradingStaysInProcess:
+    def test_default_jobs_do_not_shard_grading(self):
+        # Fault grading packs faults into lanes of one in-process sweep;
+        # under ``repro --jobs 2`` it must never reach run_sharded, and
+        # its verdicts are the ones graded at the default of one job.
+        circuit = _s27()
+        tests = generate_tests(circuit, max_attempts=12, max_length=5).tests
+        assert tests
+
+        def grade():
+            return (
+                [
+                    list(FaultSimulator(circuit, semantics=mode).run_test_set(tests).items())
+                    for mode in ("exact", "cls")
+                ],
+                grade_test_set(circuit, tests),
+                generate_tests(circuit, max_attempts=8, max_length=4, semantics="cls"),
+            )
+
+        serial = grade()
+        published = []
+        previous = get_default_jobs()
+        parallel.add_observer(published.append)
+        set_default_jobs(2)
+        try:
+            pooled = grade()
+        finally:
+            set_default_jobs(previous)
+            parallel.remove_observer(published.append)
+        assert published == []
+        assert pooled == serial
 
 
 class TestValidityAndRedundancyDeterminism:
@@ -343,6 +326,24 @@ class TestPickling:
         assert clone.step_binary((False,), (True,)) == compiled.step_binary(
             (False,), (True,)
         )
+
+    def test_compiled_program_round_trip_drops_forced_codegen(self):
+        import pickle
+
+        from repro.logic.ternary import ONE, X
+        from repro.sim.compiled import compile_circuit
+
+        circuit = figure1_design_d()
+        compiled = compile_circuit(circuit)
+        net = circuit.outputs[0]
+        runs = (
+            lambda cc: cc.step_binary((False,), (True,), overrides={net: False}),
+            lambda cc: cc.step_ternary((X,), (ONE,), overrides={net: X}),
+        )
+        expected = [run(compiled) for run in runs]  # forces both codegens
+        clone = pickle.loads(pickle.dumps(compiled))
+        assert clone._fn_binary_forced is None and clone._fn_ternary_forced is None
+        assert [run(clone) for run in runs] == expected
 
     def test_library_cell_functions_pickle_to_singletons(self):
         import pickle
