@@ -1,18 +1,14 @@
-"""Where parallel hardware pays: lane-packed fault grading, and the pool.
+"""Where parallel hardware pays: fault grading packs faults into lanes.
 
 Not a paper artefact: the paper's circuits are small enough that the
 serial compiled core regenerates every table in milliseconds.  This
-benchmark records the data behind two decisions, so downstream adopters
-with larger circuits know what to expect:
-
-* **Fault grading packs faults into lanes.**  One fault at a time (the
-  single-fault ``detects_exact`` / ``detects_cls`` API in a loop with
-  fault dropping) against :class:`~repro.sim.fault.FaultSimulator`,
-  which grades the survivors of each test in packed sweeps of the
-  forced compiled program -- exact semantics on s27, CLS on s386.
-* **The process pool** (:mod:`repro.sim.parallel`) against the serial
-  path, on its two remaining consumers: the sampled CLS-invariance check
-  (``cls_equivalent``) and CLS redundancy removal.
+benchmark records the data behind the lane-packing decision, so
+downstream adopters with larger circuits know what to expect: one fault
+at a time (the single-fault ``detects_exact`` / ``detects_cls`` API in
+a loop with fault dropping) against
+:class:`~repro.sim.fault.FaultSimulator`, which grades the survivors of
+each test in packed sweeps of the forced compiled program -- exact
+semantics on s27, CLS on s386.
 
 The asserted contract is **determinism**, not speed: both sides of
 every row must reach the same verdicts, bit for bit.  Wall-clock ratios
@@ -31,11 +27,6 @@ from repro.analysis.reporting import ascii_table, banner
 from repro.bench.iscas import BENCHMARKS, load
 from repro.netlist.io_bench import parse_bench
 from repro.netlist.transform import normalize_fanout
-from repro.optimize.redundancy import remove_cls_redundancies
-from repro.retime.apply import lag_to_moves
-from repro.retime.graph import build_retiming_graph
-from repro.retime.leiserson_saxe import min_period_retiming
-from repro.retime.validity import cls_equivalent
 from repro.sim.atpg import generate_tests
 from repro.sim.fault import (
     FaultSimulator,
@@ -45,7 +36,6 @@ from repro.sim.fault import (
     good_outputs,
 )
 
-JOBS = 2
 #: Best of this many runs per cell: single runs on a shared host swing
 #: by up to 2x.
 REPEATS = 3
@@ -120,48 +110,10 @@ def parallel_speedup_report():
             )
         )
 
-    pool_rows = []
-    lag = min_period_retiming(build_retiming_graph(s386)).lag
-    retimed = lag_to_moves(s386, lag).current
-
-    def invariance(jobs):
-        return cls_equivalent(s386, retimed, count=200, length=12, jobs=jobs)
-
-    serial, t1 = _timed(lambda: invariance(1))
-    pooled, tn = _timed(lambda: invariance(JOBS))
-    checks.append(serial is pooled is True)
-    pool_rows.append(
-        (
-            "cls_equivalent, s386 vs min-period retiming (200 sequences x 12 cycles)",
-            "%.3f" % t1,
-            "%.3f" % tn,
-            _speedup(t1, tn),
-        )
-    )
-    serial, t1 = _timed(lambda: remove_cls_redundancies(s27, jobs=1))
-    pooled, tn = _timed(lambda: remove_cls_redundancies(s27, jobs=JOBS))
-    checks.append(
-        (serial.substitutions, serial.tested, serial.after)
-        == (pooled.substitutions, pooled.tested, pooled.after)
-    )
-    pool_rows.append(
-        (
-            "remove_cls_redundancies, s27 (%d candidates judged)" % serial.tested,
-            "%.3f" % t1,
-            "%.3f" % tn,
-            _speedup(t1, tn),
-        )
-    )
-
     text = "\n".join(
         (
             banner("Fault grading: one fault at a time vs lane-packed (best of %d)" % REPEATS),
             ascii_table(("workload", "per fault [s]", "packed [s]", "speedup"), grading_rows),
-            "",
-            banner("Process pool: serial vs --jobs %d (best of %d)" % (JOBS, REPEATS)),
-            ascii_table(
-                ("workload", "jobs=1 [s]", "jobs=%d [s]" % JOBS, "speedup"), pool_rows
-            ),
             "host: %s CPU core(s); determinism checks: %s"
             % (os.cpu_count(), "all identical" if all(checks) else "MISMATCH"),
         )

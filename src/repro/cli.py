@@ -2,10 +2,6 @@
 
 Global options (before the subcommand):
 
-``--jobs N``
-    worker processes for the sharded sweeps (sampled CLS invariance and
-    redundancy checks); ``1`` (the default) is the bit-for-bit serial
-    path, ``0`` means "one per CPU core"
 ``--engine {explicit,symbolic,auto}``
     containment engine for the ``⊑`` / ``≼`` analyses -- ``explicit``
     (enumerated STGs + subset construction), ``symbolic`` (BDD
@@ -38,10 +34,10 @@ Subcommands:
 ``bench``       run a standard compile/simulate/retime/fault workload
                 with tracing always on (the before/after artefact for
                 performance work; pair with ``--report``)
-``serve``       run the persistent verification service: circuits,
-                compiled programs and worker processes stay resident
-                across newline-delimited JSON requests over TCP or a
-                unix socket, and compatible CLS sweeps from concurrent
+``serve``       run the persistent verification service: circuits and
+                compiled programs stay resident across
+                newline-delimited JSON requests over TCP or a unix
+                socket, and compatible CLS sweeps from concurrent
                 requests are micro-batched into shared lane passes
                 (protocol reference: ``docs/SERVICE.md``)
 ``fuzz``        cross-engine conformance fuzzing: replay the regression
@@ -52,7 +48,9 @@ Subcommands:
 All commands read and write ISCAS-89 ``.bench`` files (BLIF via the
 ``.blif`` extension), the formats the benchmark circuits of the paper's
 era shipped in.  The full reference with worked examples is
-``docs/CLI.md``.
+``docs/CLI.md``.  Bad user input -- an unreadable or malformed circuit
+file, a non-positive sample setting -- ends in a one-line error, never
+a traceback.
 """
 
 from __future__ import annotations
@@ -64,6 +62,7 @@ from typing import List, Optional, Sequence
 from . import obs
 from .analysis.reporting import ascii_table, banner
 from .logic.ternary import format_ternary_sequence, parse_ternary_string, to_ternary
+from .netlist.circuit import CircuitError
 from .netlist.io_bench import parse_bench, write_bench
 from .netlist.transform import normalize_fanout
 from .netlist.validate import validate
@@ -75,9 +74,9 @@ from .retime.validity import cls_equivalent
 from .sim.atpg import generate_tests
 from .sim.binary import BinarySimulator, parse_state
 from .sim.exact import exact_outputs
-from .sim.parallel import default_job_count, set_default_jobs
 from .sim.ternary_sim import TernarySimulator
 from .stg.explicit import extract_stg
+from .stg.replaceability import SearchBudgetExceeded
 from .stg.scc import she_analysis
 from .stg.symbolic_replaceability import (
     ENGINES,
@@ -91,19 +90,39 @@ __all__ = ["main"]
 
 
 def _load(path: str, *, normalize: bool = True):
-    """Load a circuit, dispatching on extension (.blif vs .bench)."""
-    with open(path) as handle:
-        text = handle.read()
-    if path.endswith(".blif"):
-        from .netlist.io_blif import parse_blif
+    """Load a circuit, dispatching on extension (.blif vs .bench).
 
-        circuit = parse_blif(text, name=path).circuit
-    else:
-        circuit = parse_bench(text, name=path)
-    if normalize:
-        circuit = normalize_fanout(circuit)
-    validate(circuit)
+    An unreadable file or a malformed/invalid circuit exits with
+    ``<path>: <message>`` instead of a traceback.
+    """
+    try:
+        with open(path) as handle:
+            text = handle.read()
+        if path.endswith(".blif"):
+            from .netlist.io_blif import parse_blif
+
+            circuit = parse_blif(text, name=path).circuit
+        else:
+            circuit = parse_bench(text, name=path)
+        if normalize:
+            circuit = normalize_fanout(circuit)
+        validate(circuit)
+    except OSError as exc:
+        raise SystemExit("%s: %s" % (path, exc.strerror or exc)) from None
+    except CircuitError as exc:
+        raise SystemExit("%s: %s" % (path, exc)) from None
     return circuit
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
 
 
 def _write_circuit(circuit, path: str, header: str) -> None:
@@ -237,7 +256,15 @@ def cmd_redundancy(args: argparse.Namespace) -> int:
     from .optimize.redundancy import remove_cls_redundancies
 
     circuit = _load(args.circuit)
-    report = remove_cls_redundancies(circuit, max_pairs=args.max_pairs)
+    try:
+        report = remove_cls_redundancies(circuit, max_pairs=args.max_pairs)
+    except SearchBudgetExceeded as exc:
+        print(
+            "redundancy removal: undecided -- %s (retry with a bigger "
+            "--max-pairs)" % exc,
+            file=sys.stderr,
+        )
+        return 2
     print(banner("CLS-invariant redundancy removal on %s" % args.circuit))
     print(report.summary())
     for net, value in report.substitutions:
@@ -303,14 +330,24 @@ def cmd_check(args: argparse.Namespace) -> int:
     )
     verdict = 0 if sampled else 1
     if args.exhaustive:
-        witness = decide_cls_equivalence(original, retimed)
-        if witness is None:
-            print("CLS equivalence (exhaustive): EQUIVALENT")
+        try:
+            witness = decide_cls_equivalence(original, retimed)
+        except SearchBudgetExceeded as exc:
+            print(
+                "CLS equivalence (exhaustive): undecided -- %s (the sampled "
+                "verdict stands; retry with more --samples)" % exc,
+                file=sys.stderr,
+            )
+            verdict = verdict or 2  # a sampled difference still wins
         else:
-            print("CLS equivalence (exhaustive): DIFFER -- %s" % witness.describe())
-            verdict = 1
+            if witness is None:
+                print("CLS equivalence (exhaustive): EQUIVALENT")
+            else:
+                print(
+                    "CLS equivalence (exhaustive): DIFFER -- %s" % witness.describe()
+                )
+                verdict = 1
     if args.stg:
-        from .stg.replaceability import SearchBudgetExceeded
         from .stg.symbolic_replaceability import (
             SymbolicContainmentChecker,
             resolve_engine,
@@ -543,10 +580,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print("serving on %s (unix socket)" % server.address, flush=True)
         else:
             print("serving on %s:%d" % tuple(server.address), flush=True)
-        print(
-            'jobs=%d; stop with {"op": "shutdown"} or Ctrl-C' % server.jobs,
-            flush=True,
-        )
+        print('stop with {"op": "shutdown"} or Ctrl-C', flush=True)
         try:
             await server.wait_closed()
         except asyncio.CancelledError:
@@ -604,14 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Retiming-validity toolkit (Singhal/Pixley/Rudell/Brayton, DAC'95)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the CLS-invariance and redundancy "
-        "checks; 1 (default) = serial, 0 = one per CPU core",
     )
     parser.add_argument(
         "--engine",
@@ -678,8 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify retimed vs original")
     p.add_argument("original")
     p.add_argument("retimed")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--length", type=int, default=12)
+    p.add_argument("--samples", type=_positive_int, default=20)
+    p.add_argument("--length", type=_positive_int, default=12)
     p.add_argument(
         "--seed", type=int, default=0,
         help="seed for the sampled sequence batch (logged in the verdict "
@@ -806,8 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("quick", "std", "full"),
         default="std",
         help="arm matrix: quick (explicit+symbolic), std (+reorder, "
-        "sat), full (+jobs2 and served arms; spawns a background "
-        "server)",
+        "sat), full (+served arms; spawns a background server)",
     )
     p.add_argument(
         "--corpus",
@@ -824,10 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is not None:
-        if args.jobs < 0:
-            parser.error("--jobs must be >= 0")
-        set_default_jobs(default_job_count() if args.jobs == 0 else args.jobs)
     if args.engine is not None:
         set_default_engine(args.engine)
     if args.reorder is not None:

@@ -196,26 +196,6 @@ class CellFunction:
         """True for cells with more than one output pin."""
         return self.n_outputs > 1
 
-    # -- pickling ------------------------------------------------------
-
-    def __reduce__(self):
-        """Pickle library cells by name, via the registry.
-
-        The evaluators of registry cells are closures/lambdas and do not
-        pickle; reconstructing through :func:`get_function` restores the
-        per-process singleton instead.  This is what lets circuits and
-        compiled programs cross process boundaries for the parallel
-        execution layer (:mod:`repro.sim.parallel`).  ``GENERIC`` cells
-        fall back to field-wise pickling, which works exactly when their
-        evaluators are module-level functions.
-        """
-        if self.family != "GENERIC":
-            return (get_function, (self.name,))
-        return (
-            CellFunction,
-            (self.name, self.n_inputs, self.n_outputs, self.binary, self.ternary),
-        )
-
     def output_image(self) -> frozenset:
         """The set of producible output vectors (as bool tuples).
 

@@ -2,15 +2,15 @@
 
 Hierarchical timed spans, monotonic counters, and a JSON-serialisable
 :class:`RunReport`, instrumenting the hot paths end to end: circuit
-compilation (:mod:`repro.sim.compiled`), the compiled simulators, the
-process-pool layer (:mod:`repro.sim.parallel`), fault grading and ATPG,
-the retiming engine and validity checks, and redundancy removal.
+compilation (:mod:`repro.sim.compiled`), the compiled simulators,
+fault grading and ATPG, the retiming engine and validity checks, and
+redundancy removal.
 
 Usage -- library::
 
     from repro import obs
 
-    obs.enable(jobs=1)
+    obs.enable(command="script")
     ...                                # instrumented work
     report = obs.report()
     report.write("run.json")
@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Any
 
 from .report import SCHEMA_VERSION, RunReport, SpanStats, build_report
-from .trace import TRACER, TimedRun, Tracer, incr, record_timing, span, timed, traced
+from .trace import TRACER, TimedRun, Tracer, incr, span, timed, traced
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -58,7 +58,6 @@ __all__ = [
     "enable",
     "enabled",
     "incr",
-    "record_timing",
     "report",
     "reset",
     "span",

@@ -17,10 +17,7 @@ Design constraints, in order of importance:
    so every layer of the stack can import it without cycles.
 
 The tracer is deliberately process-local and single-threaded, matching
-the execution model of the library (worker processes of
-:mod:`repro.sim.parallel` each get a fresh, disabled tracer; their
-wall-clock contributions are folded back in by the parent's
-``run_sharded`` instrumentation).
+the execution model of the library: every sweep runs in-process.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ __all__ = [
     "timed",
     "traced",
     "incr",
-    "record_timing",
 ]
 
 
@@ -59,8 +55,8 @@ class Tracer:
     stack:
         Names of the currently open spans, outermost first.
     meta:
-        Free-form run metadata carried into the report (command, jobs,
-        CLI argv, ...).
+        Free-form run metadata carried into the report (command, CLI
+        argv, ...).
     """
 
     __slots__ = ("enabled", "counters", "spans", "stack", "meta")
@@ -119,14 +115,6 @@ class Tracer:
                 record[2] = elapsed
             if elapsed > record[3]:
                 record[3] = elapsed
-
-    def record_timing(self, name: str, elapsed: float) -> None:
-        """Record an externally measured duration as a span at the
-        current nesting position (used e.g. to fold per-shard worker
-        wall times, which were measured in another process)."""
-        if self.enabled:
-            path = "/".join(self.stack + [name]) if self.stack else name
-            self.merge_timing(path, elapsed)
 
 
 #: The process-wide tracer.  Hot paths do ``if TRACER.enabled:``.
@@ -215,11 +203,6 @@ def incr(name: str, amount: int = 1) -> None:
     if TRACER.enabled:
         counters = TRACER.counters
         counters[name] = counters.get(name, 0) + amount
-
-
-def record_timing(name: str, elapsed: float) -> None:
-    """Module-level convenience for ``TRACER.record_timing``."""
-    TRACER.record_timing(name, elapsed)
 
 
 # ---------------------------------------------------------------------------

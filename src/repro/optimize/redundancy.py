@@ -34,7 +34,6 @@ from ..netlist.circuit import Circuit
 from ..netlist.transform import rewire_readers, sweep_dangling
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import traced as _traced
-from ..sim.parallel import resolve_jobs, run_sharded
 from ..stg.ternary_equiv import cls_equivalent_exhaustive
 
 __all__ = [
@@ -175,33 +174,12 @@ def _candidate_pairs(
     return pairs
 
 
-def _judge_candidates(payload, pairs):
-    """Worker task: accept/reject each (net, constant) substitution.
-
-    A pair is accepted when the substitution strictly shrinks the logic
-    *and* survives the exhaustive CLS-equivalence check -- the same two
-    gates the serial scan applies, in the same order.
-    """
-    current, max_pairs = payload
-    verdicts: List[bool] = []
-    for net, value in pairs:
-        candidate = substitute_constant(current, net, value)
-        if logic_size(candidate) >= logic_size(current):
-            verdicts.append(False)
-            continue
-        verdicts.append(
-            cls_equivalent_exhaustive(current, candidate, max_pairs=max_pairs)
-        )
-    return verdicts
-
-
 @_traced("optimize.redundancy")
 def remove_cls_redundancies(
     circuit: Circuit,
     *,
     candidates: Optional[Sequence[str]] = None,
     max_pairs: int = 50_000,
-    jobs: Optional[int] = None,
 ) -> RedundancyReport:
     """Greedy redundancy removal under the CLS-equivalence invariant.
 
@@ -210,13 +188,8 @@ def remove_cls_redundancies(
     scan restarts on the simplified circuit, so later candidates are
     judged in context.  Exact but exponential in the ternary product
     state space -- intended for the small circuits of this reproduction.
-
-    With ``jobs > 1`` each scan round judges its candidate pairs in
-    parallel worker processes and then applies the first accepted pair
-    in serial order, so the substitution sequence, the final circuit
-    and the report counters are identical to the serial run (parallel
-    rounds speculatively judge pairs the serial scan never reaches;
-    those verdicts are discarded, not counted).
+    A search past *max_pairs* raises
+    :class:`~repro.stg.replaceability.SearchBudgetExceeded`.
     """
     report = RedundancyReport(
         circuit=circuit,
@@ -224,28 +197,10 @@ def remove_cls_redundancies(
         after=logic_size(circuit),
     )
     current = circuit
-    resolved = resolve_jobs(jobs)
     progress = True
     while progress:
         progress = False
-        pairs = _candidate_pairs(current, candidates)
-        if resolved > 1 and len(pairs) > 1:
-            accepted = run_sharded(
-                _judge_candidates,
-                (current, max_pairs),
-                pairs,
-                jobs=resolved,
-                label="redundancy-check",
-            )
-            for (net, value), ok in zip(pairs, accepted):
-                report.tested += 1
-                if ok:
-                    current = substitute_constant(current, net, value)
-                    report.substitutions.append((net, value))
-                    progress = True
-                    break
-            continue
-        for net, value in pairs:
+        for net, value in _candidate_pairs(current, candidates):
             report.tested += 1
             candidate = substitute_constant(current, net, value)
             if logic_size(candidate) >= logic_size(current):

@@ -1,8 +1,8 @@
 """Cross-engine conformance fuzzing, shrinking and the regression corpus.
 
 The QA layer turns the repo's redundancy -- four containment engines,
-in-process and sharded CLS sweeps, a process-boundary service, and the
-paper's own theorems -- into a test oracle: on seeded random cases
+in-process and served CLS sweeps across a process-boundary service, and
+the paper's own theorems -- into a test oracle: on seeded random cases
 every arm must agree on every claim, bit-for-bit where witnesses are
 comparable.  See :mod:`repro.qa.generate` (recipes),
 :mod:`repro.qa.differential` (the matrix and the ballot),

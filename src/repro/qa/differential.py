@@ -11,10 +11,10 @@ questions independently:
 
 Arms are the four decision engines (explicit subset construction,
 symbolic BDD fixpoints, the same fixpoints under auto reordering over
-a partitioned transition relation, bounded CNF unrolling), optionally
-the served path (the same engines behind ``repro serve``), and the
-sharded (``jobs2``) variant of the CLS batch.  :func:`run_differential`
-collects the ballots and returns the disagreements:
+a partitioned transition relation, bounded CNF unrolling) and,
+optionally, the served path (the same engines and CLS batch behind
+``repro serve``).  :func:`run_differential` collects the ballots and
+returns the disagreements:
 
 * every *decided* verdict must be unanimous (``None`` = the arm's
   budget ran out -- an honest abstention, never counted as a vote);
@@ -72,7 +72,7 @@ MATRICES: Dict[str, Dict[str, Tuple[str, ...]]] = {
     },
     "full": {
         "arms": ("explicit", "symbolic", "symbolic+reorder", "sat", "serve"),
-        "cls": ("compiled", "jobs2", "serve"),
+        "cls": ("compiled", "serve"),
     },
 }
 
@@ -341,7 +341,7 @@ def _serve_verdict(case: Case, client) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# The CLS arms (in-process / sharded / served variants of Cor 5.3).
+# The CLS arms (in-process / served variants of Cor 5.3).
 # ---------------------------------------------------------------------------
 
 CLS_COUNT = 12
@@ -369,11 +369,7 @@ def _cls_vote(case: Case, arm: str, client=None) -> Optional[bool]:
     sequences = random_ternary_sequences(
         len(case.original.inputs), count=CLS_COUNT, length=CLS_LENGTH, seed=seed
     )
-    jobs = 2 if arm == "jobs2" else None
-    difference = first_cls_difference(
-        case.original, case.candidate, sequences, jobs=jobs
-    )
-    return difference is None
+    return first_cls_difference(case.original, case.candidate, sequences) is None
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from ..logic.ternary import ONE, T, X, ZERO
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
-from ..sim.parallel import resolve_jobs, run_sharded
 from ..sim.ternary_multi import BatchedTernarySimulator
 from ..stg.delayed import delay_needed_for_implication, delayed_implies
 from ..stg.equivalence import implies
@@ -79,17 +78,14 @@ def cls_equivalent(
     original: Circuit,
     retimed: Circuit,
     sequences: Optional[Sequence[Sequence[Sequence[T]]]] = None,
-    *,
-    jobs: Optional[int] = None,
     **kwargs,
 ) -> bool:
     """Check Corollary 5.3 on concrete sequences (default: random).
 
     Extra keyword arguments are forwarded to
-    :func:`random_ternary_sequences`.  ``jobs > 1`` shards the sequence
-    batch across worker processes (see :func:`first_cls_difference`).
+    :func:`random_ternary_sequences`.
     """
-    return first_cls_difference(original, retimed, sequences, jobs=jobs, **kwargs) is None
+    return first_cls_difference(original, retimed, sequences, **kwargs) is None
 
 
 def first_difference(outs_a, outs_b) -> Optional[Tuple[int, int]]:
@@ -123,23 +119,10 @@ def _cls_sweep(circuit: Circuit, sequences) -> List[List[Tuple[T, ...]]]:
     return outs
 
 
-def _first_difference_per_sequence(payload, sequences):
-    """Per sequence, its first difference or ``None``.
-
-    The payload carries the circuit pair.  This is the serial path and,
-    under ``jobs > 1``, the worker task that sweeps one shard.
-    """
-    original, retimed = payload
-    traces = zip(_cls_sweep(original, sequences), _cls_sweep(retimed, sequences))
-    return [first_difference([a], [b]) for a, b in traces]
-
-
 def first_cls_difference(
     original: Circuit,
     retimed: Circuit,
     sequences: Optional[Sequence[Sequence[Sequence[T]]]] = None,
-    *,
-    jobs: Optional[int] = None,
     **kwargs,
 ) -> Optional[Tuple[int, int]]:
     """The first (sequence index, cycle) where CLS outputs differ, or
@@ -147,9 +130,6 @@ def first_cls_difference(
 
     Every sequence runs through the batched dual-rail simulator (one
     compiled lane-mask pass per cycle for all sequences of one length).
-    With ``jobs > 1`` the sequences are sharded across worker processes
-    and every shard is checked; the reported difference is still the
-    first in input order, exactly as the serial scan finds it.
     """
     if sequences is None:
         sequences = random_ternary_sequences(len(original.inputs), **kwargs)
@@ -159,21 +139,9 @@ def first_cls_difference(
     if _TRACE.enabled:
         _TRACE.incr("retime.validity.cls_checks")
         _TRACE.incr("retime.validity.cls_sequences", len(sequences))
-    resolved = resolve_jobs(jobs)
-    if resolved > 1 and len(sequences) > 1:
-        per_sequence = run_sharded(
-            _first_difference_per_sequence,
-            (original, retimed),
-            sequences,
-            jobs=resolved,
-            label="cls-invariance",
-        )
-    else:
-        per_sequence = _first_difference_per_sequence((original, retimed), sequences)
-    for index, hit in enumerate(per_sequence):
-        if hit is not None:
-            return index, hit[1]
-    return None
+    return first_difference(
+        _cls_sweep(original, sequences), _cls_sweep(retimed, sequences)
+    )
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,7 @@ answers verdict requests over a socket instead:
 * **resident state** -- a :class:`CircuitRegistry` of named circuits
   (the compiled flat op program is cached *on* each circuit object, so
   it survives with the circuit) plus a content-hash parse cache for
-  inline ``.bench``/BLIF text; with ``--jobs N`` a reusable
-  :class:`repro.sim.parallel.WorkerPool` whose worker processes survive
-  across requests.
+  inline ``.bench``/BLIF text.
 * **micro-batching** -- compatible CLS sweeps from concurrent
   ``check-validity`` requests coalesce into shared lane passes
   (:mod:`repro.serve.batcher`), bit-for-bit identical to serving each
@@ -51,13 +49,6 @@ from ..retime.graph import build_retiming_graph
 from ..retime.leiserson_saxe import min_period_retiming
 from ..retime.validity import first_difference, random_ternary_sequences
 from ..sim.fault import FaultSimulator
-from ..sim.parallel import (
-    WorkerPool,
-    get_default_jobs,
-    resolve_jobs,
-    set_default_jobs,
-    set_shared_pool,
-)
 from ..stg.replaceability import find_violation
 from ..stg.symbolic_replaceability import (
     ENGINES,
@@ -216,13 +207,6 @@ class ReproServer:
         ``self.address`` after :meth:`start`).
     unix_socket:
         Path for a unix-domain socket; overrides host/port when given.
-    jobs:
-        Worker processes for the sharded CLS-invariance and redundancy
-        sweeps (``None`` -> the process default set by the CLI's
-        ``--jobs``); fault grading always runs in-process.  With more
-        than one, a reusable :class:`WorkerPool` is started once and
-        installed as the process-wide shared pool for the server's
-        lifetime.
     budget:
         Default search budget for containment/equivalence analyses
         (``None`` -> the library defaults); individual requests may
@@ -241,7 +225,6 @@ class ReproServer:
         host: str = "127.0.0.1",
         port: int = 0,
         unix_socket: Optional[str] = None,
-        jobs: Optional[int] = None,
         budget: Optional[int] = None,
         batch_window_s: float = 0.002,
         batch_max_lanes: int = 4096,
@@ -251,7 +234,6 @@ class ReproServer:
         self.host = host
         self.port = port
         self.unix_socket = unix_socket
-        self.jobs = resolve_jobs(jobs if jobs is not None else get_default_jobs())
         self.budget = budget
         self.threads = threads
         self.service_report_path = service_report_path
@@ -266,9 +248,6 @@ class ReproServer:
         self.address: Optional[Any] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._pool: Optional[WorkerPool] = None
-        self._prev_shared_pool: Optional[WorkerPool] = None
-        self._prev_default_jobs = 1
         self._inflight: set = set()
         self._writers: set = set()
         self._draining = False
@@ -294,15 +273,6 @@ class ReproServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.threads, thread_name_prefix="repro-serve"
         )
-        if self.jobs > 1:
-            # Install both the reusable pool and the process default, so
-            # library code that resolves its own jobs (the sharded CLS
-            # invariance and redundancy sweeps) runs pooled without
-            # per-call plumbing.
-            self._pool = WorkerPool(self.jobs)
-            self._prev_shared_pool = set_shared_pool(self._pool)
-            self._prev_default_jobs = get_default_jobs()
-            set_default_jobs(self.jobs)
         if self.unix_socket:
             self._server = await asyncio.start_unix_server(
                 self._on_connection, path=self.unix_socket
@@ -326,7 +296,7 @@ class ReproServer:
 
     async def shutdown(self) -> None:
         """Graceful shutdown: stop accepting, drain in-flight requests,
-        release the pool and write the final service report."""
+        and write the final service report."""
         if self._shutdown_started:
             await self.wait_closed()
             return
@@ -344,11 +314,6 @@ class ReproServer:
                 writer.close()
             except Exception:
                 pass
-        if self._pool is not None:
-            set_shared_pool(self._prev_shared_pool)
-            set_default_jobs(self._prev_default_jobs)
-            self._pool.close()
-            self._pool = None
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -497,7 +462,6 @@ class ReproServer:
             "protocol": PROTOCOL_VERSION,
             "engine": get_default_engine(),
             "reorder": get_default_reorder(),
-            "jobs": self.jobs,
             "uptime_s": round(self.stats.uptime_s, 6),
             "circuits": list(self.registry.names()),
         }

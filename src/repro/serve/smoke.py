@@ -77,7 +77,6 @@ def _mixed_requests(count: int) -> List[Dict[str, Any]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--report", default=None, help="write the service report here")
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--burst", type=int, default=9, help="concurrent mixed requests")
     args = parser.parse_args(argv)
 
@@ -98,9 +97,7 @@ def main(argv=None) -> int:
     ).current
     expected = _expected(original, retimed)
 
-    server, address, thread = start_background_server(
-        jobs=args.jobs, service_report_path=args.report
-    )
+    server, address, thread = start_background_server(service_report_path=args.report)
     print("serving on %s:%d" % tuple(address))
     with ServeClient(address) as client:
         client.result({"op": "load", "name": "orig", "bench": write_bench(original)})

@@ -7,14 +7,6 @@ with the tests (``tests/reference.py``), not here.
 """
 
 from .core import SimulationTrace  # noqa: F401
-from .parallel import (  # noqa: F401
-    ParallelStats,
-    default_job_count,
-    get_default_jobs,
-    resolve_jobs,
-    run_sharded,
-    set_default_jobs,
-)
 from .compiled import CompiledCircuit, compile_circuit  # noqa: F401
 from .binary import (  # noqa: F401
     BinarySimulator,

@@ -133,9 +133,6 @@ Op = Tuple[int, Tuple[int, ...], Tuple[int, ...], CellFunction]
 #: :meth:`CompiledCircuit.ternary_forcing`).
 Forcing = Tuple[Optional[Tuple[int, ...]], ...]
 
-#: The memoised step functions a :class:`CompiledCircuit` holds.
-_FN_SLOTS = ("_fn_binary", "_fn_ternary", "_fn_binary_forced", "_fn_ternary_forced")
-
 
 # ---------------------------------------------------------------------------
 # numpy boundary helpers (the batched wrappers speak ndarray, the core ints).
@@ -480,21 +477,6 @@ class CompiledCircuit:
         self._fn_ternary: Optional[Callable] = None
         self._fn_binary_forced: Optional[Callable] = None
         self._fn_ternary_forced: Optional[Callable] = None
-
-    # -- pickling ----------------------------------------------------------
-    #
-    # The parallel execution layer (:mod:`repro.sim.parallel`) ships
-    # compiled programs to worker processes.  The memoised step
-    # functions are ``exec``-generated code objects and cannot cross a
-    # process boundary; they are dropped on pickling and lazily
-    # regenerated in the worker on first use (a dict hit in the global
-    # ``_FN_CACHE`` for every program with the same signature).
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        for slot in _FN_SLOTS:
-            state[slot] = None
-        return state
 
     # -- forcing -----------------------------------------------------------
 

@@ -21,10 +21,6 @@ up to :data:`DEFAULT_MAX_LATCHES` latches and falls back to random
 state sampling beyond (sampling keeps the verdict sound for ``X`` but
 may erroneously report a definite value; callers that need exactness
 pass ``sample=None`` and accept the latch limit).
-
-Sweeps always run in-process, whatever the process-wide ``--jobs``:
-sharding the lane space across a worker pool never measured faster
-than one in-process pass of the compiled program over int masks.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from ..logic.ternary import ONE, T, X, ZERO, format_ternary_sequence
 from ..netlist.circuit import Circuit
 from ..sim.compiled import compile_circuit
 from ..sim.ternary_sim import all_x_state
+from .replaceability import SearchBudgetExceeded
 
 __all__ = [
     "CLSDistinguisher",
@@ -99,9 +100,10 @@ def decide_cls_equivalence(
     retiming-invariant (it is not -- see the ablation benchmark).
 
     Raises :class:`ValueError` on interface mismatch and
-    :class:`MemoryError` when the reachable pair space exceeds
-    *max_pairs* (never observed on the workloads in this repository,
-    but the bound keeps adversarial inputs from hanging a run).
+    :class:`~repro.stg.replaceability.SearchBudgetExceeded` when the
+    reachable pair space exceeds *max_pairs* (never observed on the
+    workloads in this repository, but the bound keeps adversarial
+    inputs from hanging a run).
     """
     if len(c.inputs) != len(d.inputs):
         raise ValueError(
@@ -151,7 +153,7 @@ def decide_cls_equivalence(
             child = (next_c, next_d)
             if child not in parents:
                 if len(parents) >= max_pairs:
-                    raise MemoryError(
+                    raise SearchBudgetExceeded(
                         "CLS-equivalence search exceeded %d state pairs" % max_pairs
                     )
                 parents[child] = (node, symbol)
@@ -170,7 +172,9 @@ def cls_reachable_pairs(
     c: Circuit, d: Circuit, *, max_pairs: int = MAX_PAIRS
 ) -> int:
     """Number of reachable ternary state pairs of the product (a size
-    diagnostic for the decision procedure)."""
+    diagnostic for the decision procedure); raises
+    :class:`~repro.stg.replaceability.SearchBudgetExceeded` past
+    *max_pairs*."""
     sim_c = compile_circuit(c)
     sim_d = compile_circuit(d)
     symbols = _ternary_symbols(len(c.inputs))
@@ -185,7 +189,7 @@ def cls_reachable_pairs(
             child = (next_c, next_d)
             if child not in seen:
                 if len(seen) >= max_pairs:
-                    raise MemoryError(
+                    raise SearchBudgetExceeded(
                         "CLS reachability exceeded %d state pairs" % max_pairs
                     )
                 seen.add(child)

@@ -88,17 +88,6 @@ class TestSpans:
         assert TRACER.stack == []
         assert obs.report().span("boom").count == 1
 
-    def test_record_timing_nests_under_open_spans(self):
-        obs.enable()
-        with obs.span("parent"):
-            obs.record_timing("shard", 0.25)
-            obs.record_timing("shard", 0.75)
-        stats = obs.report().span("parent/shard")
-        assert stats.count == 2
-        assert stats.total_s == pytest.approx(1.0)
-        assert stats.min_s == pytest.approx(0.25)
-        assert stats.max_s == pytest.approx(0.75)
-
     def test_traced_decorator_preserves_identity(self):
         @obs.traced("fn")
         def add(a, b):

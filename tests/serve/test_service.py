@@ -73,6 +73,9 @@ def _load_pair(client, original, retimed):
 class TestLifecycle:
     def test_ping_reports_configuration(self, client):
         pong = client.result({"op": "ping"})
+        assert sorted(pong) == [
+            "circuits", "engine", "pong", "protocol", "reorder", "uptime_s"
+        ]
         assert pong["pong"] is True and pong["protocol"] == 1
         assert pong["circuits"] == []
 
@@ -394,6 +397,22 @@ class TestBudgets:
                 client.request({"op": "shutdown"})
         finally:
             thread.join(timeout=30)
+
+    def test_exhaustive_cls_blown_budget_is_an_envelope(self, client):
+        _load_pair(client, *_pair())
+        resp = client.request(
+            {
+                "op": "check-validity",
+                "original": "orig",
+                "retimed": "ret",
+                "exhaustive": True,
+                "budget": 1,
+            }
+        )
+        assert resp["ok"] is False
+        assert resp["error"]["code"] == "budget-exceeded"
+        assert "CLS-equivalence search exceeded 1" in resp["error"]["message"]
+        assert client.result({"op": "ping"})["pong"] is True
 
     def test_sat_engine_blown_budget_is_an_envelope(self, client):
         """A SAT conflict budget that runs out mid-search must surface

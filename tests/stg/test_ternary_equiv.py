@@ -100,11 +100,14 @@ def shift2_two_inputs():
 
 
 def test_pair_budget_guard():
+    """A blown pair budget is the typed budget error every other search
+    raises (still a MemoryError, which serve maps to budget-exceeded)."""
     from repro.bench.generators import shift_register
+    from repro.stg.replaceability import SearchBudgetExceeded
 
-    with pytest.raises(MemoryError):
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 2 state pairs"):
         decide_cls_equivalence(shift_register(4), shift_register(4), max_pairs=2)
-    with pytest.raises(MemoryError):
+    with pytest.raises(SearchBudgetExceeded, match="exceeded 2 state pairs"):
         cls_reachable_pairs(shift_register(4), shift_register(4), max_pairs=2)
 
 

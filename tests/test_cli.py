@@ -9,6 +9,22 @@ import pytest
 from repro.bench.iscas import BENCHMARKS
 from repro.cli import main
 from repro.obs import RunReport, TRACER
+from repro.stg.symbolic_replaceability import (
+    get_default_engine,
+    get_default_reorder,
+    set_default_engine,
+    set_default_reorder,
+)
+
+
+@pytest.fixture(autouse=True)
+def _restore_process_defaults():
+    """``--engine``/``--reorder`` set process-wide defaults; keep them
+    from leaking into later test modules."""
+    engine, reorder = get_default_engine(), get_default_reorder()
+    yield
+    set_default_engine(engine)
+    set_default_reorder(reorder)
 
 
 @pytest.fixture
@@ -175,15 +191,19 @@ def test_check_stg_skipped_when_large(traffic_path, tmp_path, capsys):
     assert "skipped" in capsys.readouterr().out
 
 
+#: ``inner`` is CLS-redundant: ``w = OR(x, AND(x, y))`` is just ``x``.
+_REDUNDANT_BENCH = (
+    "INPUT(x)\nINPUT(y)\nOUTPUT(z)\n"
+    "q = DFF(w)\n"
+    "inner = AND(x, y)\n"
+    "w = OR(x, inner)\n"
+    "z = BUF(q)\n"
+)
+
+
 def test_redundancy_command(tmp_path, capsys):
     bench = tmp_path / "red.bench"
-    bench.write_text(
-        "INPUT(x)\nINPUT(y)\nOUTPUT(z)\n"
-        "q = DFF(w)\n"
-        "inner = AND(x, y)\n"
-        "w = OR(x, inner)\n"
-        "z = BUF(q)\n"
-    )
+    bench.write_text(_REDUNDANT_BENCH)
     out_path = str(tmp_path / "opt.bench")
     assert main(["redundancy", str(bench), "-o", out_path]) == 0
     out = capsys.readouterr().out
@@ -191,6 +211,30 @@ def test_redundancy_command(tmp_path, capsys):
     # The optimised file must be CLS-equivalent to the original.
     capsys.readouterr()
     assert main(["check", str(bench), out_path, "--exhaustive"]) == 0
+
+
+def test_redundancy_blown_budget_is_undecided(tmp_path, capsys):
+    bench = tmp_path / "red.bench"
+    bench.write_text(_REDUNDANT_BENCH)
+    assert main(["redundancy", str(bench), "--max-pairs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "undecided" in captured.err and "--max-pairs" in captured.err
+    assert "applied" not in captured.out
+
+
+def test_missing_circuit_file_is_a_one_line_error(tmp_path):
+    missing = str(tmp_path / "nonexistent.bench")
+    with pytest.raises(SystemExit) as exc:
+        main(["info", missing])
+    assert exc.value.code == "%s: No such file or directory" % missing
+
+
+def test_malformed_bench_is_a_one_line_error(tmp_path):
+    bad = tmp_path / "bad.bench"
+    bad.write_text("INPUT(a)\nOUTPUT(y)\ny = AND(a\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(bad), str(bad)])
+    assert exc.value.code.startswith("%s: .bench line 3: " % bad)
 
 
 def test_blif_workflow(tmp_path, capsys):
@@ -398,3 +442,40 @@ class TestCheckExitCodeMatrix:
         good, bad = check_pair
         assert main(["check", good, bad, "--seed", "3"]) == 1
         assert "seed 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--samples", "0"), ("--samples", "-3"), ("--length", "0"), ("--length", "-1")],
+    )
+    def test_non_positive_sample_settings_are_rejected(
+        self, flag, value, check_pair, capsys
+    ):
+        """An empty sample batch would print a vacuous pass."""
+        good, _ = check_pair
+        with pytest.raises(SystemExit) as exc:
+            main(["check", good, good, flag, value])
+        assert exc.value.code == 2
+        assert "argument %s: must be >= 1" % flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("second, status", [("good", 2), ("bad", 1)])
+    def test_exhaustive_blown_budget_is_undecided(
+        self, second, status, check_pair, capsys, monkeypatch
+    ):
+        """A blown pair budget answers undecided (2) with a retry hint;
+        it never hides the sampled check's violation (1)."""
+        import functools
+
+        import repro.cli
+        from repro.stg.ternary_equiv import decide_cls_equivalence
+
+        monkeypatch.setattr(
+            repro.cli,
+            "decide_cls_equivalence",
+            functools.partial(decide_cls_equivalence, max_pairs=1),
+        )
+        good, bad = check_pair
+        other = {"good": good, "bad": bad}[second]
+        assert main(["check", good, other, "--exhaustive"]) == status
+        err = capsys.readouterr().err
+        assert "CLS equivalence (exhaustive): undecided" in err
+        assert "--samples" in err

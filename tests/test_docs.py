@@ -79,13 +79,12 @@ def test_cli_docstring_mentions_reference():
     import repro.cli
 
     assert "docs/CLI.md" in repro.cli.__doc__
-    assert "--jobs" in repro.cli.__doc__
+    assert "--engine" in repro.cli.__doc__
 
 
-#: Calls that open (or fold in) a named span: the context manager, the
-#: decorator, the isolated ``obs.timed`` block and the worker-shard
-#: timing the process pool records under the open span.
-SPAN_CALLS = {"span", "_span", "traced", "_traced", "timed", "record_timing"}
+#: Calls that open a named span: the context manager, the decorator and
+#: the isolated ``obs.timed`` block.
+SPAN_CALLS = {"span", "_span", "traced", "_traced", "timed"}
 
 
 def _source_span_names():
@@ -102,30 +101,27 @@ def _source_span_names():
                 continue
             arg = node.args[0]
             if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mod):
-                arg = arg.left  # "parallel.%s" % label
+                arg = arg.left  # "serve.%s" % op
             if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
                 names.add(arg.value)
     return names
 
 
 def _documented_span_names():
-    """The span names in OBSERVABILITY.md's span table.
-
-    A nested path such as ``parallel.<label>/merge`` documents the span
-    its last component names; ``<label>`` stands for ``%s``.
-    """
+    """The span names in OBSERVABILITY.md's span table; a placeholder
+    such as the ``<op>`` of ``serve.<op>`` stands for ``%s``."""
     text = (ROOT / "docs" / "OBSERVABILITY.md").read_text()
     table = text.split("| Span | Where | Meaning |", 1)[1].split("\n\n", 1)[0]
     names = set()
     for row in table.splitlines()[2:]:
         for token in re.findall(r"`([^`]+)`", row.split("|")[1]):
-            names.add(re.sub(r"<[^>]+>", "%s", token.rsplit("/", 1)[-1]))
+            names.add(re.sub(r"<[^>]+>", "%s", token))
     return names
 
 
 def test_observability_span_table_matches_the_source():
     source = _source_span_names()
-    assert "stg.symbolic.compile" in source and "merge" in source
+    assert "stg.symbolic.compile" in source and "serve.%s" in source
     documented = _documented_span_names()
     assert sorted(source - documented) == [], "spans missing from the table"
     assert sorted(documented - source) == [], "table lists spans the code never opens"
