@@ -20,12 +20,12 @@ import time
 
 from repro.bench.generators import random_sequential_circuit
 from repro.bench.paper_circuits import figure1_design_c, figure1_design_d
-from repro.sat import check_safe_replacement, sat_find_violation
+from repro.sat import check_safe_replacement
 from repro.sat.certificates import write_bundle
 from repro.sat.replay import replay_witness
 from repro.stg.explicit import extract_stg
 from repro.stg.replaceability import SearchBudgetExceeded, find_violation
-from repro.stg.symbolic_replaceability import symbolic_find_violation
+from repro.stg.symbolic_replaceability import SymbolicContainmentChecker
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -62,8 +62,10 @@ def test_three_engine_table(record_artifact):
         explicit_s, explicit_v = _timed(
             lambda: find_violation(extract_stg(c), extract_stg(d))
         )
-        symbolic_s, symbolic_v = _timed(symbolic_find_violation, c, d)
-        sat_s, sat_v = _timed(sat_find_violation, c, d)
+        symbolic_s, symbolic_v = _timed(
+            lambda: SymbolicContainmentChecker(c, d).find_violation()
+        )
+        sat_s, sat_v = _timed(lambda: check_safe_replacement(c, d).violation)
         verdicts = {
             name: v if v == "BUDGET" else ("safe" if v is None else "violation")
             for name, v in (
@@ -112,6 +114,6 @@ def test_bench_sat_paper_pair(benchmark):
     """Timing distribution of the full SAT decision (encode + deepen +
     CDCL + witness decode) on Figure 1."""
     c, d = figure1_design_c(), figure1_design_d()
-    violation = benchmark(sat_find_violation, c, d)
+    violation = benchmark(lambda: check_safe_replacement(c, d).violation)
     assert violation is not None
     assert violation.input_symbols == (0, 1)

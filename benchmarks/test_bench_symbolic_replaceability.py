@@ -25,10 +25,7 @@ from repro.bench.generators import random_sequential_circuit
 from repro.bench.paper_circuits import figure1_design_c, figure1_design_d
 from repro.stg.explicit import extract_stg
 from repro.stg.replaceability import SearchBudgetExceeded, find_violation
-from repro.stg.symbolic_replaceability import (
-    SymbolicContainmentChecker,
-    symbolic_find_violation,
-)
+from repro.stg.symbolic_replaceability import SymbolicContainmentChecker
 
 #: Latch counts of the benchmark family.  At 16 latches the explicit
 #: engine's initial frontier alone (2**16 subset states) exceeds the
@@ -114,7 +111,7 @@ def test_bench_symbolic_paper_pair(benchmark):
     """Timing distribution of the full symbolic decision (compile +
     implication fixpoint + subset fixpoint + witness) on Figure 1."""
     c, d = figure1_design_c(), figure1_design_d()
-    violation = benchmark(symbolic_find_violation, c, d)
+    violation = benchmark(lambda: SymbolicContainmentChecker(c, d).find_violation())
     assert violation is not None
     assert violation.input_symbols == (0, 1)
 
@@ -134,7 +131,7 @@ def test_engines_report_obs_counters():
     ``repro bench --report`` can attribute containment cost."""
     c, d = figure1_design_c(), figure1_design_d()
     with obs.timed("containment") as run:
-        symbolic_find_violation(c, d)
+        SymbolicContainmentChecker(c, d).find_violation()
         find_violation(extract_stg(c), extract_stg(d))
     counters = run.report.counters
     assert counters["stg.replaceability.symbolic_checks"] == 1

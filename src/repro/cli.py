@@ -2,11 +2,12 @@
 
 Global options (before the subcommand):
 
-``--engine {explicit,symbolic,auto}``
+``--engine {explicit,symbolic,sat,auto}``
     containment engine for the ``⊑`` / ``≼`` analyses -- ``explicit``
     (enumerated STGs + subset construction), ``symbolic`` (BDD
-    fixpoints) or ``auto`` (the default: explicit below the latch
-    threshold, symbolic above)
+    fixpoints), ``sat`` (bounded CNF unrolling) or ``auto`` (the
+    default: explicit below the latch threshold, symbolic above); see
+    :func:`repro.decide.decide`
 ``--reorder {off,auto,manual}``
     BDD dynamic variable reordering for the symbolic engine --
     ``auto`` (the default: sift when the manager crosses its node
@@ -49,8 +50,9 @@ All commands read and write ISCAS-89 ``.bench`` files (BLIF via the
 ``.blif`` extension), the formats the benchmark circuits of the paper's
 era shipped in.  The full reference with worked examples is
 ``docs/CLI.md``.  Bad user input -- an unreadable or malformed circuit
-file, a non-positive sample setting -- ends in a one-line error, never
-a traceback.
+file, a non-positive sample setting, a period below the minimum, a
+``--max-stg-bits`` outside 0..22 -- ends in a one-line error, never a
+traceback.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from typing import List, Optional, Sequence
 
 from . import obs
 from .analysis.reporting import ascii_table, banner
+from .decide import ENGINES, decide, set_default_engine
 from .logic.ternary import format_ternary_sequence, parse_ternary_string, to_ternary
 from .netlist.circuit import CircuitError
 from .netlist.io_bench import parse_bench, write_bench
@@ -75,15 +78,10 @@ from .sim.atpg import generate_tests
 from .sim.binary import BinarySimulator, parse_state
 from .sim.exact import exact_outputs
 from .sim.ternary_sim import TernarySimulator
-from .stg.explicit import extract_stg
+from .stg.explicit import MAX_STG_BITS, extract_stg
 from .stg.replaceability import SearchBudgetExceeded
 from .stg.scc import she_analysis
-from .stg.symbolic_replaceability import (
-    ENGINES,
-    REORDER_MODES,
-    set_default_engine,
-    set_default_reorder,
-)
+from .stg.symbolic_replaceability import REORDER_MODES, set_default_reorder
 from .stg.ternary_equiv import decide_cls_equivalence
 
 __all__ = ["main"]
@@ -112,6 +110,10 @@ def _load(path: str, *, normalize: bool = True):
     except CircuitError as exc:
         raise SystemExit("%s: %s" % (path, exc)) from None
     return circuit
+
+
+#: ``--max-stg-bits`` stops at the explicit engine's own STG guard.
+_STG_BITS = range(MAX_STG_BITS + 1)
 
 
 def _positive_int(text: str) -> int:
@@ -284,6 +286,11 @@ def cmd_retime(args: argparse.Namespace) -> int:
     graph = build_retiming_graph(circuit, delays=delay_model(circuit, args.delay_model))
     minp = min_period_retiming(graph)
     if args.period is not None:
+        if args.period < minp.period:
+            raise SystemExit(
+                "%s: period %d is infeasible (minimum period %d)"
+                % (args.circuit, args.period, minp.period)
+            )
         period = args.period
     elif args.objective == "min-period":
         period = minp.period
@@ -348,90 +355,59 @@ def cmd_check(args: argparse.Namespace) -> int:
                 )
                 verdict = 1
     if args.stg:
-        from .stg.symbolic_replaceability import (
-            SymbolicContainmentChecker,
-            resolve_engine,
+        verdict = _check_containment(args, retimed, original) or verdict
+    return verdict
+
+
+_ENGINE_METHODS = {
+    "explicit": "enumerated STGs",
+    "symbolic": "BDD fixpoints",
+    "sat": "bounded CNF unrolling",
+}
+
+
+def _check_containment(args: argparse.Namespace, retimed, original) -> int:
+    """``check --stg``: print the verdicts (and write the SAT
+    certificate bundle); 2 when one is undecided."""
+    implies, safe, least = decide(
+        retimed, original, "implies", "safe", "least-delay",
+        max_stg_bits=args.max_stg_bits,
+    )
+    if implies.limit == "state-space":
+        print(
+            "STG analysis: skipped (state space over 2**%d; "
+            "try --engine symbolic)" % args.max_stg_bits
         )
-
-        engine = resolve_engine(None, retimed, original)
-        bits = max(
-            original.num_latches + len(original.inputs),
-            retimed.num_latches + len(retimed.inputs),
-        )
-        try:
-            if engine == "explicit" and bits > args.max_stg_bits:
-                print(
-                    "STG analysis: skipped (state space over 2**%d; "
-                    "try --engine symbolic)" % args.max_stg_bits
-                )
-            elif engine == "symbolic":
-                checker = SymbolicContainmentChecker(retimed, original)
-                suffix = (
-                    "" if checker.reorder == "auto"
-                    else ", reorder %s" % checker.reorder
-                )
-                print("containment engine: symbolic (BDD fixpoints%s)" % suffix)
-                print("implication  (retimed ⊑ original):", checker.implies())
-                print(
-                    "safe replacement (retimed ≼ original):",
-                    checker.is_safe_replacement(),
-                )
-                print("least n with retimed^n ⊑ original:", checker.delay_needed())
-            elif engine == "sat":
-                from .sat import (
-                    check_safe_replacement,
-                    sat_delay_needed,
-                    sat_implies,
-                )
-
-                print("containment engine: sat (bounded CNF unrolling)")
-                print(
-                    "implication  (retimed ⊑ original):",
-                    sat_implies(retimed, original),
-                )
-                safe_result = check_safe_replacement(retimed, original)
-                print(
-                    "safe replacement (retimed ≼ original):", safe_result.holds
-                )
-                print(
-                    "least n with retimed^n ⊑ original:",
-                    sat_delay_needed(retimed, original),
-                )
-                if args.certificates:
-                    from .sat.certificates import write_bundle
-
-                    files = write_bundle(
-                        args.certificates, safe_result, retimed, original
-                    )
-                    print(
-                        "certificates: wrote %s to %s"
-                        % (", ".join(files), args.certificates)
-                    )
-            else:
-                from .stg.delayed import delay_needed_for_implication
-                from .stg.equivalence import implies
-                from .stg.replaceability import is_safe_replacement
-
-                o_stg = extract_stg(original)
-                r_stg = extract_stg(retimed)
-                print("containment engine: explicit (enumerated STGs)")
-                print("implication  (retimed ⊑ original):", implies(r_stg, o_stg))
-                print(
-                    "safe replacement (retimed ≼ original):",
-                    is_safe_replacement(r_stg, o_stg),
-                )
-                print(
-                    "least n with retimed^n ⊑ original:",
-                    delay_needed_for_implication(r_stg, o_stg),
-                )
-        except SearchBudgetExceeded as exc:
+        return 0
+    method = _ENGINE_METHODS[implies.engine]
+    if implies.reorder not in (None, "auto"):
+        method += ", reorder %s" % implies.reorder
+    print("containment engine: %s (%s)" % (implies.engine, method))
+    for label, verdict, answer in (
+        ("implication  (retimed ⊑ original):", implies, implies.holds),
+        ("safe replacement (retimed ≼ original):", safe, safe.holds),
+        ("least n with retimed^n ⊑ original:", least, least.least_n),
+    ):
+        if verdict.undecided:
             print(
                 "STG analysis: aborted -- %s (retry with --engine symbolic "
-                "or a bigger budget)" % exc,
+                "or a bigger budget)" % verdict.message,
                 file=sys.stderr,
             )
-            verdict = 2
-    return verdict
+            return 2
+        print(label, answer)
+    if args.certificates and safe.engine == "sat":
+        from .sat.certificates import write_bundle
+
+        if safe.sat_result is None:
+            # Settled by C ⊑ D; the bundle needs the ≼ check's own proof.
+            (safe,) = decide(retimed, original, "safe", engine="sat")
+        if safe.undecided:
+            print("STG analysis: aborted -- %s" % safe.message, file=sys.stderr)
+            return 2
+        files = write_bundle(args.certificates, safe.sat_result, retimed, original)
+        print("certificates: wrote %s to %s" % (", ".join(files), args.certificates))
+    return 0
 
 
 def cmd_atpg(args: argparse.Namespace) -> int:
@@ -509,23 +485,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     with obs.span("containment"):
-        from .stg.replaceability import SearchBudgetExceeded, decide_safe_replacement
-        from .stg.symbolic_replaceability import resolve_engine
-
-        engine = resolve_engine(None, session.current, circuit)
-        budget_hit: Optional[str] = None
-        try:
-            safe = decide_safe_replacement(session.current, circuit)
-        except SearchBudgetExceeded as exc:
-            budget_hit = str(exc)
-    if budget_hit is not None:
+        (safe,) = decide(session.current, circuit, "safe")
+    if safe.undecided:
         print(
             "containment:   undecided -- %s (retry with --engine symbolic "
-            "or a bigger budget)" % budget_hit
+            "or a bigger budget)" % safe.message
         )
     else:
         print(
-            "containment:   retimed ≼ original: %s (%s engine)" % (safe, engine)
+            "containment:   retimed ≼ original: %s (%s engine)"
+            % (safe.holds, safe.engine)
         )
 
     with obs.span("fault-grading"):
@@ -675,7 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="circuit statistics and SHE analysis")
     p.add_argument("circuit")
-    p.add_argument("--max-stg-bits", type=int, default=16)
+    p.add_argument(
+        "--max-stg-bits", type=int, choices=_STG_BITS, metavar="N", default=16
+    )
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("simulate", help="simulate a .bench circuit")
@@ -713,7 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--stg", action="store_true", help="also run STG implication analysis")
-    p.add_argument("--max-stg-bits", type=int, default=16)
+    p.add_argument(
+        "--max-stg-bits", type=int, choices=_STG_BITS, metavar="N", default=16
+    )
     p.add_argument(
         "--certificates",
         metavar="DIR",
@@ -750,8 +723,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="circuit to exercise (default: a built-in random circuit)",
     )
-    p.add_argument("--cycles", type=int, default=16, help="cycles per test sequence")
-    p.add_argument("--tests", type=int, default=4, help="random test sequences")
+    p.add_argument(
+        "--cycles", type=_positive_int, default=16, help="cycles per test sequence"
+    )
+    p.add_argument(
+        "--tests", type=_positive_int, default=4, help="random test sequences"
+    )
     p.add_argument("--seed", type=int, default=0)
     # Convenience copies of the global flags, so `repro bench --report
     # out.json` works without flag-before-subcommand gymnastics.

@@ -15,8 +15,8 @@ from .corpus import Bundle, iter_bundles, load_bundle, write_bundle
 from .differential import (
     FAULT_NAMES,
     MATRICES,
+    Ballot,
     DifferentialResult,
-    Verdict,
     injected_fault,
     run_differential,
 )
@@ -25,6 +25,7 @@ from .generate import Case, Recipe, build_case, random_recipe
 from .shrink import shrink_case, shrink_circuit, shrink_moves
 
 __all__ = [
+    "Ballot",
     "Bundle",
     "Case",
     "DifferentialResult",
@@ -33,7 +34,6 @@ __all__ = [
     "FuzzOutcome",
     "MATRICES",
     "Recipe",
-    "Verdict",
     "build_case",
     "injected_fault",
     "iter_bundles",

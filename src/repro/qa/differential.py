@@ -41,17 +41,21 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..logic.bdd import BDDManager
 from ..retime.validity import first_cls_difference, random_ternary_sequences
-from ..sat import check_safe_replacement, sat_delay_needed, sat_implies
+from ..sat import check_implication, check_safe_replacement, sat_delay_needed
 from ..sat.replay import replay_witness
 from ..stg.delayed import delay_needed_for_implication
 from ..stg.equivalence import implies as stg_implies
 from ..stg.explicit import extract_stg
-from ..stg.replaceability import SearchBudgetExceeded, find_violation
+from ..stg.replaceability import (
+    SafeReplacementViolation,
+    SearchBudgetExceeded,
+    find_violation,
+)
 from ..stg.symbolic_replaceability import SymbolicContainmentChecker
 from .generate import Case
 
 __all__ = [
-    "Verdict",
+    "Ballot",
     "DifferentialResult",
     "MATRICES",
     "run_differential",
@@ -107,7 +111,7 @@ def active_faults() -> Tuple[str, ...]:
 
 
 @dataclass
-class Verdict:
+class Ballot:
     """One arm's answers.  ``None`` anywhere means the arm's budget ran
     out (an abstention); a decided field is a binding vote."""
 
@@ -126,12 +130,7 @@ class Verdict:
             "safe": self.safe,
             "witness": None
             if self.witness is None
-            else {
-                "c_state": self.witness[0],
-                "inputs": list(self.witness[1]),
-                "outputs": list(self.witness[2]),
-                "length": len(self.witness[1]),
-            },
+            else SafeReplacementViolation(*self.witness).to_json(),
             "delay": self.delay,
             "delay_decided": self.delay_decided,
         }
@@ -140,7 +139,7 @@ class Verdict:
 @dataclass
 class DifferentialResult:
     case: Case
-    verdicts: Dict[str, Verdict]
+    verdicts: Dict[str, Ballot]
     cls_votes: Dict[str, Optional[bool]]
     disagreements: List[str]
 
@@ -177,8 +176,8 @@ def _witness_tuple(violation) -> Optional[Tuple[int, Tuple[int, ...], Tuple[int,
 # ---------------------------------------------------------------------------
 
 
-def _explicit_verdict(case: Case) -> Verdict:
-    verdict = Verdict("explicit")
+def _explicit_verdict(case: Case) -> Ballot:
+    verdict = Ballot("explicit")
     try:
         c_stg = extract_stg(case.candidate)
         d_stg = extract_stg(case.original)
@@ -209,9 +208,9 @@ def _explicit_verdict(case: Case) -> Verdict:
     return verdict
 
 
-def _symbolic_verdict(case: Case, *, reordering: bool) -> Verdict:
+def _symbolic_verdict(case: Case, *, reordering: bool) -> Ballot:
     arm = "symbolic+reorder" if reordering else "symbolic"
-    verdict = Verdict(arm)
+    verdict = Ballot(arm)
     if reordering:
         manager = BDDManager(reorder="auto", reorder_threshold=256)
         checker = SymbolicContainmentChecker(
@@ -259,14 +258,14 @@ SAT_FUZZ_CONFLICTS = 3_000
 SAT_FUZZ_FRAMES = 12
 
 
-def _sat_verdict(case: Case) -> Verdict:
-    verdict = Verdict("sat")
+def _sat_verdict(case: Case) -> Ballot:
+    verdict = Ballot("sat")
     if case.candidate.num_latches + case.original.num_latches > SAT_LATCH_BUDGET:
         return verdict
     try:
-        verdict.implies = sat_implies(
+        verdict.implies = check_implication(
             case.candidate, case.original, max_conflicts=SAT_FUZZ_CONFLICTS
-        )
+        ).holds
     except SearchBudgetExceeded:
         pass
     try:
@@ -310,12 +309,12 @@ def _sat_verdict(case: Case) -> Verdict:
     return verdict
 
 
-def _serve_verdict(case: Case, client) -> Verdict:
+def _serve_verdict(case: Case, client) -> Ballot:
     """The served path: the same checks through a live ``repro serve``
     process boundary (JSON round-trip included)."""
     from ..netlist.io_bench import write_bench
 
-    verdict = Verdict("serve")
+    verdict = Ballot("serve")
     request = {
         "op": "safe-replacement",
         "candidate": {"bench": write_bench(case.candidate), "name": "qa_c"},
@@ -387,7 +386,7 @@ def run_differential(
     ``full`` matrix.
     """
     spec = MATRICES[matrix]
-    verdicts: Dict[str, Verdict] = {}
+    verdicts: Dict[str, Ballot] = {}
     for arm in spec["arms"]:
         if arm == "explicit":
             verdicts[arm] = _explicit_verdict(case)
@@ -414,7 +413,7 @@ def run_differential(
 
 
 def _diff(
-    case: Case, verdicts: Dict[str, Verdict], cls_votes: Dict[str, Optional[bool]]
+    case: Case, verdicts: Dict[str, Ballot], cls_votes: Dict[str, Optional[bool]]
 ) -> List[str]:
     problems: List[str] = []
 

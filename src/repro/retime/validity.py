@@ -13,10 +13,9 @@ paper's claims on the concrete pair:
   sequences for C and D on every input sequence (checked on supplied or
   randomly sampled ternary sequences).
 
-Implication checks run either on explicit STGs (small state spaces) or
-through the symbolic BDD engine of
-:mod:`repro.stg.symbolic_replaceability` (``engine="symbolic"``, or
-``"auto"`` above the latch threshold); CLS invariance checks are pure
+The containment questions go through :func:`repro.decide.decide`,
+which picks the engine and reports a blown budget or an oversized STG
+as undecided -- ``None`` in the report; CLS invariance checks are pure
 simulation and scale to any circuit the simulators handle.
 """
 
@@ -26,15 +25,12 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..decide import decide
 from ..logic.ternary import ONE, T, X, ZERO
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
 from ..sim.ternary_multi import BatchedTernarySimulator
-from ..stg.delayed import delay_needed_for_implication, delayed_implies
-from ..stg.equivalence import implies
-from ..stg.explicit import extract_stg
-from ..stg.replaceability import SearchBudgetExceeded, is_safe_replacement
 from .engine import RetimingSession
 
 __all__ = [
@@ -207,97 +203,40 @@ def check_retiming_validity(
 ) -> ValidityReport:
     """Run the full battery of paper checks on a retiming session.
 
-    ``engine`` selects the containment engine (``"explicit"``,
-    ``"symbolic"``, ``"sat"`` or ``"auto"``; ``None`` = process
-    default).  The symbolic and SAT engines have no ``max_stg_bits``
-    gate -- that gate exists precisely because STG enumeration is
-    exponential, which BDD fixpoints and CNF unrolling avoid.  SAT
-    verdicts that exhaust their budgets are reported as ``None``, the
-    same "could not decide" the explicit engine uses for oversized
-    STGs.
-
-    ``reorder`` sets the symbolic engine's dynamic-variable-reordering
-    mode (``"off"``, ``"auto"`` or ``"manual"``; ``None`` = process
-    default, see ``--reorder``).  Verdicts are identical in every mode;
-    only BDD sizes and wall time differ.
+    The four containment verdicts come from one
+    :func:`repro.decide.decide` call: ``engine`` and ``reorder`` are
+    its engine and BDD reordering mode (``None``: the process
+    defaults), and ``max_stg_bits`` its explicit-engine gate on
+    ``latches + inputs``.  An undecided verdict -- a blown budget, or
+    an STG over the gate -- is reported as ``None``, never a guess.
     """
-    from ..stg.symbolic_replaceability import (
-        SymbolicContainmentChecker,
-        resolve_engine,
-    )
-
     original, retimed = session.original, session.current
     k = session.theorem45_k
     if _TRACE.enabled:
         _TRACE.incr("retime.validity.reports")
 
-    implication = safe = delayed = None
-    min_delay = None
-    bits = max(
-        original.num_latches + len(original.inputs),
-        retimed.num_latches + len(retimed.inputs),
-    )
-    resolved = resolve_engine(engine, original, retimed)
+    implication = safe = delayed = least = None
     with _span("retime.validity"):
-        if check_stg and resolved == "symbolic":
-            checker = SymbolicContainmentChecker(retimed, original, reorder=reorder)
-            implication = checker.implies()
-            try:
-                safe = checker.is_safe_replacement()
-            except SearchBudgetExceeded:
-                safe = None
-            delayed = checker.delayed_implies(k)
-            min_delay = checker.delay_needed()
-        elif check_stg and resolved == "sat":
-            from ..sat import (
-                sat_delay_needed,
-                sat_delayed_implies,
-                sat_implies,
-                sat_is_safe_replacement,
+        if check_stg:
+            implication, safe, delayed, least = decide(
+                retimed,
+                original,
+                "implies",
+                "safe",
+                "delayed",
+                "least-delay",
+                k=k,
+                engine=engine,
+                reorder=reorder,
+                max_stg_bits=max_stg_bits,
             )
-
-            # Every SAT verdict is definitive or budget-exhausted; the
-            # latter degrades to None, never to a guess.  When plain
-            # implication holds, the rest follows without further
-            # solving: C ⊑ D ⇒ C ≼ D (Prop 3.1), Cᵏ ⊑ D for all k
-            # (the delayed chain shrinks) and min_delay = 0.
-            try:
-                implication = sat_implies(retimed, original)
-            except SearchBudgetExceeded:
-                implication = None
-            if implication:
-                safe, delayed, min_delay = True, True, 0
-            else:
-                try:
-                    safe = sat_is_safe_replacement(retimed, original)
-                except SearchBudgetExceeded:
-                    safe = None
-                try:
-                    delayed = sat_delayed_implies(retimed, original, k)
-                except SearchBudgetExceeded:
-                    delayed = None
-                try:
-                    min_delay = sat_delay_needed(retimed, original)
-                except SearchBudgetExceeded:
-                    min_delay = None
-        elif check_stg and bits <= max_stg_bits:
-            d_stg = extract_stg(original)
-            c_stg = extract_stg(retimed)
-            implication = implies(c_stg, d_stg)
-            try:
-                safe = is_safe_replacement(c_stg, d_stg)
-            except SearchBudgetExceeded:
-                safe = None
-            delayed = delayed_implies(c_stg, d_stg, k)
-            min_delay = delay_needed_for_implication(c_stg, d_stg)
-
         invariant = cls_equivalent(original, retimed, sequences, seed=seed)
     return ValidityReport(
         hazardous_moves=session.hazardous_move_count,
         theorem45_k=k,
-        implication_holds=implication,
-        safe_replacement_holds=safe,
-        delayed_implication_holds=delayed,
-        min_delay=min_delay,
+        implication_holds=implication and implication.holds,
+        safe_replacement_holds=safe and safe.holds,
+        delayed_implication_holds=delayed and delayed.holds,
+        min_delay=least and least.least_n,
         cls_invariant=invariant,
     )

@@ -11,9 +11,11 @@ trust in the SAT machinery -- see :mod:`repro.sat.replay`.
 
 Public surface:
 
-* :mod:`repro.sat.engine` -- ``sat_implies`` / ``sat_find_violation`` /
-  ``sat_delayed_implies`` / ``sat_first_cls_difference`` and the
-  result-object API (:class:`~repro.sat.engine.SatResult`).
+* :mod:`repro.sat.engine` -- ``check_implication`` (``Cᵏ ⊑ D``),
+  ``check_safe_replacement`` (``C ≼ D``), ``check_cls_equivalence``
+  and ``sat_delay_needed``, each answering with a
+  :class:`~repro.sat.engine.SatResult` (or the least n); engine
+  choice and budgets live in :func:`repro.decide.decide`.
 * :mod:`repro.sat.certificates` -- DIMACS / SMV / witness-trace export.
 * :mod:`repro.sat.replay` -- the independent witness checker
   (``python -m repro.sat.replay``).
@@ -27,12 +29,6 @@ from .engine import (  # noqa: F401
     check_implication,
     check_safe_replacement,
     sat_delay_needed,
-    sat_delayed_implies,
-    sat_find_violation,
-    sat_first_cls_difference,
-    sat_implies,
-    sat_is_safe_replacement,
-    sat_machines_equivalent,
 )
 from .witness import WitnessTrace  # noqa: F401
 
@@ -45,10 +41,4 @@ __all__ = [
     "check_implication",
     "check_safe_replacement",
     "sat_delay_needed",
-    "sat_delayed_implies",
-    "sat_find_violation",
-    "sat_first_cls_difference",
-    "sat_implies",
-    "sat_is_safe_replacement",
-    "sat_machines_equivalent",
 ]

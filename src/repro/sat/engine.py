@@ -23,9 +23,9 @@ property outright:
 
 A check either returns a definitive :class:`SatResult` or raises
 :class:`~repro.stg.replaceability.SearchBudgetExceeded` -- the SAT
-engine never guesses, which is what lets the dispatchers treat its
-answers exactly like the other two engines' (and lets the serve layer
-map exhaustion to the ``budget-exceeded`` envelope).
+engine never guesses, which is what lets :func:`repro.decide.decide`
+treat its answers exactly like the other two engines' and turn
+exhaustion into an undecided verdict.
 """
 
 from __future__ import annotations
@@ -50,12 +50,6 @@ __all__ = [
     "check_implication",
     "check_safe_replacement",
     "sat_delay_needed",
-    "sat_delayed_implies",
-    "sat_find_violation",
-    "sat_first_cls_difference",
-    "sat_implies",
-    "sat_is_safe_replacement",
-    "sat_machines_equivalent",
 ]
 
 #: Default cap on unrolled frames per check (over all deepening steps the
@@ -318,10 +312,7 @@ def check_safe_replacement(
         for depth in range(1, limit + 1):
             if depth == _PROBE_FRAMES + 1 and use_implication_shortcut:
                 # No short violation: try to *prove* safety the cheap way.
-                try:
-                    imp = check_implication(c, d, _budget=budget)
-                except SearchBudgetExceeded:
-                    raise
+                imp = check_implication(c, d, _budget=budget)
                 if imp.holds:
                     return _finish(
                         SatResult(
@@ -469,40 +460,8 @@ def check_cls_equivalence(
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher-facing wrappers (the other engines' vocabulary).
+# The least delay  min { n : Cⁿ ⊑ D }.
 # ---------------------------------------------------------------------------
-
-
-def sat_implies(c: Circuit, d: Circuit, **kwargs) -> bool:
-    """``C ⊑ D`` by bounded CNF unrolling (complete; may raise budget)."""
-    return check_implication(c, d, **kwargs).holds
-
-
-def sat_delayed_implies(c: Circuit, d: Circuit, k: int, **kwargs) -> bool:
-    """The paper's ``Cᵏ ⊑ D`` (Prop 4.2 / Thm 4.5), SAT-decided."""
-    return check_implication(c, d, k=k, **kwargs).holds
-
-
-def sat_machines_equivalent(c: Circuit, d: Circuit, **kwargs) -> bool:
-    """FSM equivalence: implication in both directions."""
-    return sat_implies(c, d, **kwargs) and sat_implies(d, c, **kwargs)
-
-
-def sat_find_violation(
-    c: Circuit, d: Circuit, **kwargs
-) -> Optional[SafeReplacementViolation]:
-    """A minimal-length ``C ⋠ D`` witness, or None when ``C ≼ D``.
-
-    The same signature contract as the explicit subset search and the
-    symbolic bucket fixpoint: a returned witness is minimal, None is a
-    proof, exhaustion raises.
-    """
-    return check_safe_replacement(c, d, **kwargs).violation
-
-
-def sat_is_safe_replacement(c: Circuit, d: Circuit, **kwargs) -> bool:
-    """Decide the paper's ``C ≼ D`` (SAT engine)."""
-    return check_safe_replacement(c, d, **kwargs).holds
 
 
 def sat_delay_needed(
@@ -538,11 +497,3 @@ def sat_delay_needed(
         else:
             low = mid + 1
     return low
-
-
-def sat_first_cls_difference(
-    c: Circuit, d: Circuit, **kwargs
-) -> Optional[WitnessTrace]:
-    """A minimal-cycle ternary CLS-distinguishing trace, or None."""
-    result = check_cls_equivalence(c, d, **kwargs)
-    return result.witness

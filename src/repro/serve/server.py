@@ -12,11 +12,12 @@ answers verdict requests over a socket instead:
   ``check-validity`` requests coalesce into shared lane passes
   (:mod:`repro.serve.batcher`), bit-for-bit identical to serving each
   request alone.
-* **budget discipline** -- the containment/equivalence searches run
-  under the same :class:`~repro.stg.replaceability.SearchBudgetExceeded`
-  budget path the CLI uses; exhaustion turns into a structured
-  ``budget-exceeded`` error envelope (the request is *undecided*), never
-  a crash and never a wedged server.
+* **budget discipline** -- containment questions go through
+  :func:`repro.decide.decide`, as the CLI's do; an undecided verdict
+  (a blown budget, or an STG too large to enumerate) and an exhausted
+  CLS-equivalence search both turn into a structured
+  ``budget-exceeded`` error envelope (the request is *undecided*),
+  never a crash and never a wedged server.
 * **observability** -- a rolling :class:`~repro.serve.report.ServiceStats`
   (request counts, batch occupancy, cache hit rates, p50/p99 latency)
   any client can fetch with ``{"op": "report"}``, plus an optional
@@ -41,6 +42,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .. import obs
+from ..decide import ENGINES, decide, get_default_engine
 from ..netlist.circuit import Circuit
 from ..netlist.io_bench import parse_bench
 from ..netlist.transform import normalize_fanout
@@ -49,15 +51,8 @@ from ..retime.graph import build_retiming_graph
 from ..retime.leiserson_saxe import min_period_retiming
 from ..retime.validity import first_difference, random_ternary_sequences
 from ..sim.fault import FaultSimulator
-from ..stg.replaceability import find_violation
-from ..stg.symbolic_replaceability import (
-    ENGINES,
-    REORDER_MODES,
-    SymbolicContainmentChecker,
-    get_default_engine,
-    get_default_reorder,
-    resolve_engine,
-)
+from ..stg.replaceability import SearchBudgetExceeded
+from ..stg.symbolic_replaceability import REORDER_MODES, get_default_reorder
 from ..stg.ternary_equiv import decide_cls_equivalence
 from .batcher import MicroBatcher
 from .protocol import (
@@ -591,50 +586,30 @@ class ReproServer:
             raise RequestError(
                 "bad-request", "engine must be one of %s" % (ENGINES,)
             )
-        resolved = resolve_engine(engine, candidate, original)
         reorder = request.get("reorder")
         if reorder is not None and reorder not in REORDER_MODES:
             raise RequestError(
                 "bad-request", "reorder must be one of %s" % (REORDER_MODES,)
             )
-        budget = self._budget(request)
-        if resolved == "symbolic":
-            checker = SymbolicContainmentChecker(
-                candidate, original, reorder=reorder
-            )
-            kwargs = {"max_buckets": budget} if budget is not None else {}
-            violation = checker.find_violation(**kwargs)
+        (verdict,) = decide(
+            candidate,
+            original,
+            "safe",
+            engine=engine,
+            reorder=reorder,
+            budget=self._budget(request),
+        )
+        if verdict.undecided:  # the dispatcher's budget-exceeded envelope
+            raise SearchBudgetExceeded(verdict.message)
+        if verdict.reorder is not None:
             # Fold the manager's reorder counters into the rolling
             # service report (the envelope stays mode-independent).
-            self.stats.record_reorder(checker.reorder, checker.manager.stats)
-        elif resolved == "sat":
-            # The request budget caps total CDCL conflicts; exhaustion
-            # raises SearchBudgetExceeded -> budget-exceeded envelope.
-            from ..sat import sat_find_violation
-
-            kwargs = {"max_conflicts": budget} if budget is not None else {}
-            violation = sat_find_violation(candidate, original, **kwargs)
-        else:
-            from ..stg.explicit import extract_stg
-
-            kwargs = {"max_states": budget} if budget is not None else {}
-            try:
-                stg_c, stg_d = extract_stg(candidate), extract_stg(original)
-            except ValueError as exc:
-                # The MAX_STG_BITS guard: too many state bits to
-                # enumerate.  Same verdict as a blown search budget --
-                # undecided, retry with the symbolic engine.
-                raise MemoryError(str(exc)) from None
-            violation = find_violation(stg_c, stg_d, **kwargs)
-        witness = None
-        if violation is not None:
-            witness = {
-                "c_state": violation.c_state,
-                "inputs": list(violation.input_symbols),
-                "outputs": list(violation.c_outputs),
-                "length": len(violation.input_symbols),
-            }
-        return {"safe": violation is None, "engine": resolved, "witness": witness}
+            self.stats.record_reorder(verdict.reorder, verdict.bdd_stats)
+        return {
+            "safe": verdict.holds,
+            "engine": verdict.engine,
+            "witness": verdict.to_json()["witness"],
+        }
 
     # .. fault-grade .......................................................
 
@@ -668,7 +643,6 @@ class ReproServer:
 
         from ..retime.apply import lag_to_moves
         from ..sim.compiled import compile_circuit
-        from ..stg.replaceability import decide_safe_replacement
 
         seed = take_int(request, "seed", 0)
         cycles = take_int(request, "cycles", 16, minimum=1)
@@ -696,15 +670,12 @@ class ReproServer:
         graph = build_retiming_graph(circuit)
         minp = min_period_retiming(graph)
         session = lag_to_moves(circuit, minp.lag)
-        containment: Dict[str, Any]
-        try:
-            safe = decide_safe_replacement(session.current, circuit)
-            containment = {
-                "safe": safe,
-                "engine": resolve_engine(None, session.current, circuit),
-            }
-        except MemoryError as exc:
-            containment = {"undecided": str(exc)}
+        (safe,) = decide(session.current, circuit, "safe")
+        containment: Dict[str, Any] = (
+            {"undecided": safe.message}
+            if safe.undecided
+            else {"safe": safe.holds, "engine": safe.engine}
+        )
         simulator = FaultSimulator(circuit, semantics="cls")
         verdicts = simulator.run_test_set(tests)
         detected = sum(1 for v in verdicts.values() if v is not None)

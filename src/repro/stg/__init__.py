@@ -4,7 +4,6 @@ from .explicit import MAX_STG_BITS, STG, extract_stg  # noqa: F401
 from .equivalence import (  # noqa: F401
     QuotientMachine,
     decide_implication,
-    decide_machines_equivalent,
     equivalence_classes,
     equivalent_state_in,
     implies,
@@ -46,15 +45,6 @@ from .symbolic import (  # noqa: F401
     symbolic_delayed_states,
 )
 from .symbolic_replaceability import (  # noqa: F401
-    ENGINES,
     SymbolicContainmentChecker,
-    get_default_engine,
-    resolve_engine,
-    set_default_engine,
     symbolic_delay_needed_for_implication,
-    symbolic_delayed_implies,
-    symbolic_find_violation,
-    symbolic_implies,
-    symbolic_is_safe_replacement,
-    symbolic_machines_equivalent,
 )

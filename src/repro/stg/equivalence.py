@@ -32,7 +32,6 @@ __all__ = [
     "quotient",
     "QuotientMachine",
     "decide_implication",
-    "decide_machines_equivalent",
 ]
 
 
@@ -186,51 +185,19 @@ def quotient(stg: STG) -> QuotientMachine:
 
 
 # ---------------------------------------------------------------------------
-# Circuit-level entry points with engine selection.
+# Circuit-level entry point, through :func:`repro.decide.decide`.
 # ---------------------------------------------------------------------------
 
 
 def decide_implication(
     c: "Circuit", d: "Circuit", *, engine: Optional[str] = None
 ) -> bool:
-    """Decide ``C ⊑ D`` at the circuit level.
+    """Decide ``C ⊑ D`` through :func:`repro.decide.decide`; an undecided
+    verdict raises :class:`~repro.stg.replaceability.SearchBudgetExceeded`."""
+    from ..decide import decide
+    from .replaceability import SearchBudgetExceeded
 
-    ``engine`` is ``"explicit"`` (enumerate the STGs, then joint
-    partition refinement), ``"symbolic"`` (the BDD greatest-fixpoint of
-    :mod:`repro.stg.symbolic_replaceability`), ``"sat"`` (the bounded
-    CNF unrolling of :mod:`repro.sat`) or ``"auto"``; ``None`` uses
-    the process-wide default.
-    """
-    from .symbolic_replaceability import resolve_engine, symbolic_implies
-
-    resolved = resolve_engine(engine, c, d)
-    if resolved == "symbolic":
-        return symbolic_implies(c, d)
-    if resolved == "sat":
-        from ..sat import sat_implies
-
-        return sat_implies(c, d)
-    from .explicit import extract_stg
-
-    return implies(extract_stg(c), extract_stg(d))
-
-
-def decide_machines_equivalent(
-    c: "Circuit", d: "Circuit", *, engine: Optional[str] = None
-) -> bool:
-    """Decide FSM equivalence at the circuit level (engine-dispatched)."""
-    from .symbolic_replaceability import (
-        resolve_engine,
-        symbolic_machines_equivalent,
-    )
-
-    resolved = resolve_engine(engine, c, d)
-    if resolved == "symbolic":
-        return symbolic_machines_equivalent(c, d)
-    if resolved == "sat":
-        from ..sat import sat_machines_equivalent
-
-        return sat_machines_equivalent(c, d)
-    from .explicit import extract_stg
-
-    return machines_equivalent(extract_stg(c), extract_stg(d))
+    (verdict,) = decide(c, d, "implies", engine=engine)
+    if verdict.undecided:
+        raise SearchBudgetExceeded(verdict.message)
+    return bool(verdict.holds)

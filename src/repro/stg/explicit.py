@@ -27,9 +27,25 @@ from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import traced as _traced
 from ..sim.multi import BatchedBinarySimulator, all_states_array
 
-__all__ = ["STG", "extract_stg", "MAX_STG_BITS"]
+__all__ = ["STG", "extract_stg", "MAX_STG_BITS", "StateSpaceTooLarge", "check_stg_size"]
 
 MAX_STG_BITS = 22
+
+
+class StateSpaceTooLarge(ValueError):
+    """The STG would need more than ``2**max_bits`` entries."""
+
+
+def check_stg_size(circuit: Circuit, max_bits: int = MAX_STG_BITS) -> None:
+    """Raise :class:`StateSpaceTooLarge` when tabulating *circuit*'s STG
+    would cost more than ``2**max_bits`` simulator steps."""
+    bits = circuit.num_latches + len(circuit.inputs)
+    if bits > max_bits:
+        raise StateSpaceTooLarge(
+            "STG of %s needs 2**%d entries (limit 2**%d)"
+            % (circuit.name, bits, max_bits)
+        )
+
 
 BoolVec = Tuple[bool, ...]
 
@@ -125,15 +141,12 @@ def extract_stg(circuit: Circuit, *, max_bits: int = MAX_STG_BITS) -> STG:
     """Tabulate the complete STG of *circuit* by exhaustive simulation.
 
     Uses the batched simulator (one compiled lane-mask pass per input
-    symbol over all ``2**n`` states).  Raises :class:`ValueError` when
-    ``latches + inputs`` exceeds *max_bits*.
+    symbol over all ``2**n`` states).  Raises
+    :class:`StateSpaceTooLarge` when ``latches + inputs`` exceeds
+    *max_bits*.
     """
+    check_stg_size(circuit, max_bits)
     n, m = circuit.num_latches, len(circuit.inputs)
-    if n + m > max_bits:
-        raise ValueError(
-            "STG of %s needs 2**%d entries (limit 2**%d)"
-            % (circuit.name, n + m, max_bits)
-        )
     num_outputs = len(circuit.outputs)
     states = all_states_array(n)
     sim = BatchedBinarySimulator(circuit)

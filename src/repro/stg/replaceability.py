@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..obs.trace import TRACER as _TRACE
 from .explicit import STG
@@ -61,7 +61,9 @@ class SearchBudgetExceeded(MemoryError):
     budget exhaustion (retry with the symbolic engine, or a larger
     ``max_states``) apart from a genuine out-of-memory condition; it
     subclasses :class:`MemoryError` for backward compatibility with
-    callers that caught the old exception.
+    callers that caught the old exception.  The circuit-level
+    wrappers below also raise it for an STG too large to enumerate:
+    both are an undecided :class:`repro.decide.Verdict`.
     """
 
 
@@ -78,6 +80,15 @@ class SafeReplacementViolation:
     c_state: int
     input_symbols: Tuple[int, ...]
     c_outputs: Tuple[int, ...]
+
+    def to_json(self) -> Dict[str, Any]:
+        """The witness as the service and the fuzzer's bundles render it."""
+        return {
+            "c_state": self.c_state,
+            "inputs": list(self.input_symbols),
+            "outputs": list(self.c_outputs),
+            "length": len(self.input_symbols),
+        }
 
 
 def _check_alphabets(c: STG, d: STG) -> None:
@@ -164,7 +175,7 @@ def is_safe_replacement(c: STG, d: STG, *, max_states: int = MAX_SUBSET_STATES) 
 
 
 # ---------------------------------------------------------------------------
-# Circuit-level entry points with engine selection.
+# Circuit-level entry points, through :func:`repro.decide.decide`.
 # ---------------------------------------------------------------------------
 
 
@@ -173,33 +184,17 @@ def find_safe_replacement_violation(
     d: "Circuit",
     *,
     engine: Optional[str] = None,
-    max_states: int = MAX_SUBSET_STATES,
+    budget: Optional[int] = None,
 ) -> Optional[SafeReplacementViolation]:
-    """Search for a counterexample to ``C ≼ D`` at the circuit level.
+    """:func:`repro.decide.decide`'s minimal ``C ⋠ D`` witness, or
+    ``None`` when C is a safe replacement for D; an undecided verdict (a
+    blown budget, an oversized STG) raises :class:`SearchBudgetExceeded`."""
+    from ..decide import decide
 
-    ``engine`` is ``"explicit"`` (enumerate the STGs, then the subset
-    construction of :func:`find_violation`), ``"symbolic"`` (the BDD
-    fixpoint of :mod:`repro.stg.symbolic_replaceability`), ``"sat"``
-    (the bounded CNF unrolling of :mod:`repro.sat` -- decides or
-    raises, never guesses) or ``"auto"`` (explicit below the
-    latch-count threshold, symbolic above); ``None`` uses the
-    process-wide default (see
-    :func:`repro.stg.symbolic_replaceability.set_default_engine`).
-    All engines return the same witness type with a minimal-length
-    input string.
-    """
-    from .symbolic_replaceability import resolve_engine, symbolic_find_violation
-
-    resolved = resolve_engine(engine, c, d)
-    if resolved == "symbolic":
-        return symbolic_find_violation(c, d)
-    if resolved == "sat":
-        from ..sat import sat_find_violation
-
-        return sat_find_violation(c, d)
-    from .explicit import extract_stg
-
-    return find_violation(extract_stg(c), extract_stg(d), max_states=max_states)
+    (verdict,) = decide(c, d, "safe", engine=engine, budget=budget)
+    if verdict.undecided:
+        raise SearchBudgetExceeded(verdict.message)
+    return verdict.violation
 
 
 def decide_safe_replacement(
@@ -207,10 +202,8 @@ def decide_safe_replacement(
     d: "Circuit",
     *,
     engine: Optional[str] = None,
-    max_states: int = MAX_SUBSET_STATES,
+    budget: Optional[int] = None,
 ) -> bool:
-    """Decide ``C ≼ D`` at the circuit level (engine-dispatched)."""
-    return (
-        find_safe_replacement_violation(c, d, engine=engine, max_states=max_states)
-        is None
-    )
+    """Decide ``C ≼ D`` at the circuit level (see
+    :func:`find_safe_replacement_violation`)."""
+    return find_safe_replacement_violation(c, d, engine=engine, budget=budget) is None

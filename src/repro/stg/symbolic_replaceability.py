@@ -47,15 +47,9 @@ only falls back to the subset fixpoint when implication fails; pass
 Engine selection
 ----------------
 
-:func:`resolve_engine` maps the user-facing ``--engine
-{explicit,symbolic,sat,auto}`` switch to a concrete engine: ``auto``
-picks the explicit path below :data:`AUTO_SYMBOLIC_LATCH_THRESHOLD`
-latches (where tabulated STGs are cheap and battle-tested) and the
-symbolic path above it -- never the ``sat`` engine
-(:mod:`repro.sat`), which is opt-in because its budgets can leave a
-query undecided (it raises rather than guessing).
-:func:`set_default_engine` installs a process-wide default, set from
-the CLI's top-level ``--engine`` flag.
+:func:`repro.decide.decide` chooses among the three engines and maps a
+search budget onto ``max_buckets`` here; :func:`resolve_engine` stays
+importable from this module for older callers.
 
 Dynamic variable reordering
 ---------------------------
@@ -95,37 +89,15 @@ from .replaceability import SafeReplacementViolation, SearchBudgetExceeded
 from .symbolic import SymbolicMachine, quantification_schedule, relprod_chain
 
 __all__ = [
-    "ENGINES",
     "REORDER_MODES",
-    "AUTO_SYMBOLIC_LATCH_THRESHOLD",
     "MAX_SYMBOLIC_BUCKETS",
     "GC_NODE_LIMIT",
     "SymbolicContainmentChecker",
-    "get_default_engine",
-    "set_default_engine",
-    "resolve_engine",
     "get_default_reorder",
     "set_default_reorder",
     "resolve_reorder",
-    "symbolic_implies",
-    "symbolic_machines_equivalent",
-    "symbolic_delayed_implies",
     "symbolic_delay_needed_for_implication",
-    "symbolic_find_violation",
-    "symbolic_is_safe_replacement",
 ]
-
-#: The engine names the CLI exposes.  ``sat`` is the bounded CNF/CDCL
-#: engine of :mod:`repro.sat` -- opt-in only (``auto`` never picks it):
-#: it either decides definitively, with exportable certificates, or
-#: raises :class:`SearchBudgetExceeded`.
-ENGINES = ("explicit", "symbolic", "sat", "auto")
-
-#: ``auto`` switches to the symbolic engine strictly above this many
-#: latches (on either machine).  Below it the tabulated STG fits in a
-#: few thousand rows and the explicit engines are faster to first
-#: answer; above it STG extraction and the subset construction blow up.
-AUTO_SYMBOLIC_LATCH_THRESHOLD = 9
 
 #: Budget on subset-fixpoint search nodes (distinct ``(A, S)`` buckets
 #: processed), the symbolic analogue of ``MAX_SUBSET_STATES``.
@@ -135,21 +107,7 @@ MAX_SYMBOLIC_BUCKETS = 50000
 #: inside the fixpoint loops.
 GC_NODE_LIMIT = 400000
 
-_DEFAULT_ENGINE = "auto"
 _DEFAULT_REORDER = "auto"
-
-
-def get_default_engine() -> str:
-    """The process-wide containment engine (``--engine`` default)."""
-    return _DEFAULT_ENGINE
-
-
-def set_default_engine(name: str) -> None:
-    """Install the process-wide containment engine default."""
-    global _DEFAULT_ENGINE
-    if name not in ENGINES:
-        raise ValueError("unknown engine %r (choose from %s)" % (name, ENGINES))
-    _DEFAULT_ENGINE = name
 
 
 def get_default_reorder() -> str:
@@ -186,21 +144,14 @@ def resolve_reorder(mode: Optional[str]) -> str:
     return name
 
 
-def resolve_engine(
-    engine: Optional[str], c: Optional[Circuit] = None, d: Optional[Circuit] = None
-) -> str:
-    """Map an ``--engine`` value (or ``None`` = process default) to a
-    concrete engine name for the given circuit pair."""
-    name = engine if engine is not None else _DEFAULT_ENGINE
-    if name not in ENGINES:
-        raise ValueError("unknown engine %r (choose from %s)" % (name, ENGINES))
-    if name != "auto":
-        return name
-    latches = max(
-        c.num_latches if c is not None else 0,
-        d.num_latches if d is not None else 0,
-    )
-    return "symbolic" if latches > AUTO_SYMBOLIC_LATCH_THRESHOLD else "explicit"
+def __getattr__(name: str):
+    # ``resolve_engine`` lives in :mod:`repro.decide`, which imports
+    # this module; resolving it lazily keeps the old import path.
+    if name == "resolve_engine":
+        from ..decide import resolve_engine
+
+        return resolve_engine
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def _check_interfaces(c: Circuit, d: Circuit) -> None:
@@ -371,15 +322,6 @@ class SymbolicContainmentChecker:
     def implies(self) -> bool:
         """The paper's ``C ⊑ D``, decided symbolically."""
         return self._partner_states().forall(self.mc.state_names).is_true
-
-    def machines_equivalent(self) -> bool:
-        """Classical FSM equivalence ``C ⊑ D ∧ D ⊑ C``."""
-        relation = self.equivalence_relation()
-        forward = self._partner_states().forall(self.mc.state_names).is_true
-        backward = (
-            relation.exists(self.mc.state_names).forall(self.md.state_names).is_true
-        )
-        return forward and backward
 
     def delayed_implies(self, cycles: int) -> bool:
         """Decide ``C^cycles ⊑ D`` (Prop 4.2 / Thm 4.5 consequent)."""
@@ -579,23 +521,8 @@ class SymbolicContainmentChecker:
 
 
 # ---------------------------------------------------------------------------
-# Module-level one-shot wrappers.
+# Module-level one-shot entry point.
 # ---------------------------------------------------------------------------
-
-
-def symbolic_implies(c: Circuit, d: Circuit) -> bool:
-    """One-shot ``C ⊑ D`` by BDD fixpoint."""
-    return SymbolicContainmentChecker(c, d).implies()
-
-
-def symbolic_machines_equivalent(c: Circuit, d: Circuit) -> bool:
-    """One-shot FSM equivalence by BDD fixpoint."""
-    return SymbolicContainmentChecker(c, d).machines_equivalent()
-
-
-def symbolic_delayed_implies(c: Circuit, d: Circuit, cycles: int) -> bool:
-    """One-shot ``C^cycles ⊑ D`` by BDD fixpoint."""
-    return SymbolicContainmentChecker(c, d).delayed_implies(cycles)
 
 
 def symbolic_delay_needed_for_implication(
@@ -603,22 +530,3 @@ def symbolic_delay_needed_for_implication(
 ) -> Optional[int]:
     """One-shot least n with ``C^n ⊑ D``, or ``None``."""
     return SymbolicContainmentChecker(c, d).delay_needed(max_cycles=max_cycles)
-
-
-def symbolic_find_violation(
-    c: Circuit,
-    d: Circuit,
-    *,
-    max_buckets: int = MAX_SYMBOLIC_BUCKETS,
-    use_implication_shortcut: bool = True,
-) -> Optional[SafeReplacementViolation]:
-    """One-shot counterexample search for ``C ≼ D``."""
-    return SymbolicContainmentChecker(c, d).find_violation(
-        max_buckets=max_buckets,
-        use_implication_shortcut=use_implication_shortcut,
-    )
-
-
-def symbolic_is_safe_replacement(c: Circuit, d: Circuit, **kwargs) -> bool:
-    """One-shot ``C ≼ D`` decision."""
-    return symbolic_find_violation(c, d, **kwargs) is None

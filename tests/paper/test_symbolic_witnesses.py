@@ -29,10 +29,6 @@ from repro.stg.replaceability import SafeReplacementViolation
 from repro.stg.symbolic_replaceability import (
     SymbolicContainmentChecker,
     symbolic_delay_needed_for_implication,
-    symbolic_delayed_implies,
-    symbolic_find_violation,
-    symbolic_implies,
-    symbolic_is_safe_replacement,
 )
 
 
@@ -46,18 +42,18 @@ class TestFigure1SafeReplacement:
 
     def test_c_is_not_a_safe_replacement_for_d(self, figure1):
         c, d = figure1
-        assert not symbolic_is_safe_replacement(c, d)
+        assert not SymbolicContainmentChecker(c, d).is_safe_replacement()
 
     def test_d_is_a_safe_replacement_for_c(self, figure1):
         c, d = figure1
-        assert symbolic_is_safe_replacement(d, c)
+        assert SymbolicContainmentChecker(d, c).is_safe_replacement()
 
     def test_witness_matches_the_paper(self, figure1):
         """The minimal counterexample is exactly the explicit engine's
         (and the paper's): power-up state 10 of C, inputs 0·1, outputs
         0·1 -- an output string no state of D can produce."""
         c, d = figure1
-        violation = symbolic_find_violation(c, d)
+        violation = SymbolicContainmentChecker(c, d).find_violation()
         assert isinstance(violation, SafeReplacementViolation)
         assert violation.c_state == 2  # binary "10" -- Table 1's row
         assert violation.input_symbols == (0, 1)
@@ -68,7 +64,7 @@ class TestFigure1SafeReplacement:
         witness is its two-cycle prefix, and replaying the full Table 1
         sequence from the witness state shows the paper's 0·1·0·1 row."""
         c, d = figure1
-        violation = symbolic_find_violation(c, d)
+        violation = SymbolicContainmentChecker(c, d).find_violation()
         table1 = tuple(int(v[0]) for v in TABLE1_INPUT_SEQUENCE)
         assert violation.input_symbols == table1[: len(violation.input_symbols)]
         c_stg = extract_stg(c)
@@ -77,9 +73,8 @@ class TestFigure1SafeReplacement:
 
     def test_subset_fixpoint_agrees_without_the_shortcut(self, figure1):
         c, d = figure1
-        assert symbolic_find_violation(
-            d, c, use_implication_shortcut=False
-        ) is None
+        checker = SymbolicContainmentChecker(d, c)
+        assert checker.find_violation(use_implication_shortcut=False) is None
 
 
 class TestProposition42Symbolic:
@@ -87,18 +82,18 @@ class TestProposition42Symbolic:
 
     def test_implication_fails_undelayed(self, figure1):
         c, d = figure1
-        assert not symbolic_implies(c, d)
+        assert not SymbolicContainmentChecker(c, d).implies()
 
     def test_one_cycle_delay_restores_implication(self, figure1):
         c, d = figure1
-        assert not symbolic_delayed_implies(c, d, 0)
-        assert symbolic_delayed_implies(c, d, 1)
+        assert not SymbolicContainmentChecker(c, d).delayed_implies(0)
+        assert SymbolicContainmentChecker(c, d).delayed_implies(1)
         assert symbolic_delay_needed_for_implication(c, d) == 1
 
     def test_d_trivially_contains_itself(self, figure1):
         _, d = figure1
-        assert symbolic_implies(d, d)
-        assert symbolic_delayed_implies(d, d, 0)
+        assert SymbolicContainmentChecker(d, d).implies()
+        assert SymbolicContainmentChecker(d, d).delayed_implies(0)
 
 
 class TestCorollary44Symbolic:

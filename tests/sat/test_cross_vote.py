@@ -29,15 +29,12 @@ from repro.bench.paper_circuits import (
     figure3_design_d,
 )
 from repro.logic.bdd import BDDManager
-from repro.sat import check_safe_replacement, sat_implies
+from repro.sat import check_implication, check_safe_replacement
 from repro.sat.replay import replay_witness
 from repro.stg.equivalence import implies
 from repro.stg.explicit import extract_stg
 from repro.stg.replaceability import SearchBudgetExceeded, find_violation
-from repro.stg.symbolic_replaceability import (
-    SymbolicContainmentChecker,
-    symbolic_find_violation,
-)
+from repro.stg.symbolic_replaceability import SymbolicContainmentChecker
 
 def _random_pair(seed, *, max_latches=3):
     import random
@@ -84,7 +81,7 @@ def _cross_vote(c, d, seed=None):
         "explicit": implies(c_stg, d_stg),
         "symbolic": checker.implies(),
         "symbolic+reorder": reordering.implies(),
-        "sat": sat_implies(c, d),
+        "sat": check_implication(c, d).holds,
     }
     assert len(set(votes.values())) == 1, "implication ballot split%s: %r" % (
         tag,
@@ -92,7 +89,7 @@ def _cross_vote(c, d, seed=None):
     )
 
     explicit_v = find_violation(c_stg, d_stg)
-    symbolic_v = symbolic_find_violation(c, d)
+    symbolic_v = SymbolicContainmentChecker(c, d).find_violation()
     reorder_v = reordering.find_violation()
     assert (explicit_v is None) == (symbolic_v is None), (
         "safe-replacement ballot split (explicit vs symbolic)%s" % tag

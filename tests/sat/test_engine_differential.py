@@ -22,24 +22,18 @@ from repro.bench.paper_circuits import (
     figure3_design_c,
     figure3_design_d,
 )
+from repro.decide import ENGINES, decide, resolve_engine
 from repro.sat import (
     check_cls_equivalence,
     check_implication,
     check_safe_replacement,
     sat_delay_needed,
-    sat_delayed_implies,
-    sat_find_violation,
-    sat_first_cls_difference,
-    sat_implies,
-    sat_is_safe_replacement,
-    sat_machines_equivalent,
 )
 from repro.sat.replay import replay_witness
 from repro.sat.witness import witness_from_json, witness_to_json
 from repro.stg.delayed import delay_needed_for_implication, delayed_implies
 from repro.stg.equivalence import (
     decide_implication,
-    decide_machines_equivalent,
     implies,
     machines_equivalent,
 )
@@ -49,7 +43,6 @@ from repro.stg.replaceability import (
     find_safe_replacement_violation,
     find_violation,
 )
-from repro.stg.symbolic_replaceability import resolve_engine
 from repro.stg.ternary_equiv import decide_cls_equivalence
 
 
@@ -95,8 +88,10 @@ def _assert_sat_agrees(c, d):
     """Full cross-check of every containment question on one pair."""
     c_stg, d_stg = extract_stg(c), extract_stg(d)
 
-    assert sat_implies(c, d) == implies(c_stg, d_stg)
-    assert sat_machines_equivalent(c, d) == machines_equivalent(c_stg, d_stg)
+    assert check_implication(c, d).holds == implies(c_stg, d_stg)
+    assert (
+        check_implication(c, d).holds and check_implication(d, c).holds
+    ) == machines_equivalent(c_stg, d_stg)
 
     explicit_violation = find_violation(c_stg, d_stg)
     try:
@@ -129,7 +124,7 @@ def _assert_sat_agrees(c, d):
 
     assert sat_delay_needed(c, d) == delay_needed_for_implication(c_stg, d_stg)
     for cycles in range(3):
-        assert sat_delayed_implies(c, d, cycles) == delayed_implies(
+        assert check_implication(c, d, k=cycles).holds == delayed_implies(
             c_stg, d_stg, cycles
         )
 
@@ -143,13 +138,15 @@ class TestPaperPairs:
     def test_figure1_exact_facts(self):
         """The paper's running example, fact for fact."""
         c, d = figure1_design_c(), figure1_design_d()
-        assert sat_implies(c, d) is False
-        assert sat_implies(d, c) is True
-        assert sat_machines_equivalent(c, d) is False
-        assert sat_delayed_implies(c, d, 1) is True
+        assert check_implication(c, d).holds is False
+        assert check_implication(d, c).holds is True
+        assert (
+            check_implication(c, d).holds and check_implication(d, c).holds
+        ) is False
+        assert check_implication(c, d, k=1).holds is True
         assert sat_delay_needed(c, d) == 1
-        assert sat_is_safe_replacement(d, c) is True
-        violation = sat_find_violation(c, d)
+        assert check_safe_replacement(d, c).holds is True
+        violation = check_safe_replacement(c, d).violation
         assert violation.c_state == 2
         assert violation.input_symbols == (0, 1)
         assert violation.c_outputs == (0, 1)
@@ -216,7 +213,7 @@ class TestCLS:
         c, d = _random_pair(seed, max_latches=2)
         explicit = decide_cls_equivalence(c, d)
         try:
-            trace = sat_first_cls_difference(c, d, max_frames=80)
+            trace = check_cls_equivalence(c, d, max_frames=80).witness
         except SearchBudgetExceeded:
             return
         assert (trace is None) == (explicit is None)
@@ -242,13 +239,11 @@ class TestBudgets:
         a = random_sequential_circuit(0, num_inputs=1)
         b = random_sequential_circuit(0, num_inputs=2)
         with pytest.raises(ValueError):
-            sat_implies(a, b)
+            check_implication(a, b)
 
 
 class TestDispatchers:
     def test_engine_name_is_registered(self):
-        from repro.stg.symbolic_replaceability import ENGINES
-
         assert "sat" in ENGINES
 
     def test_auto_never_resolves_to_sat(self):
@@ -262,11 +257,18 @@ class TestDispatchers:
             assert decide_implication(c, d, engine=engine) is False
             assert decide_implication(d, c, engine=engine) is True
 
-    def test_decide_machines_equivalent_all_three_engines(self):
+    def test_fsm_equivalence_all_three_engines(self):
+        """FSM equivalence is implication both ways, on every engine."""
+
+        def equivalent(a, b, engine):
+            (forward,) = decide(a, b, "implies", engine=engine)
+            (backward,) = decide(b, a, "implies", engine=engine)
+            return forward.holds and backward.holds
+
         c, d = figure1_design_c(), figure1_design_d()
         for engine in ("explicit", "symbolic", "sat"):
-            assert decide_machines_equivalent(c, d, engine=engine) is False
-            assert decide_machines_equivalent(c, c, engine=engine) is True
+            assert equivalent(c, d, engine) is False
+            assert equivalent(c, c, engine) is True
 
     def test_find_safe_replacement_violation_sat_engine(self):
         c, d = figure1_design_c(), figure1_design_d()

@@ -65,7 +65,8 @@ def _decide_all(c, d, reorder, partitioned):
         )
     return {
         "implies": checker.implies(),
-        "equivalent": checker.machines_equivalent(),
+        "equivalent": checker.implies()
+        and _checker(d, c, reorder, partitioned).implies(),
         "safe": checker.is_safe_replacement(),
         "delay": checker.delay_needed(max_cycles=6),
         "delayed_2": checker.delayed_implies(2),

@@ -89,7 +89,7 @@ class TestSearchBudgetExceeded:
     def test_circuit_dispatcher_propagates_budget(self):
         c = figure1_design_c()
         with pytest.raises(SearchBudgetExceeded):
-            find_safe_replacement_violation(c, c, engine="explicit", max_states=1)
+            find_safe_replacement_violation(c, c, engine="explicit", budget=1)
 
 
 class TestCircuitLevelDispatch:

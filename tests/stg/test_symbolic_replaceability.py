@@ -30,26 +30,23 @@ from repro.bench.paper_circuits import (
     figure3_design_d,
 )
 from repro.stg.delayed import delay_needed_for_implication, delayed_implies
+from repro.decide import (
+    AUTO_SYMBOLIC_LATCH_THRESHOLD,
+    decide,
+    get_default_engine,
+    resolve_engine,
+    set_default_engine,
+)
 from repro.stg.equivalence import (
     decide_implication,
-    decide_machines_equivalent,
     implies,
     machines_equivalent,
 )
 from repro.stg.explicit import extract_stg
 from repro.stg.replaceability import find_violation
 from repro.stg.symbolic_replaceability import (
-    AUTO_SYMBOLIC_LATCH_THRESHOLD,
     SymbolicContainmentChecker,
-    get_default_engine,
-    resolve_engine,
-    set_default_engine,
     symbolic_delay_needed_for_implication,
-    symbolic_delayed_implies,
-    symbolic_find_violation,
-    symbolic_implies,
-    symbolic_is_safe_replacement,
-    symbolic_machines_equivalent,
 )
 
 
@@ -98,7 +95,8 @@ def _assert_engines_agree(c, d):
     checker = SymbolicContainmentChecker(c, d)
 
     assert checker.implies() == implies(c_stg, d_stg)
-    assert checker.machines_equivalent() == machines_equivalent(c_stg, d_stg)
+    backward = SymbolicContainmentChecker(d, c).implies()
+    assert (checker.implies() and backward) == machines_equivalent(c_stg, d_stg)
 
     explicit_violation = find_violation(c_stg, d_stg)
     symbolic_violation = checker.find_violation()
@@ -147,7 +145,9 @@ class TestRandomPairs:
         it must still agree with the explicit subset construction."""
         c, d = _random_pair(seed, max_latches=3)
         explicit = find_violation(extract_stg(c), extract_stg(d))
-        symbolic = symbolic_find_violation(c, d, use_implication_shortcut=False)
+        symbolic = SymbolicContainmentChecker(c, d).find_violation(
+            use_implication_shortcut=False
+        )
         assert (explicit is None) == (symbolic is None)
 
 
@@ -161,7 +161,7 @@ class TestRandomPairsAtScale:
             seed = 20_000 + block * 20 + offset
             c, d = _random_pair(seed, max_latches=6)
             explicit = find_violation(extract_stg(c), extract_stg(d))
-            symbolic = symbolic_find_violation(c, d)
+            symbolic = SymbolicContainmentChecker(c, d).find_violation()
             assert (explicit is None) == (symbolic is None), (
                 "engines disagree on seed %d" % seed
             )
@@ -177,14 +177,14 @@ class TestRandomPairsAtScale:
             counter_circuit(4),
         ]
         for circuit in circuits:
-            assert symbolic_is_safe_replacement(circuit, circuit)
-            assert symbolic_implies(circuit, circuit)
+            assert SymbolicContainmentChecker(circuit, circuit).is_safe_replacement()
+            assert SymbolicContainmentChecker(circuit, circuit).implies()
         for a, b in itertools.permutations(circuits, 2):
             if len(a.inputs) != len(b.inputs) or len(a.outputs) != len(b.outputs):
                 continue
             stg_a, stg_b = extract_stg(a), extract_stg(b)
-            assert symbolic_implies(a, b) == implies(stg_a, stg_b)
-            assert symbolic_is_safe_replacement(a, b) == (
+            assert SymbolicContainmentChecker(a, b).implies() == implies(stg_a, stg_b)
+            assert SymbolicContainmentChecker(a, b).is_safe_replacement() == (
                 find_violation(stg_a, stg_b) is None
             )
 
@@ -215,12 +215,15 @@ class TestGCUnderPressure:
 class TestModuleLevelWrappers:
     def test_one_shot_functions_match_checker(self):
         c, d = figure1_design_c(), figure1_design_d()
-        assert symbolic_implies(c, d) is False
-        assert symbolic_implies(d, c) is True
-        assert symbolic_machines_equivalent(c, d) is False
-        assert symbolic_delayed_implies(c, d, 1) is True
+        assert SymbolicContainmentChecker(c, d).implies() is False
+        assert SymbolicContainmentChecker(d, c).implies() is True
+        assert (
+            SymbolicContainmentChecker(c, d).implies()
+            and SymbolicContainmentChecker(d, c).implies()
+        ) is False
+        assert SymbolicContainmentChecker(c, d).delayed_implies(1) is True
         assert symbolic_delay_needed_for_implication(c, d) == 1
-        assert symbolic_is_safe_replacement(d, c) is True
+        assert SymbolicContainmentChecker(d, c).is_safe_replacement() is True
 
     def test_delay_needed_respects_max_cycles(self):
         c, d = figure1_design_c(), figure1_design_d()
@@ -231,12 +234,12 @@ class TestModuleLevelWrappers:
         a = random_sequential_circuit(0, num_inputs=1)
         b = random_sequential_circuit(0, num_inputs=2)
         with pytest.raises(ValueError):
-            symbolic_implies(a, b)
+            SymbolicContainmentChecker(a, b).implies()
 
     def test_negative_delay_rejected(self):
         c = figure1_design_c()
         with pytest.raises(ValueError):
-            symbolic_delayed_implies(c, c, -1)
+            SymbolicContainmentChecker(c, c).delayed_implies(-1)
 
 
 class TestEngineResolution:
@@ -275,8 +278,15 @@ class TestCircuitLevelEquivalenceDispatch:
             assert decide_implication(c, d, engine=engine) is False
             assert decide_implication(d, c, engine=engine) is True
 
-    def test_decide_machines_equivalent_both_engines(self):
+    def test_fsm_equivalence(self):
+        """FSM equivalence is implication both ways, on either engine."""
+
+        def equivalent(a, b, engine):
+            (forward,) = decide(a, b, "implies", engine=engine)
+            (backward,) = decide(b, a, "implies", engine=engine)
+            return forward.holds and backward.holds
+
         c, d = figure1_design_c(), figure1_design_d()
         for engine in ("explicit", "symbolic"):
-            assert decide_machines_equivalent(c, d, engine=engine) is False
-            assert decide_machines_equivalent(c, c, engine=engine) is True
+            assert equivalent(c, d, engine) is False
+            assert equivalent(c, c, engine) is True

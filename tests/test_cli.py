@@ -3,18 +3,15 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
 from repro.bench.iscas import BENCHMARKS
 from repro.cli import main
 from repro.obs import RunReport, TRACER
-from repro.stg.symbolic_replaceability import (
-    get_default_engine,
-    get_default_reorder,
-    set_default_engine,
-    set_default_reorder,
-)
+from repro.decide import get_default_engine, set_default_engine
+from repro.stg.symbolic_replaceability import get_default_reorder, set_default_reorder
 
 
 @pytest.fixture(autouse=True)
@@ -331,6 +328,67 @@ class TestBenchCommand:
         assert RunReport.load(target).counter("compile.circuits") >= 1
 
 
+@pytest.mark.parametrize("objective", ["min-period", "min-area"])
+@pytest.mark.parametrize("name, minimum", [("s27", 6), ("s208", 10)])
+def test_retime_infeasible_period_is_a_one_line_error(
+    name, minimum, objective, s27_path
+):
+    import repro.bench
+
+    path = (
+        s27_path
+        if name == "s27"
+        else str(pathlib.Path(repro.bench.__file__).parent / "iscas89" / "s208.bench")
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["retime", path, "--objective", objective, "--period", "5"])
+    assert exc.value.code == "%s: period 5 is infeasible (minimum period %d)" % (
+        path,
+        minimum,
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tests", "0"), ("--tests", "-2"), ("--cycles", "0"), ("--cycles", "-1")],
+)
+def test_bench_rejects_non_positive_workload_sizes(flag, value, capsys):
+    """An empty workload is a usage error, not a crash or a vacuous run."""
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", flag, value])
+    assert exc.value.code == 2
+    assert "argument %s: must be >= 1" % flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["info", "check"])
+@pytest.mark.parametrize("value", ["-1", "23", "30"])
+def test_max_stg_bits_outside_the_stg_guard_is_rejected(
+    command, value, s27_path, capsys
+):
+    argv = [command, s27_path] + ([s27_path] if command == "check" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--max-stg-bits", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-stg-bits: invalid choice: %s (choose from 0, 1" % value in err
+
+
+def test_info_at_the_stg_guard_skips_an_oversized_stg(tmp_path, capsys):
+    """24 STG bits: over the guard, so ``info`` skips SHE at any
+    accepted ``--max-stg-bits`` instead of raising."""
+    from repro.bench.generators import random_sequential_circuit
+    from repro.netlist.io_bench import write_bench
+
+    path = tmp_path / "wide.bench"
+    path.write_text(
+        write_bench(
+            random_sequential_circuit(0, num_inputs=20, num_gates=30, num_latches=4)
+        )
+    )
+    assert main(["info", str(path), "--max-stg-bits", "22"]) == 0
+    assert "SHE: skipped (state space over 2**22)" in capsys.readouterr().out
+
+
 def test_retime_with_delay_model_and_period(traffic_path, capsys):
     assert main(
         [
@@ -400,18 +458,17 @@ class TestCheckExitCodeMatrix:
         def boom(*args, **kwargs):
             raise SearchBudgetExceeded("forced for the exit-code contract")
 
-        if engine == "sat":
-            import repro.sat
+        import repro.decide
+        import repro.sat.engine
 
-            monkeypatch.setattr(repro.sat, "sat_implies", boom)
+        if engine == "sat":
+            monkeypatch.setattr(repro.sat.engine, "check_implication", boom)
         elif engine == "symbolic":
             from repro.stg.symbolic_replaceability import SymbolicContainmentChecker
 
             monkeypatch.setattr(SymbolicContainmentChecker, "implies", boom)
         else:  # explicit, and auto (which resolves to explicit here)
-            import repro.cli
-
-            monkeypatch.setattr(repro.cli, "extract_stg", boom)
+            monkeypatch.setattr(repro.decide, "extract_stg", boom)
         good, _ = check_pair
         assert main(["--engine", engine, "check", good, good, "--stg"]) == 2
         assert "aborted" in capsys.readouterr().err
@@ -437,6 +494,28 @@ class TestCheckExitCodeMatrix:
         out = capsys.readouterr().out
         assert "certificates: wrote" in out
         assert any(certs.iterdir())
+
+    def test_sat_certificate_blown_budget_is_undecided(
+        self, check_pair, tmp_path, capsys, monkeypatch
+    ):
+        """On a contained pair C ≼ D follows from C ⊑ D, so the bundle
+        runs the ≼ check on its own; if that blows its budget the
+        answer is undecided (2), not a bundle missing its proof."""
+        import repro.sat.engine
+        from repro.stg.replaceability import SearchBudgetExceeded
+
+        def boom(*args, **kwargs):
+            raise SearchBudgetExceeded("forced for the exit-code contract")
+
+        monkeypatch.setattr(repro.sat.engine, "check_safe_replacement", boom)
+        good, _ = check_pair
+        certs = tmp_path / "certs"
+        assert main(
+            ["--engine", "sat", "check", good, good, "--stg",
+             "--certificates", str(certs)]
+        ) == 2
+        assert "aborted" in capsys.readouterr().err
+        assert not certs.exists()
 
     def test_seed_is_logged_in_the_verdict_line(self, check_pair, capsys):
         good, bad = check_pair
