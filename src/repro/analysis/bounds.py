@@ -11,8 +11,11 @@ This module computes that bound on the Leiserson-Saxe retiming graph:
 fuse the two host halves back into the single host vertex of the
 classical model (so PO -> host -> PI paths close cycles, per the
 paper's footnote 4) and maximise the edge-weight sum over simple
-cycles.  Simple-cycle enumeration is exponential in general; the graphs
-here are tiny and :data:`MAX_CYCLES` guards the search.
+cycles.  The cycles are node-simple: parallel edges between two
+vertices make one hop, weighted by the heaviest of them.  They are
+enumerated with Johnson's algorithm, whose time is linear in the
+number of cycles found; that number is exponential in general, so
+:data:`MAX_CYCLES` guards the search.
 
 Consequence made checkable: for any retiming realised by
 :func:`repro.retime.apply.lag_to_moves`, the session's Theorem 4.5 `k`
@@ -22,9 +25,7 @@ verifies on random circuits.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, List, Set
 
 from ..netlist.circuit import Circuit
 from ..retime.graph import HOST, HOST_OUT, RetimingGraph, build_retiming_graph
@@ -34,15 +35,72 @@ __all__ = ["MAX_CYCLES", "max_registers_on_simple_cycle", "retiming_delay_bound"
 MAX_CYCLES = 100_000
 
 
-def _fused_digraph(graph: RetimingGraph) -> nx.MultiDiGraph:
-    g = nx.MultiDiGraph()
-    for vertex in graph.vertices:
-        g.add_node(HOST if vertex == HOST_OUT else vertex)
+def _fused_successors(graph: RetimingGraph) -> Dict[str, Dict[str, int]]:
+    """``u -> {v: heaviest weight of an edge u -> v}`` on the graph with
+    its two host halves fused into one host vertex."""
+    fused = {v: HOST if v == HOST_OUT else v for v in graph.vertices}
+    successors: Dict[str, Dict[str, int]] = {v: {} for v in fused.values()}
     for edge in graph.edges:
-        u = HOST if edge.u == HOST_OUT else edge.u
-        v = HOST if edge.v == HOST_OUT else edge.v
-        g.add_edge(u, v, weight=edge.weight)
-    return g
+        hops = successors[fused[edge.u]]
+        v = fused[edge.v]
+        hops[v] = max(edge.weight, hops.get(v, 0))
+    return successors
+
+
+def _cycles_through(
+    adjacency: Dict[str, Dict[str, int]], start: str
+) -> Iterator[List[str]]:
+    """Johnson's search: every simple cycle through *start*, once each.
+    A vertex stays blocked until a path through it closes a cycle, so
+    no dead end is explored twice."""
+    path = [start]
+    blocked: Set[str] = {start}
+    blocked_by: Dict[str, Set[str]] = {}
+    stack = [iter(adjacency[start])]
+    closed = [False]
+    while stack:
+        for w in stack[-1]:
+            if w == start:
+                yield path[:]
+                closed[-1] = True
+            elif w not in blocked:
+                path.append(w)
+                closed.append(False)
+                stack.append(iter(adjacency[w]))
+                blocked.add(w)
+                break
+        else:
+            stack.pop()
+            v = path.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                unblock = {v}
+                while unblock:
+                    u = unblock.pop()
+                    if u in blocked:
+                        blocked.remove(u)
+                        unblock.update(blocked_by.pop(u, ()))
+            else:
+                for w in adjacency[v]:
+                    blocked_by.setdefault(w, set()).add(v)
+
+
+def _simple_cycles(successors: Dict[str, Dict[str, int]]) -> Iterator[List[str]]:
+    """Every node-simple cycle once, as its vertex sequence: the
+    self-loops, then the cycles through each vertex in turn, which then
+    leaves the graph."""
+    adjacency = {
+        u: {v: w for v, w in hops.items() if v != u} for u, hops in successors.items()
+    }
+    for u, hops in successors.items():
+        if u in hops:
+            yield [u]
+    for start in list(adjacency):
+        yield from _cycles_through(adjacency, start)
+        del adjacency[start]
+        for hops in adjacency.values():
+            hops.pop(start, None)
 
 
 def max_registers_on_simple_cycle(
@@ -53,22 +111,13 @@ def max_registers_on_simple_cycle(
 
     Raises :class:`MemoryError` past *max_cycles* enumerated cycles.
     """
-    g = _fused_digraph(graph)
+    successors = _fused_successors(graph)
     best = 0
-    count = 0
-    for cycle in nx.simple_cycles(g):
-        count += 1
+    for count, cycle in enumerate(_simple_cycles(successors), 1):
         if count > max_cycles:
             raise MemoryError("more than %d simple cycles" % max_cycles)
-        # MultiDiGraph: take the heaviest parallel edge for each hop
-        # (a simple cycle visiting u->v can use any parallel edge).
-        total = 0
-        n = len(cycle)
-        for i in range(n):
-            u, v = cycle[i], cycle[(i + 1) % n]
-            data = g.get_edge_data(u, v)
-            total += max(attrs["weight"] for attrs in data.values())
-        best = max(best, total)
+        hops = zip(cycle, cycle[1:] + cycle[:1])
+        best = max(best, sum(successors[u][v] for u, v in hops))
     return best
 
 

@@ -16,7 +16,7 @@ state).
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..netlist.builder import CircuitBuilder
 from ..netlist.circuit import Circuit

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import obs
 from .analysis.reporting import ascii_table, banner
@@ -68,8 +68,8 @@ from .logic.ternary import format_ternary_sequence, parse_ternary_string, to_ter
 from .netlist.circuit import CircuitError
 from .netlist.io_bench import parse_bench, write_bench
 from .netlist.transform import normalize_fanout
-from .netlist.validate import validate
-from .retime.apply import lag_to_moves, realize
+from .netlist.validate import check_interfaces, validate
+from .retime.apply import lag_to_moves
 from .retime.graph import build_retiming_graph
 from .retime.leiserson_saxe import min_period_retiming
 from .retime.min_area import min_area_retiming
@@ -327,6 +327,10 @@ def cmd_retime(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     original = _load(args.original)
     retimed = _load(args.retimed)
+    try:
+        check_interfaces(original, retimed)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     print(banner("checking %s against %s" % (args.retimed, args.original)))
     sampled = cls_equivalent(
         original, retimed, count=args.samples, length=args.length, seed=args.seed

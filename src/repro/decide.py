@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from .netlist.circuit import Circuit
+from .netlist.validate import check_interfaces
 from .stg.delayed import delay_needed_for_implication, delayed_implies
 from .stg.equivalence import implies as stg_implies
 from .stg.explicit import MAX_STG_BITS, StateSpaceTooLarge, check_stg_size, extract_stg
@@ -216,7 +217,9 @@ def decide(
     ``delayed``; ``engine`` and ``reorder`` default to the process-wide
     ``--engine``/``--reorder`` at call time; ``budget`` caps the search
     (``None``: the engine's default); ``max_stg_bits`` caps the explicit
-    engine's ``latches + inputs``, never past ``MAX_STG_BITS``."""
+    engine's ``latches + inputs``, never past ``MAX_STG_BITS``.  Raises
+    :class:`ValueError` when the circuits' interfaces differ."""
+    check_interfaces(c, d)
     for relation in relations:
         if relation not in RELATIONS:
             raise ValueError(

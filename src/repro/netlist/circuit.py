@@ -30,7 +30,7 @@ snapshots and every analysis that must not mutate takes a copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..logic.functions import CellFunction
 
@@ -179,9 +179,6 @@ class Circuit:
 
     def has_cell(self, name: str) -> bool:
         return name in self._cells
-
-    def has_latch(self, name: str) -> bool:
-        return name in self._latches
 
     def nets(self) -> Tuple[str, ...]:
         """All driven nets."""

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..logic.functions import make_gate
 from .builder import CircuitBuilder
 from .circuit import Circuit, CircuitError
 from .transform import collapse_junctions

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..logic.functions import make_gate
 from .builder import CircuitBuilder
 from .circuit import Circuit
 from .transform import normalize_fanout, sweep_dangling

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..logic.functions import get_function, junction, make_gate
+from ..logic.functions import junction
 from .builder import CircuitBuilder
-from .circuit import Cell, Circuit, CircuitError, Latch
+from .circuit import Circuit, CircuitError
 
 __all__ = [
     "normalize_fanout",

@@ -13,7 +13,9 @@ the simulators and the retiming engine will accept it:
 
 :func:`validate` collects all violations instead of stopping at the
 first, which makes the error messages actually useful when a generator
-or transform goes wrong.
+or transform goes wrong.  :func:`check_interfaces` guards every
+question about a *pair* of circuits: the paper's relations compare two
+machines over one input and one output alphabet.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import List
 
 from .circuit import Circuit, CircuitError
 
-__all__ = ["ValidationError", "validate", "check_normal_form"]
+__all__ = ["ValidationError", "validate", "check_normal_form", "check_interfaces"]
 
 
 class ValidationError(CircuitError):
@@ -95,3 +97,13 @@ def check_normal_form(circuit: Circuit) -> List[str]:
         elif count > 1:
             problems.append("net %r has %d readers (fanout not normalised)" % (net, count))
     return problems
+
+
+def check_interfaces(a: Circuit, b: Circuit) -> None:
+    """Raise :class:`ValueError` unless *a* and *b* have as many primary
+    inputs, and as many primary outputs, as each other."""
+    if len(a.inputs) != len(b.inputs) or len(a.outputs) != len(b.outputs):
+        raise ValueError(
+            "circuits have mismatched interfaces: %d/%d inputs, %d/%d outputs"
+            % (len(a.inputs), len(b.inputs), len(a.outputs), len(b.outputs))
+        )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Union
 
 from ..netlist.io_bench import parse_bench, write_bench
 from ..netlist.transform import normalize_fanout

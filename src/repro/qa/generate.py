@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..bench.generators import random_sequential_circuit
 from ..netlist.circuit import Circuit
-from ..retime.engine import RetimingSession, replay_moves
+from ..retime.engine import RetimingSession
 from ..retime.moves import Direction, RetimingMove, enabled_moves
 
 __all__ = ["Recipe", "Case", "build_case", "random_recipe", "moves_to_json", "moves_from_json"]

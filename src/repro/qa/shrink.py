@@ -28,7 +28,7 @@ netlist or makes the disagreement vanish.
 from __future__ import annotations
 
 import re
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from ..netlist.circuit import Circuit
 from ..netlist.io_bench import parse_bench, write_bench

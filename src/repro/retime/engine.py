@@ -19,8 +19,8 @@ of the net count per non-justifiable element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE

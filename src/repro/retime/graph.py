@@ -24,7 +24,7 @@ buffers free).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..netlist.circuit import Circuit
@@ -117,12 +117,6 @@ class RetimingGraph:
     def num_registers(self) -> int:
         """Total latches: the sum of edge weights."""
         return sum(edge.weight for edge in self.edges)
-
-    def out_edges(self, vertex: str) -> Tuple[RetimingEdge, ...]:
-        return tuple(edge for edge in self.edges if edge.u == vertex)
-
-    def in_edges(self, vertex: str) -> Tuple[RetimingEdge, ...]:
-        return tuple(edge for edge in self.edges if edge.v == vertex)
 
     def is_legal_lag(self, lag: Mapping[str, int]) -> bool:
         """Every retimed edge weight non-negative and host lags 0."""

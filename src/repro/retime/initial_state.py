@@ -26,11 +26,11 @@ model (no initial states at all) dissolves the problem entirely.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..logic.justifiability import justify
 from ..netlist.circuit import Circuit
-from .engine import AppliedMove, RetimingSession
+from .engine import RetimingSession
 from .moves import Direction
 
 __all__ = ["InitialStateError", "propagate_initial_state"]

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from ..obs.trace import traced as _traced
 from .graph import HOST, HOST_OUT, HOST_VERTICES, RetimingGraph
@@ -65,6 +63,11 @@ def min_area_retiming(
     Raises :class:`ValueError` if *period* is infeasible for any
     retiming of the graph.
     """
+    # scipy is imported here, not at module scope: this LP is its only
+    # user, and a process that never retimes should not pay for it.
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
     free = np.array([v not in HOST_VERTICES for v in graph.vertices])
     n = int(free.sum())
 

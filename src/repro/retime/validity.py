@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..decide import decide
 from ..logic.ternary import ONE, T, X, ZERO
 from ..netlist.circuit import Circuit
+from ..netlist.validate import check_interfaces
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
 from ..sim.ternary_multi import BatchedTernarySimulator
@@ -126,7 +127,9 @@ def first_cls_difference(
 
     Every sequence runs through the batched dual-rail simulator (one
     compiled lane-mask pass per cycle for all sequences of one length).
+    Raises :class:`ValueError` when the circuits' interfaces differ.
     """
+    check_interfaces(original, retimed)
     if sequences is None:
         sequences = random_ternary_sequences(len(original.inputs), **kwargs)
     sequences = list(sequences)

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import os
 from itertools import product
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..netlist.circuit import Circuit
 from ..netlist.io_bench import write_bench
+from ..netlist.validate import check_interfaces
 from ..sim.compiled import (
     OP_AND,
     OP_BUF,
@@ -48,7 +49,7 @@ from ..sim.compiled import (
 )
 from .engine import SatResult
 from .miter import CLSMiter, ImplicationMiter, SafeReplacementMiter, _int_bits
-from .witness import WitnessTrace, witness_to_json
+from .witness import witness_to_json
 
 __all__ = ["export_dimacs", "export_smv", "write_bundle"]
 
@@ -197,8 +198,7 @@ def export_smv(c: Circuit, d: Circuit) -> str:
     copies mismatched", which holds iff ``C ≼ D`` -- a model checker's
     answer cross-checks the bounded CNF verdicts with no frame cap.
     """
-    if len(c.inputs) != len(d.inputs) or len(c.outputs) != len(d.outputs):
-        raise ValueError("machines have mismatched interfaces")
+    check_interfaces(c, d)
     lines: List[str] = [
         "-- repro.sat safe-replacement miter: %s (C) vs %s (D)" % (c.name, d.name),
         "-- The LTLSPEC holds iff C is a safe replacement for D (C ≼ D).",

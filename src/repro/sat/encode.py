@@ -35,7 +35,6 @@ from ..sim.compiled import (
     OP_BUF,
     OP_CONST0,
     OP_CONST1,
-    OP_GENERIC,
     OP_JUNC,
     OP_MUX,
     OP_NAND,

@@ -35,18 +35,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..logic.ternary import T
 from ..netlist.circuit import Circuit
+from ..netlist.validate import check_interfaces
 from .cnf import CNF
 from .encode import CircuitEncoder, Rails, decode_rails, tseitin_or, tseitin_xor
 
 __all__ = ["SafeReplacementMiter", "ImplicationMiter", "CLSMiter"]
-
-
-def _check_interfaces(c: Circuit, d: Circuit) -> None:
-    if len(c.inputs) != len(d.inputs) or len(c.outputs) != len(d.outputs):
-        raise ValueError(
-            "machines have mismatched interfaces: %d/%d inputs, %d/%d outputs"
-            % (len(c.inputs), len(d.inputs), len(c.outputs), len(d.outputs))
-        )
 
 
 def _int_bits(value: int, width: int) -> List[bool]:
@@ -68,7 +61,7 @@ class _MiterBase:
     kind = "miter"
 
     def __init__(self, c: Circuit, d: Circuit, frames: int) -> None:
-        _check_interfaces(c, d)
+        check_interfaces(c, d)
         if frames < 1:
             raise ValueError("a miter needs at least one frame")
         self.c_circuit = c

@@ -20,7 +20,7 @@ import asyncio
 import json
 import socket
 import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .server import ReproServer
 

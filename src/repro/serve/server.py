@@ -39,14 +39,14 @@ import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .. import obs
 from ..decide import ENGINES, decide, get_default_engine
 from ..netlist.circuit import Circuit
 from ..netlist.io_bench import parse_bench
 from ..netlist.transform import normalize_fanout
-from ..netlist.validate import validate
+from ..netlist.validate import check_interfaces, validate
 from ..retime.graph import build_retiming_graph
 from ..retime.leiserson_saxe import min_period_retiming
 from ..retime.validity import first_difference, random_ternary_sequences
@@ -179,12 +179,10 @@ class CircuitRegistry:
 
 
 def _check_interfaces(a: Circuit, b: Circuit) -> None:
-    if len(a.inputs) != len(b.inputs) or len(a.outputs) != len(b.outputs):
-        raise RequestError(
-            "bad-request",
-            "circuits have mismatched interfaces: %d/%d inputs, %d/%d outputs"
-            % (len(a.inputs), len(b.inputs), len(a.outputs), len(b.outputs)),
-        )
+    try:
+        check_interfaces(a, b)
+    except ValueError as exc:
+        raise RequestError("bad-request", str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +280,6 @@ class ReproServer:
     async def wait_closed(self) -> None:
         """Block until a graceful shutdown has fully completed."""
         await self._closed.wait()
-
-    async def serve_forever(self) -> None:
-        """Run until a ``shutdown`` request (or :meth:`shutdown`)."""
-        if self._server is None:
-            await self.start()
-        await self.wait_closed()
 
     async def shutdown(self) -> None:
         """Graceful shutdown: stop accepting, drain in-flight requests,

@@ -15,20 +15,15 @@ value      can0   can1
 (``(0, 0)`` is unused.)  The per-cell exact ternary functions of the
 standard library have closed dual-rail forms -- e.g. for AND,
 ``can1 = a.can1 & b.can1`` and ``can0 = a.can0 | b.can0`` -- which are
-plain vectorised boolean algebra.  Each numpy lane carries one
-independent simulation, so a whole batch of CLS runs costs one pass.
+plain vectorised boolean algebra.  Each lane carries one independent
+simulation, so a whole batch of CLS runs costs one pass.
 
-Exactness per cell (agreement with
-:meth:`~repro.logic.functions.CellFunction.eval_ternary`) is verified
-lane-by-lane in the test-suite; exotic cells fall back to scalar
-evaluation per lane.
-
-Since the compile-once refactor the simulator itself delegates to the
-lane-parallel core in :mod:`repro.sim.compiled` (same dual-rail
-algebra over integer lane masks, one mask per rail); the per-cell
-helpers below remain as the executable specification of the encoding
-and keep the ndarray rail interface for callers.  Packing and
-unpacking happen column-wise per net, never lane by lane.
+The simulator delegates to the lane-parallel core in
+:mod:`repro.sim.compiled` (the same dual-rail algebra over integer lane
+masks, one mask per rail) and keeps the ndarray rail interface for
+callers.  Packing and unpacking happen column-wise per net, never lane
+by lane.  The per-cell ndarray forms, the executable specification of
+the encoding, live with the test suite (``tests/dual_rail.py``).
 """
 
 from __future__ import annotations
@@ -67,94 +62,6 @@ def decode_ternary(rail: Rail) -> Tuple[T, ...]:
         else:
             raise ValueError("invalid dual-rail encoding (0, 0)")
     return tuple(out)
-
-
-def _and_all(rails: List[Rail]) -> Rail:
-    can0 = rails[0][0].copy()
-    can1 = rails[0][1].copy()
-    for c0, c1 in rails[1:]:
-        can0 |= c0
-        can1 &= c1
-    return can0, can1
-
-
-def _or_all(rails: List[Rail]) -> Rail:
-    can0 = rails[0][0].copy()
-    can1 = rails[0][1].copy()
-    for c0, c1 in rails[1:]:
-        can0 &= c0
-        can1 |= c1
-    return can0, can1
-
-
-def _not(rail: Rail) -> Rail:
-    return rail[1], rail[0]
-
-
-def _xor_all(rails: List[Rail]) -> Rail:
-    can0, can1 = rails[0]
-    can0, can1 = can0.copy(), can1.copy()
-    for b0, b1 in rails[1:]:
-        new_can1 = (can1 & b0) | (can0 & b1)
-        new_can0 = (can0 & b0) | (can1 & b1)
-        can0, can1 = new_can0, new_can1
-    return can0, can1
-
-
-def _mux(select: Rail, when0: Rail, when1: Rail) -> Rail:
-    s0, s1 = select
-    can1 = (s1 & when1[1]) | (s0 & when0[1])
-    can0 = (s1 & when1[0]) | (s0 & when0[0])
-    return can0, can1
-
-
-def _eval_cell(function, inputs: List[Rail], batch: int) -> List[Rail]:
-    family = function.name.rstrip("0123456789")
-    if family == "AND":
-        return [_and_all(inputs)]
-    if family == "OR":
-        return [_or_all(inputs)]
-    if family == "NAND":
-        return [_not(_and_all(inputs))]
-    if family == "NOR":
-        return [_not(_or_all(inputs))]
-    if family == "XOR":
-        return [_xor_all(inputs)]
-    if family == "XNOR":
-        return [_not(_xor_all(inputs))]
-    if family == "NOT":
-        return [_not(inputs[0])]
-    if family == "BUF":
-        return [(inputs[0][0].copy(), inputs[0][1].copy())]
-    if family == "JUNC":
-        return [
-            (inputs[0][0].copy(), inputs[0][1].copy())
-            for _ in range(function.n_outputs)
-        ]
-    if family == "CONST":
-        one = function.name.endswith("1")
-        return [
-            (
-                np.full(batch, not one, dtype=bool),
-                np.full(batch, one, dtype=bool),
-            )
-        ]
-    if family == "MUX":
-        return [_mux(inputs[0], inputs[1], inputs[2])]
-    # Scalar fallback.
-    outputs: List[Rail] = [
-        (np.empty(batch, dtype=bool), np.empty(batch, dtype=bool))
-        for _ in range(function.n_outputs)
-    ]
-    for lane in range(batch):
-        scalar_in = decode_ternary(
-            ([rail[0][lane] for rail in inputs], [rail[1][lane] for rail in inputs])
-        )
-        scalar_out = function.eval_ternary(scalar_in)
-        for pin, value in enumerate(scalar_out):
-            outputs[pin][0][lane] = value is not ONE
-            outputs[pin][1][lane] = value is not ZERO
-    return outputs
 
 
 class BatchedTernarySimulator:

@@ -16,7 +16,7 @@ number of registers in any simple cycle).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from .equivalence import joint_equivalence_classes
 from .explicit import STG

@@ -16,9 +16,8 @@ handful of latches.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 

@@ -83,6 +83,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..logic.bdd import BDD, BDDManager, REORDER_MODES
 from ..netlist.circuit import Circuit
+from ..netlist.validate import check_interfaces
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
 from .replaceability import SafeReplacementViolation, SearchBudgetExceeded
@@ -154,14 +155,6 @@ def __getattr__(name: str):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-def _check_interfaces(c: Circuit, d: Circuit) -> None:
-    if len(c.inputs) != len(d.inputs) or len(c.outputs) != len(d.outputs):
-        raise ValueError(
-            "machines have mismatched interfaces: %d/%d inputs, %d/%d outputs"
-            % (len(c.inputs), len(d.inputs), len(c.outputs), len(d.outputs))
-        )
-
-
 def _publish_bdd_stats(manager: BDDManager) -> None:
     """Fold the manager's per-operation counters into the tracer."""
     if _TRACE.enabled:
@@ -213,7 +206,7 @@ class SymbolicContainmentChecker:
         partitioned: object = "auto",
         node_budget: Optional[int] = None,
     ) -> None:
-        _check_interfaces(c, d)
+        check_interfaces(c, d)
         self.c = c
         self.d = d
         self.reorder = resolve_reorder(reorder)

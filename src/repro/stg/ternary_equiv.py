@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..logic.ternary import ONE, T, X, ZERO, format_ternary_sequence
 from ..netlist.circuit import Circuit
+from ..netlist.validate import check_interfaces
 from ..sim.compiled import compile_circuit
 from ..sim.ternary_sim import all_x_state
 from .replaceability import SearchBudgetExceeded
@@ -105,17 +106,7 @@ def decide_cls_equivalence(
     workloads in this repository, but the bound keeps adversarial
     inputs from hanging a run).
     """
-    if len(c.inputs) != len(d.inputs):
-        raise ValueError(
-            "circuits have different input counts (%d vs %d)"
-            % (len(c.inputs), len(d.inputs))
-        )
-    if len(c.outputs) != len(d.outputs):
-        raise ValueError(
-            "circuits have different output counts (%d vs %d)"
-            % (len(c.outputs), len(d.outputs))
-        )
-
+    check_interfaces(c, d)
     sim_c = compile_circuit(c)
     sim_d = compile_circuit(d)
     symbols = _ternary_symbols(len(c.inputs))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -89,15 +90,16 @@ def _every_vertex_host_fed(circuit):
     no simple-cycle weight bounds its k.
     """
     graph = build_retiming_graph(circuit)
-    g = nx.DiGraph()
-    g.add_nodes_from(
-        HOST if v == HOST_OUT else v for v in graph.vertices
-    )
-    g.add_edges_from(
-        (HOST if e.u == HOST_OUT else e.u, HOST if e.v == HOST_OUT else e.v)
-        for e in graph.edges
-    )
-    return len(nx.descendants(g, HOST)) == g.number_of_nodes() - 1
+    fused = {v: HOST if v == HOST_OUT else v for v in graph.vertices}
+    successors = {v: set() for v in fused.values()}
+    for e in graph.edges:
+        successors[fused[e.u]].add(fused[e.v])
+    reached, frontier = {HOST}, deque([HOST])
+    while frontier:
+        for v in successors[frontier.popleft()] - reached:
+            reached.add(v)
+            frontier.append(v)
+    return len(reached) == len(successors)
 
 
 @settings(deadline=None, max_examples=10)
@@ -118,3 +120,66 @@ def test_theorem45_k_never_exceeds_structural_bound(seed, steps):
             break
         session.apply(rng.choice(moves))
     assert session.theorem45_k <= bound, session.summary()
+
+
+# ---------------------------------------------------------------------------
+# The in-repo cycle enumeration against networkx's, as an oracle.
+# ---------------------------------------------------------------------------
+
+
+def _networkx_bound(graph):
+    """``(bound, cycles)`` the way the bound was first computed: a fused
+    ``nx.MultiDiGraph``, ``nx.simple_cycles``, the heaviest parallel
+    edge per hop."""
+    fused = {v: HOST if v == HOST_OUT else v for v in graph.vertices}
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(fused.values())
+    for e in graph.edges:
+        g.add_edge(fused[e.u], fused[e.v], weight=e.weight)
+    best = count = 0
+    for cycle in nx.simple_cycles(g):
+        count += 1
+        hops = zip(cycle, cycle[1:] + cycle[:1])
+        parallels = (g.get_edge_data(u, v).values() for u, v in hops)
+        best = max(best, sum(max(d["weight"] for d in edges) for edges in parallels))
+    return best, count
+
+
+def test_one_cycle_per_node_sequence():
+    """Parallel a->b edges and a doubled self-loop on a are still the two
+    cycles networkx yields, [a] and [a, b]."""
+    g = RetimingGraph(
+        vertices=("a", "b"),
+        edges=(
+            RetimingEdge("a", "a", 1, sink_pin=0),
+            RetimingEdge("a", "a", 2, sink_pin=1),
+            RetimingEdge("a", "b", 1, sink_pin=0),
+            RetimingEdge("a", "b", 4, sink_pin=1),
+            RetimingEdge("b", "a", 0, sink_pin=2),
+        ),
+    )
+    assert _networkx_bound(g) == (4, 2)
+    assert max_registers_on_simple_cycle(g, max_cycles=2) == 4
+    with pytest.raises(MemoryError):
+        max_registers_on_simple_cycle(g, max_cycles=1)
+
+
+def test_cycle_enumeration_matches_networkx_on_random_multigraphs():
+    """Same bound, and the guard trips at the same cycle count, on random
+    multigraphs with parallel edges, self-loops and both host halves."""
+    rng = random.Random(0)
+    for _ in range(300):
+        vertices = ("a", "b", "c", "d", "e", "f")[: rng.randint(1, 6)]
+        ends = vertices + (HOST, HOST_OUT)
+        edges = tuple(
+            RetimingEdge(
+                rng.choice(ends), rng.choice(ends), rng.randint(0, 3), sink_pin=i
+            )
+            for i in range(rng.randint(0, 20))
+        )
+        g = RetimingGraph(vertices=vertices, edges=edges)
+        bound, cycles = _networkx_bound(g)
+        assert max_registers_on_simple_cycle(g, max_cycles=cycles) == bound
+        if cycles:
+            with pytest.raises(MemoryError):
+                max_registers_on_simple_cycle(g, max_cycles=cycles - 1)

@@ -67,24 +67,32 @@ def test_cross_manager_operations_rejected():
 # ---------------------------------------------------------------------------
 
 
-def _random_formula(m, variables, draw):
-    """Build a random formula and a matching Python evaluator."""
-    choice = draw(st.integers(0, 6))
+#: How deep a random formula may nest.  A node has one operand on
+#: average (three binary operators, one unary, three leaves among seven
+#: choices), so an unbounded draw has no finite expected size and only
+#: hypothesis's buffer limit would end it.
+FORMULA_DEPTH = 6
+
+
+def _random_formula(m, variables, draw, depth=FORMULA_DEPTH):
+    """Build a random formula, nested at most *depth* deep, and a
+    matching Python evaluator."""
+    choice = draw(st.integers(0, 6 if depth else 2))
     if choice == 0 or not variables:
         value = draw(st.booleans())
         return m.constant(value), (lambda env, _v=value: _v)
     if choice in (1, 2):
         name = draw(st.sampled_from(variables))
         return m.variable(name), (lambda env, _n=name: env[_n])
-    left, left_fn = _random_formula(m, variables, draw)
-    right, right_fn = _random_formula(m, variables, draw)
+    left, left_fn = _random_formula(m, variables, draw, depth - 1)
+    if choice == 6:
+        return ~left, (lambda env: not left_fn(env))
+    right, right_fn = _random_formula(m, variables, draw, depth - 1)
     if choice == 3:
         return left & right, (lambda env: left_fn(env) and right_fn(env))
     if choice == 4:
         return left | right, (lambda env: left_fn(env) or right_fn(env))
-    if choice == 5:
-        return left ^ right, (lambda env: left_fn(env) != right_fn(env))
-    return ~left, (lambda env: not left_fn(env))
+    return left ^ right, (lambda env: left_fn(env) != right_fn(env))
 
 
 @settings(deadline=None, max_examples=25)

@@ -219,6 +219,20 @@ def test_first_cls_difference_on_a_ragged_batch():
     assert first_cls_difference(buf, inv, sequences) == expected
 
 
+def test_first_cls_difference_rejects_mismatched_interfaces():
+    """Outputs of circuits with different interfaces are not comparable:
+    no ``(0, 0)`` difference and no agreement, but a ``ValueError``."""
+    from repro.netlist.io_bench import parse_bench
+
+    s27 = load("s27")
+    comb = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
+    for original, retimed in ((s27, comb), (comb, s27)):
+        with pytest.raises(ValueError, match="mismatched interfaces"):
+            first_cls_difference(original, retimed)
+        with pytest.raises(ValueError, match="mismatched interfaces"):
+            cls_equivalent(original, retimed)
+
+
 def test_strict_latch_reset_transfer_fails_but_outputs_agree():
     """The strict all-latches-definite reading of Cor 5.3's reset
     sentence is NOT invariant: a backward move can leave an X parked in

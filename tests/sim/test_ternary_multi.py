@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dual_rail import eval_cell
 from repro.bench.generators import random_sequential_circuit
 from repro.bench.paper_circuits import figure1_design_c, figure1_design_d
 from repro.logic.functions import AND, MUX, NOT, OR, XNOR, XOR, junction, make_gate
@@ -16,7 +17,6 @@ from repro.sim.ternary_multi import (
     decode_ternary,
     encode_ternary,
 )
-from repro.sim.ternary_multi import _eval_cell  # noqa: PLC2701 - white-box
 from repro.sim.ternary_sim import TernarySimulator, all_x_state, cls_outputs
 
 ternary = st.sampled_from((ZERO, ONE, X))
@@ -45,7 +45,7 @@ def test_dual_rail_cell_evaluators_are_exact(fn):
     rails = [
         encode_ternary([vec[pin] for vec in vectors]) for pin in range(fn.n_inputs)
     ]
-    out_rails = _eval_cell(fn, rails, batch)
+    out_rails = eval_cell(fn, rails, batch)
     for pin in range(fn.n_outputs):
         got = decode_ternary(out_rails[pin])
         for lane, vec in enumerate(vectors):
@@ -58,7 +58,7 @@ def test_scalar_fallback_for_exotic_cells():
     maj = CellFunction("MAJ", 3, 1, lambda v: (sum(v) >= 2,))
     vectors = list(all_ternary_vectors(3))
     rails = [encode_ternary([vec[pin] for vec in vectors]) for pin in range(3)]
-    out = decode_ternary(_eval_cell(maj, rails, len(vectors))[0])
+    out = decode_ternary(eval_cell(maj, rails, len(vectors))[0])
     for lane, vec in enumerate(vectors):
         assert out[lane] is maj.eval_ternary(vec)[0]
 

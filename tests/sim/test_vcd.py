@@ -9,7 +9,8 @@ from repro.bench.paper_circuits import TABLE1_INPUT_SEQUENCE, figure1_design_d
 from repro.logic.ternary import ONE, X, ZERO, to_ternary
 from repro.sim.binary import BinarySimulator
 from repro.sim.ternary_sim import TernarySimulator, all_x_state
-from repro.sim.vcd import parse_vcd, trace_to_vcd
+from repro.sim.vcd import trace_to_vcd
+from vcd_reader import parse_vcd
 
 
 def binary_trace():

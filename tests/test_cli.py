@@ -348,6 +348,37 @@ def test_retime_infeasible_period_is_a_one_line_error(
     )
 
 
+#: One input, one output, no latch: an interface s27 does not share.
+COMB_BENCH = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n"
+
+
+@pytest.mark.parametrize("order", ["s27-first", "comb-first"])
+@pytest.mark.parametrize(
+    "engine, extra",
+    [
+        ("auto", []),
+        ("auto", ["--exhaustive"]),
+        ("explicit", ["--stg"]),
+        ("symbolic", ["--stg"]),
+        ("sat", ["--stg"]),
+    ],
+)
+def test_check_rejects_mismatched_interfaces(order, engine, extra, s27_path, tmp_path):
+    """A pair whose interfaces differ has no verdict to give: ``check``
+    exits with serve's one-line message before any sampling, whichever
+    side is which and whichever engine would have run."""
+    comb = tmp_path / "comb.bench"
+    comb.write_text(COMB_BENCH)
+    pair = [s27_path, str(comb)]
+    counts = "4/1 inputs, 1/1 outputs"
+    if order == "comb-first":
+        pair.reverse()
+        counts = "1/4 inputs, 1/1 outputs"
+    with pytest.raises(SystemExit) as exc:
+        main(["--engine", engine, "check", *pair, *extra])
+    assert exc.value.code == "circuits have mismatched interfaces: " + counts
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--tests", "0"), ("--tests", "-2"), ("--cycles", "0"), ("--cycles", "-1")],

@@ -15,6 +15,7 @@ import pathlib
 import pytest
 
 from repro.bench.generators import random_sequential_circuit
+from repro.bench.iscas import load
 from repro.bench.paper_circuits import figure1_design_c, figure1_design_d
 from repro.cli import main
 from repro.decide import (
@@ -25,7 +26,7 @@ from repro.decide import (
     resolve_engine,
     set_default_engine,
 )
-from repro.netlist.io_bench import write_bench
+from repro.netlist.io_bench import parse_bench, write_bench
 from repro.serve import ServeClient, start_background_server
 from repro.stg.replaceability import SearchBudgetExceeded, decide_safe_replacement
 
@@ -288,6 +289,16 @@ def test_budget_of_one_is_undecided(engine, client):
         "message": 'undecided: %s (retry with a bigger "budget" or the '
         "symbolic engine)" % BUDGET_MESSAGES[engine],
     }
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_mismatched_interfaces_are_one_error_on_every_engine(engine):
+    comb = parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
+    with pytest.raises(ValueError) as exc:
+        decide(load("s27"), comb, "implies", engine=engine)
+    assert str(exc.value) == (
+        "circuits have mismatched interfaces: 4/1 inputs, 1/1 outputs"
+    )
 
 
 def test_verdict_json_for_an_undecided_answer():
