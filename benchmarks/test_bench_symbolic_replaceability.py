@@ -128,7 +128,7 @@ def test_bench_symbolic_self_pair_12_latches(benchmark):
 
 def test_engines_report_obs_counters():
     """Both engines surface their work through ``repro.obs`` so
-    ``repro bench --report`` can attribute containment cost."""
+    ``repro --report FILE check --stg`` can attribute containment cost."""
     c, d = figure1_design_c(), figure1_design_d()
     with obs.timed("containment") as run:
         SymbolicContainmentChecker(c, d).find_violation()

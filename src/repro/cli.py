@@ -32,9 +32,6 @@ Subcommands:
 ``atpg``        generate a stuck-at test set
 ``redundancy``  CLS-invariant redundancy removal (Section 6 program)
 ``paper``       replay the paper's Figure 1 story on the console
-``bench``       run a standard compile/simulate/retime/fault workload
-                with tracing always on (the before/after artefact for
-                performance work; pair with ``--report``)
 ``serve``       run the persistent verification service: circuits and
                 compiled programs stay resident across
                 newline-delimited JSON requests over TCP or a unix
@@ -435,84 +432,6 @@ def cmd_atpg(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """The standard instrumented workload: compile, simulate, retime,
-    fault-grade one circuit.  ``main`` turns tracing on for this command
-    unconditionally, so each phase below lands in the report; perf PRs
-    diff the ``--report`` JSON of two checkouts."""
-    import random as random_mod
-
-    from .bench.generators import random_sequential_circuit
-    from .retime.apply import lag_to_moves
-    from .sim.compiled import compile_circuit
-    from .sim.fault import FaultSimulator
-
-    if args.circuit:
-        circuit = _load(args.circuit)
-    else:
-        circuit = random_sequential_circuit(
-            args.seed, num_inputs=3, num_gates=24, num_latches=5, name="bench-rnd"
-        )
-    rng = random_mod.Random(args.seed)
-    width = len(circuit.inputs)
-    print(banner("bench workload on %s" % circuit.name))
-
-    with obs.span("compile"):
-        compiled = compile_circuit(circuit)
-    print(
-        "compile:       %d ops, %d latches"
-        % (len(compiled.ops), circuit.num_latches)
-    )
-
-    with obs.span("simulate"):
-        tests = [
-            tuple(
-                tuple(rng.random() < 0.5 for _ in range(width))
-                for _ in range(args.cycles)
-            )
-            for _ in range(args.tests)
-        ]
-        cls_trace = TernarySimulator(circuit).run_from_unknown(tests[0])
-        exact = exact_outputs(circuit, tests[0])
-    print(
-        "simulate:      %d cycles CLS + exact sweep of %d power-up states"
-        % (len(cls_trace), 1 << circuit.num_latches)
-    )
-
-    with obs.span("retime"):
-        graph = build_retiming_graph(circuit)
-        minp = min_period_retiming(graph)
-        session = lag_to_moves(circuit, minp.lag)
-    print(
-        "retime:        period %d -> %d in %d moves"
-        % (minp.original_period, minp.period, len(session.history))
-    )
-
-    with obs.span("containment"):
-        (safe,) = decide(session.current, circuit, "safe")
-    if safe.undecided:
-        print(
-            "containment:   undecided -- %s (retry with --engine symbolic "
-            "or a bigger budget)" % safe.message
-        )
-    else:
-        print(
-            "containment:   retimed ≼ original: %s (%s engine)"
-            % (safe.holds, safe.engine)
-        )
-
-    with obs.span("fault-grading"):
-        simulator = FaultSimulator(circuit, semantics="cls")
-        verdicts = simulator.run_test_set(tests)
-    detected = sum(1 for v in verdicts.values() if v is not None)
-    print(
-        "fault-grading: %d/%d faults detected by %d random tests"
-        % (detected, len(verdicts), len(tests))
-    )
-    del exact
-    return 0
-
-
 def cmd_paper(args: argparse.Namespace) -> int:
     from .bench.paper_circuits import TABLE1_INPUT_SEQUENCE, figure1_design_c, figure1_design_d
     from .sim.ternary_sim import cls_outputs
@@ -544,8 +463,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             unix_socket=args.socket,
             budget=args.budget,
-            batch_window_s=args.batch_window / 1e3,
-            batch_max_lanes=args.batch_lanes,
             service_report_path=args.service_report,
         )
         await server.start()
@@ -718,30 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_paper)
 
     p = sub.add_parser(
-        "bench",
-        help="run the standard instrumented workload (tracing always on)",
-    )
-    p.add_argument(
-        "circuit",
-        nargs="?",
-        default=None,
-        help="circuit to exercise (default: a built-in random circuit)",
-    )
-    p.add_argument(
-        "--cycles", type=_positive_int, default=16, help="cycles per test sequence"
-    )
-    p.add_argument(
-        "--tests", type=_positive_int, default=4, help="random test sequences"
-    )
-    p.add_argument("--seed", type=int, default=0)
-    # Convenience copies of the global flags, so `repro bench --report
-    # out.json` works without flag-before-subcommand gymnastics.
-    # SUPPRESS keeps an omitted copy from clobbering the global value.
-    p.add_argument("--trace", action="store_true", default=argparse.SUPPRESS)
-    p.add_argument("--report", metavar="FILE.json", default=argparse.SUPPRESS)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser(
         "serve",
         help="run the persistent verification service (NDJSON over "
         "TCP/unix socket; see docs/SERVICE.md)",
@@ -764,21 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default search budget for containment/equivalence "
         "analyses (per-request \"budget\" overrides; exhaustion "
         "answers a budget-exceeded envelope, not a crash)",
-    )
-    p.add_argument(
-        "--batch-window",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="how long the micro-batcher holds the first sweep of a "
-        "batch waiting for compatible company (milliseconds)",
-    )
-    p.add_argument(
-        "--batch-lanes",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="flush a pending batch early at this many lanes",
     )
     p.add_argument(
         "--service-report",
@@ -835,10 +713,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.reorder is not None:
         set_default_reorder(args.reorder)
 
-    trace = bool(getattr(args, "trace", False))
-    report_path = getattr(args, "report", None)
-    # `bench` exists to produce a report, so it always records.
-    observe = trace or report_path is not None or args.command == "bench"
+    trace = args.trace
+    report_path = args.report
+    observe = trace or report_path is not None
     if observe:
         obs.reset()
         obs.enable(command=args.command)
@@ -854,8 +731,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("wrote %s" % report_path, file=sys.stderr)
         if trace:
             print(run_report.summary(), file=sys.stderr)
-        elif args.command == "bench" and not report_path:
-            print(run_report.summary())
         obs.reset()
     return status
 

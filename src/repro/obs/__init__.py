@@ -24,8 +24,8 @@ Usage -- benchmarks (state-isolated)::
 
 Usage -- CLI: the global ``--trace`` (summary to stderr) and
 ``--report FILE.json`` flags go before any subcommand, e.g.
-``python -m repro --trace paper``; ``python -m repro bench`` emits a
-report for a standard compile/simulate/retime/fault workload.
+``python -m repro --trace paper`` or ``python -m repro --report
+run.json check ORIGINAL RETIMED --stg``.
 
 **Overhead contract**: with tracing disabled (the default) every
 instrumentation site reduces to a single attribute check

@@ -7,9 +7,9 @@ reports as CI artefacts and perf PRs can diff before/after runs::
 
     {
       "schema": 1,
-      "meta":     {"label": "bench", "command": "bench", ...},
-      "counters": {"compile.circuits": 3, "sim.compiled.binary.cycles": 40, ...},
-      "spans":    [{"path": "bench/compile", "count": 3,
+      "meta":     {"command": "check", ...},
+      "counters": {"compile.circuits": 2, "sim.compiled.binary.cycles": 4, ...},
+      "spans":    [{"path": "stg.extract/compile.codegen", "count": 2,
                     "total_s": 0.0021, "min_s": ..., "max_s": ...}, ...]
     }
 
@@ -34,8 +34,8 @@ SCHEMA_VERSION = 1
 class SpanStats:
     """Aggregate timing of every entry of one span path.
 
-    ``path`` encodes nesting: ``"cli.bench/retime"`` is the ``retime``
-    span opened while ``cli.bench`` was active.
+    ``path`` encodes nesting: ``"stg.extract/compile.codegen"`` is the
+    ``compile.codegen`` span opened while ``stg.extract`` was active.
     """
 
     path: str

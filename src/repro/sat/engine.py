@@ -1,10 +1,10 @@
 """The bounded-containment driver: paper verdicts out of miters + CDCL.
 
-The three checks deepen a miter frame by frame and stop at the first
-satisfiable depth (so extracted witnesses have **minimal length**, the
-same guarantee the explicit BFS and the symbolic frontier chain give) or
-at a *completeness bound* -- a frame count at which UNSAT proves the
-property outright:
+Each check unrolls a miter to growing depths and stops at a
+satisfiable one or at a *completeness bound* -- a frame count at which
+UNSAT proves the property outright.  ``≼`` and CLS witnesses have
+**minimal length**, the same guarantee the explicit BFS and the symbolic
+frontier chain give:
 
 * ``Cᵏ ⊑ D`` (:func:`check_implication`): state equivalence of machines
   with ``N_C`` / ``N_D`` states is settled by input words of length
@@ -19,7 +19,10 @@ property outright:
   the only ones that need the full unroll.
 * CLS difference (:func:`check_cls_equivalence`): the product of the
   two three-valued machines has at most ``3**(n_c+n_d)`` states
-  reachable from all-X, bounding the first differing cycle.
+  reachable from all-X, bounding the first differing cycle.  The miter
+  asserts a difference at *any* of its frames, so satisfiability is
+  monotone in depth: the check solves at depths 1, 2 and its frame cap
+  only, and bisects a satisfiable depth down to the least one.
 
 A check either returns a definitive :class:`SatResult` or raises
 :class:`~repro.stg.replaceability.SearchBudgetExceeded` -- the SAT
@@ -171,16 +174,17 @@ def _finish(result: SatResult, budget: _Budget) -> SatResult:
 
 
 def _deepening_schedule(limit: int) -> List[int]:
-    """1, 2, *limit*: shallow probes for quick refutations, then the
-    completeness depth.
+    """1, 2, *limit* (those of them within 1..*limit*): shallow probes
+    for quick refutations, then the completeness depth.
 
-    Implication refutations need no minimal-length guarantee (each
-    per-D-state experiment is independent), so intermediate depths --
-    each an UNSAT proof the solver must complete when the property
-    holds -- are pure overhead beyond a cheap probe for the common
-    shallow-counterexample case.
+    Intermediate depths -- each an UNSAT proof the solver must complete
+    when the property holds -- are pure overhead beyond a cheap probe
+    for the common shallow-counterexample case.  Implication
+    refutations need no minimal-length guarantee (each per-D-state
+    experiment is independent); the CLS check bisects a satisfiable
+    depth for its minimal witness.
     """
-    return sorted({1, min(2, limit), limit})
+    return sorted({depth for depth in (1, 2, limit) if depth <= limit})
 
 
 # ---------------------------------------------------------------------------
@@ -416,33 +420,47 @@ def check_cls_equivalence(
     limit = min(cap, bound)
     with _span("stg.sat.cls"):
         miter: Optional[CLSMiter] = None
-        for depth in range(1, limit + 1):
+        model: Optional[Dict[int, bool]] = None
+        unsat = 0  # the deepest depth proved UNSAT
+        for depth in _deepening_schedule(limit):
             miter = CLSMiter(c, d, depth)
             model = _solve(miter, budget)
             if model is not None:
-                inputs, c_outputs, d_outputs, _first = miter.decode(model)
-                witness = WitnessTrace(
+                break
+            unsat = depth
+        if model is not None:
+            # Bisect down to the least satisfiable depth, whose model is
+            # the one a frame-by-frame walk would have stopped on.
+            while miter.frames - unsat > 1:
+                probe = CLSMiter(c, d, (unsat + miter.frames) // 2)
+                probe_model = _solve(probe, budget)
+                if probe_model is None:
+                    unsat = probe.frames
+                else:
+                    miter, model = probe, probe_model
+            inputs, c_outputs, d_outputs, _first = miter.decode(model)
+            witness = WitnessTrace(
+                kind="cls",
+                c_name=c.name,
+                d_name=d.name,
+                frames=miter.frames,
+                c_state=None,
+                inputs=tuple(inputs),
+                c_outputs=tuple(c_outputs),
+                d_outputs=tuple(d_outputs),
+            )
+            return _finish(
+                SatResult(
                     kind="cls",
-                    c_name=c.name,
-                    d_name=d.name,
-                    frames=depth,
-                    c_state=None,
-                    inputs=tuple(inputs),
-                    c_outputs=tuple(c_outputs),
-                    d_outputs=tuple(d_outputs),
-                )
-                return _finish(
-                    SatResult(
-                        kind="cls",
-                        holds=False,
-                        frames=depth,
-                        method="unrolled",
-                        witness=witness,
-                        miter=miter,
-                        model=model,
-                    ),
-                    budget,
-                )
+                    holds=False,
+                    frames=miter.frames,
+                    method="unrolled",
+                    witness=witness,
+                    miter=miter,
+                    model=model,
+                ),
+                budget,
+            )
         if limit >= bound:
             return _finish(
                 SatResult(

@@ -36,7 +36,10 @@ from ..netlist.circuit import Circuit
 from ..sim.ternary_multi import BatchedTernarySimulator
 from .report import ServiceStats
 
-__all__ = ["MicroBatcher"]
+__all__ = ["MAX_LANES", "MicroBatcher"]
+
+#: A pending batch flushes early once it holds this many lanes.
+MAX_LANES = 4096
 
 #: One submitted sweep: the sequences plus the future its requester awaits.
 _Job = Tuple[Sequence[Sequence[Sequence[T]]], "asyncio.Future"]
@@ -64,7 +67,7 @@ class MicroBatcher:
         run_blocking: Callable[[Callable[[], object]], Awaitable],
         *,
         window_s: float = 0.002,
-        max_lanes: int = 4096,
+        max_lanes: int = MAX_LANES,
         stats: Optional[ServiceStats] = None,
     ) -> None:
         self._run_blocking = run_blocking

@@ -3,10 +3,10 @@
 :class:`ServeClient` is the reference client: one socket, newline-
 delimited JSON both ways, synchronous ``request`` plus a pipelined
 ``request_many`` that matches responses back to requests by ``id``.
-It exists so the functional tests, the CI smoke script and the
-doctested walkthrough in ``docs/SERVICE.md`` all talk to the server
-through one audited code path -- but the protocol is plain enough that
-``nc`` works too (see the manual).
+It exists so the functional tests, the conformance fuzzer's served
+arms and the doctested walkthrough in ``docs/SERVICE.md`` all talk to
+the server through one audited code path -- but the protocol is plain
+enough that ``nc`` works too (see the manual).
 
 :func:`start_background_server` runs a :class:`ReproServer` on a daemon
 thread with its own event loop and returns once the socket is

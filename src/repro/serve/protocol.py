@@ -48,7 +48,6 @@ OPS = (
     "check-validity",
     "safe-replacement",
     "fault-grade",
-    "bench",
     "report",
     "shutdown",
 )

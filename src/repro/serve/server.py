@@ -47,8 +47,6 @@ from ..netlist.circuit import Circuit
 from ..netlist.io_bench import parse_bench
 from ..netlist.transform import normalize_fanout
 from ..netlist.validate import check_interfaces, validate
-from ..retime.graph import build_retiming_graph
-from ..retime.leiserson_saxe import min_period_retiming
 from ..retime.validity import first_difference, random_ternary_sequences
 from ..sim.fault import FaultSimulator
 from ..stg.replaceability import SearchBudgetExceeded
@@ -70,6 +68,9 @@ from .protocol import (
 from .report import ServiceStats
 
 __all__ = ["CircuitRegistry", "ReproServer"]
+
+#: Worker threads executing request bodies.
+WORKER_THREADS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +205,9 @@ class ReproServer:
         Default search budget for containment/equivalence analyses
         (``None`` -> the library defaults); individual requests may
         override with their own ``"budget"`` field.
-    batch_window_s, batch_max_lanes:
-        Micro-batcher knobs (see :class:`MicroBatcher`).
-    threads:
-        Size of the thread pool executing request bodies.
+    batch_window_s:
+        How long the micro-batcher holds the first sweep of a batch
+        waiting for compatible company (see :class:`MicroBatcher`).
     service_report_path:
         Where to write the final rolling service report on shutdown.
     """
@@ -220,22 +220,18 @@ class ReproServer:
         unix_socket: Optional[str] = None,
         budget: Optional[int] = None,
         batch_window_s: float = 0.002,
-        batch_max_lanes: int = 4096,
-        threads: int = 4,
         service_report_path: Optional[str] = None,
     ) -> None:
         self.host = host
         self.port = port
         self.unix_socket = unix_socket
         self.budget = budget
-        self.threads = threads
         self.service_report_path = service_report_path
         self.stats = ServiceStats()
         self.registry = CircuitRegistry(self.stats)
         self.batcher = MicroBatcher(
             self._run_blocking,
             window_s=batch_window_s,
-            max_lanes=batch_max_lanes,
             stats=self.stats,
         )
         self.address: Optional[Any] = None
@@ -253,7 +249,6 @@ class ReproServer:
             "check-validity": self._sync_check_validity,
             "safe-replacement": self._sync_safe_replacement,
             "fault-grade": self._sync_fault_grade,
-            "bench": self._sync_bench,
             "report": self._sync_report,
         }
 
@@ -264,7 +259,7 @@ class ReproServer:
         the server is accepting (``self.address`` is then set)."""
         self._closed = asyncio.Event()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.threads, thread_name_prefix="repro-serve"
+            max_workers=WORKER_THREADS, thread_name_prefix="repro-serve"
         )
         if self.unix_socket:
             self._server = await asyncio.start_unix_server(
@@ -624,61 +619,6 @@ class ReproServer:
                 {"fault": str(fault), "first_test": index}
                 for fault, index in verdicts.items()
             ],
-        }
-
-    # .. bench .............................................................
-
-    def _sync_bench(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """The standard workload as a service call: compile, sample CLS,
-        retime, containment-check and fault-grade one circuit."""
-        import random as random_mod
-
-        from ..retime.apply import lag_to_moves
-        from ..sim.compiled import compile_circuit
-
-        seed = take_int(request, "seed", 0)
-        cycles = take_int(request, "cycles", 16, minimum=1)
-        num_tests = take_int(request, "tests", 4, minimum=1)
-        if request.get("circuit") is not None:
-            circuit = self.registry.resolve(request, "circuit")
-        else:
-            from ..bench.generators import random_sequential_circuit
-
-            circuit = random_sequential_circuit(
-                seed, num_inputs=3, num_gates=24, num_latches=5, name="bench-rnd"
-            )
-        rng = random_mod.Random(seed)
-        width = len(circuit.inputs)
-        compiled = compile_circuit(circuit)
-        # Same RNG consumption order as ``repro bench`` in the CLI, so a
-        # service-side bench is comparable with a one-shot bench.
-        tests = [
-            tuple(
-                tuple(rng.random() < 0.5 for _ in range(width))
-                for _ in range(cycles)
-            )
-            for _ in range(num_tests)
-        ]
-        graph = build_retiming_graph(circuit)
-        minp = min_period_retiming(graph)
-        session = lag_to_moves(circuit, minp.lag)
-        (safe,) = decide(session.current, circuit, "safe")
-        containment: Dict[str, Any] = (
-            {"undecided": safe.message}
-            if safe.undecided
-            else {"safe": safe.holds, "engine": safe.engine}
-        )
-        simulator = FaultSimulator(circuit, semantics="cls")
-        verdicts = simulator.run_test_set(tests)
-        detected = sum(1 for v in verdicts.values() if v is not None)
-        return {
-            "circuit": circuit.name,
-            "ops": len(compiled.ops),
-            "latches": circuit.num_latches,
-            "period": [minp.original_period, minp.period],
-            "moves": len(session.history),
-            "containment": containment,
-            "faults": {"total": len(verdicts), "detected": detected},
         }
 
     # .. report ............................................................

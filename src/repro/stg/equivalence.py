@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from .explicit import STG
+from .explicit import STG, check_stg_interfaces
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..netlist.circuit import Circuit
@@ -89,16 +89,7 @@ def joint_equivalence_classes(c: STG, d: STG) -> Tuple[List[int], List[int]]:
     state of d iff their block ids are equal.  Requires matching input
     and output arities.
     """
-    if c.num_inputs != d.num_inputs:
-        raise ValueError(
-            "machines have different input arities (%d vs %d)"
-            % (c.num_inputs, d.num_inputs)
-        )
-    if c.num_outputs != d.num_outputs:
-        raise ValueError(
-            "machines have different output arities (%d vs %d)"
-            % (c.num_outputs, d.num_outputs)
-        )
+    check_stg_interfaces(c, d)
     offset = c.num_states
 
     def outputs_key(s: int):

@@ -26,7 +26,14 @@ from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import traced as _traced
 from ..sim.multi import BatchedBinarySimulator, all_states_array
 
-__all__ = ["STG", "extract_stg", "MAX_STG_BITS", "StateSpaceTooLarge", "check_stg_size"]
+__all__ = [
+    "STG",
+    "extract_stg",
+    "MAX_STG_BITS",
+    "StateSpaceTooLarge",
+    "check_stg_interfaces",
+    "check_stg_size",
+]
 
 MAX_STG_BITS = 22
 
@@ -133,6 +140,16 @@ class STG:
                 )
             )
         return "\n".join(lines)
+
+
+def check_stg_interfaces(c: STG, d: STG) -> None:
+    """Raise :class:`ValueError` unless machines *c* and *d* have as
+    many inputs, and as many outputs, as each other."""
+    if c.num_inputs != d.num_inputs or c.num_outputs != d.num_outputs:
+        raise ValueError(
+            "machines have mismatched interfaces: %d/%d inputs, %d/%d outputs"
+            % (c.num_inputs, d.num_inputs, c.num_outputs, d.num_outputs)
+        )
 
 
 @_traced("stg.extract")

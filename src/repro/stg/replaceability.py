@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..obs.trace import TRACER as _TRACE
-from .explicit import STG
+from .explicit import STG, check_stg_interfaces
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..netlist.circuit import Circuit
@@ -91,14 +91,6 @@ class SafeReplacementViolation:
         }
 
 
-def _check_alphabets(c: STG, d: STG) -> None:
-    if c.num_inputs != d.num_inputs or c.num_outputs != d.num_outputs:
-        raise ValueError(
-            "machines have mismatched interfaces: %d/%d inputs, %d/%d outputs"
-            % (c.num_inputs, d.num_inputs, c.num_outputs, d.num_outputs)
-        )
-
-
 def find_violation(
     c: STG, d: STG, *, max_states: int = MAX_SUBSET_STATES
 ) -> Optional[SafeReplacementViolation]:
@@ -108,7 +100,7 @@ def find_violation(
     returned violation has a minimal-length input string.  Returns
     ``None`` when C is a safe replacement for D.
     """
-    _check_alphabets(c, d)
+    check_stg_interfaces(c, d)
     if _TRACE.enabled:
         _TRACE.incr("stg.replaceability.explicit_checks")
     all_d: FrozenSet[int] = frozenset(range(d.num_states))

@@ -141,6 +141,24 @@ class TestRegistry:
         report = client.result({"op": "report"})
         assert report["cache"]["parsed"] == {"hits": 2, "misses": 1}
 
+    def test_resident_circuits_compile_once(self, client):
+        """A named circuit is one resident object, so the program
+        compiled for the first request serves every later one: the
+        second traced report shows only compile-cache hits."""
+        _load_pair(client, *_pair())
+        request = {
+            "op": "check-validity",
+            "original": "orig",
+            "retimed": "ret",
+            "trace": True,
+        }
+        first = client.request(request)["report"]
+        second = client.request(request)["report"]
+        assert "serve.check-validity/compile" in [s["path"] for s in first["spans"]]
+        assert second["counters"].get("compile.cache_hits", 0) >= 2
+        assert [s["path"] for s in second["spans"]] == ["serve.check-validity"]
+        assert "compile.circuits" not in second["counters"]
+
     def test_inline_circuit_references(self, client):
         original, retimed = _pair()
         result = client.result(
@@ -506,6 +524,16 @@ class TestProtocolErrors:
     def test_unknown_op(self, client):
         resp = client.request({"op": "transmogrify"})
         assert resp["error"]["code"] == "unknown-op"
+
+    def test_retired_bench_op_is_unknown_and_the_connection_serves_on(
+        self, client
+    ):
+        """``bench`` left the op vocabulary under protocol version 1: it
+        answers the typed unknown-op envelope like any unknown op."""
+        resp = client.request({"op": "bench"})
+        assert resp["v"] == 1 and resp["ok"] is False
+        assert resp["error"]["code"] == "unknown-op"
+        assert client.result({"op": "ping"})["pong"] is True
 
     def test_missing_fields(self, client):
         assert client.request({"op": "load"})["error"]["code"] == "bad-request"

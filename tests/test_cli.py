@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
 
 from repro.bench.iscas import BENCHMARKS
+from repro.bench.paper_circuits import figure1_design_c, figure1_design_d
 from repro.cli import main
 from repro.obs import RunReport, TRACER
 from repro.decide import get_default_engine, set_default_engine
+from repro.netlist.io_bench import write_bench
 from repro.stg.symbolic_replaceability import get_default_reorder, set_default_reorder
 
 
@@ -278,6 +279,23 @@ class TestObservabilityFlags:
         assert report.counter("sim.atpg.candidates") > 0
         assert report.span("sim.atpg.generate") is not None
 
+    def test_check_report_covers_the_containment_run(self, tmp_path, capsys):
+        """``--report`` on ``check --stg`` is the pipeline's RunReport:
+        compilation, STG tabulation and the sampled CLS check all land
+        in it under the ``check`` command."""
+        for name, circuit in (("d", figure1_design_d()), ("c", figure1_design_c())):
+            (tmp_path / ("%s.bench" % name)).write_text(write_bench(circuit))
+        target = str(tmp_path / "check.json")
+        assert main(
+            ["--report", target, "check", str(tmp_path / "d.bench"),
+             str(tmp_path / "c.bench"), "--stg"]
+        ) == 0
+        report = RunReport.load(target)
+        assert report.meta["command"] == "check"
+        assert report.span("compile") is not None
+        assert report.span("stg.extract") is not None
+        assert report.counter("retime.validity.cls_sequences") > 0
+
     def test_tracing_is_off_after_main_returns(self, s27_path, capsys):
         main(["--trace", "info", s27_path])
         assert TRACER.enabled is False
@@ -287,45 +305,6 @@ class TestObservabilityFlags:
         main(["info", s27_path])
         assert TRACER.enabled is False
         assert TRACER.counters == {}
-
-
-class TestBenchCommand:
-    def test_bench_default_workload(self, capsys):
-        assert main(["bench", "--seed", "3", "--cycles", "4", "--tests", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "bench workload" in out
-        assert "compile:" in out
-        assert "retime:" in out
-        assert "fault-grading:" in out
-        # Without --trace/--report, bench prints its summary to stdout.
-        assert "RunReport" in out
-
-    def test_bench_on_a_named_circuit(self, s27_path, capsys):
-        assert main(["bench", s27_path, "--cycles", "4", "--tests", "2"]) == 0
-        assert "s27" in capsys.readouterr().out
-
-    def test_bench_report_covers_all_phases(self, tmp_path, capsys):
-        target = str(tmp_path / "bench.json")
-        assert main(
-            ["bench", "--seed", "1", "--cycles", "4", "--tests", "2", "--report", target]
-        ) == 0
-        doc = json.loads(open(target).read())
-        assert doc["schema"] == 1
-        paths = [s["path"] for s in doc["spans"]]
-        for phase in ("compile", "simulate", "retime", "fault-grading"):
-            assert phase in paths, "missing phase span %r" % phase
-        assert doc["counters"]["compile.circuits"] >= 1
-        assert doc["counters"]["sim.fault.faults"] > 0
-        # Phase spans nest the library's own instrumentation beneath them.
-        assert any(p.startswith("fault-grading/") for p in paths)
-
-    def test_bench_subcommand_position_of_global_flags(self, tmp_path, capsys):
-        # The flags are accepted both before and after the subcommand.
-        target = str(tmp_path / "late.json")
-        assert main(
-            ["bench", "--report", target, "--seed", "2", "--cycles", "3", "--tests", "2"]
-        ) == 0
-        assert RunReport.load(target).counter("compile.circuits") >= 1
 
 
 @pytest.mark.parametrize("objective", ["min-period", "min-area"])
@@ -377,18 +356,6 @@ def test_check_rejects_mismatched_interfaces(order, engine, extra, s27_path, tmp
     with pytest.raises(SystemExit) as exc:
         main(["--engine", engine, "check", *pair, *extra])
     assert exc.value.code == "circuits have mismatched interfaces: " + counts
-
-
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--tests", "0"), ("--tests", "-2"), ("--cycles", "0"), ("--cycles", "-1")],
-)
-def test_bench_rejects_non_positive_workload_sizes(flag, value, capsys):
-    """An empty workload is a usage error, not a crash or a vacuous run."""
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", flag, value])
-    assert exc.value.code == 2
-    assert "argument %s: must be >= 1" % flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["info", "check"])

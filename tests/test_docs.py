@@ -148,4 +148,4 @@ def test_observability_cli_examples_run(tmp_path, monkeypatch, capsys):
         assert main(argv) == 0, argv
     assert "RunReport" in capsys.readouterr().err
     report = RunReport.from_json((tmp_path / "run.json").read_text())
-    assert report.meta["command"] == "bench"
+    assert report.meta["command"] == "paper"
