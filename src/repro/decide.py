@@ -9,6 +9,14 @@ blown budget or an STG too large to enumerate into *undecided*.  A
 proved ``C ⊑ D`` settles the rest of the same call without more engine
 work: ``C ≼ D`` (Prop 3.1), every ``Cᵏ ⊑ D`` and a least n of 0, since
 the delayed state chain only shrinks.
+
+A caller holding the :class:`~repro.retime.engine.RetimingSession` that
+derived C from D passes it as ``session``.  When the engine resolves
+from ``auto``, the move certificate (:mod:`repro.stg.certificate`) runs
+first: a proof settles every relation through the same rule, with
+``engine="certificate"``; a failed certificate decides nothing, and
+``auto`` runs its engine as it would have without one.  A named engine
+skips the certificate, so ``--engine X`` always measures engine X.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from .stg.replaceability import (
 from .stg.symbolic_replaceability import SymbolicContainmentChecker
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .retime.engine import RetimingSession
     from .sat.engine import SatResult
 
 __all__ = [
@@ -104,7 +113,9 @@ class Verdict:
     ``"state-space"``) with ``message``.  ``least_n`` answers
     ``least-delay`` (``None``, violated, when no delay suffices).
     ``reason`` says why ``engine`` ran: ``"requested"``, or ``auto``'s
-    latch count.  ``violation`` is the minimal ``C ⋠ D`` witness;
+    latch count (and why a tried certificate failed); with
+    ``engine="certificate"`` it counts the moves the proof composed.
+    ``violation`` is the minimal ``C ⋠ D`` witness;
     ``sat_result``, ``reorder`` and ``bdd_stats`` are engine detail.
     """
 
@@ -147,6 +158,11 @@ def _holds(value: bool, **fields: Any) -> Dict[str, Any]:
 
 def _least(n: Optional[int]) -> Dict[str, Any]:
     return _holds(n is not None, least_n=n)
+
+
+def _contained(relation: str) -> Dict[str, Any]:
+    """The answer a proved ``C ⊑ D`` gives *relation*."""
+    return _least(0) if relation == "least-delay" else _holds(True)
 
 
 def _witness(violation: Optional[SafeReplacementViolation]) -> Dict[str, Any]:
@@ -211,14 +227,17 @@ def decide(
     reorder: Optional[str] = None,
     budget: Optional[int] = None,
     max_stg_bits: int = MAX_STG_BITS,
+    session: Optional[RetimingSession] = None,
 ) -> Tuple[Verdict, ...]:
     """One :class:`Verdict` per relation asked of candidate *c* against
     original *d*, in the order asked.  ``k`` is the delay of
     ``delayed``; ``engine`` and ``reorder`` default to the process-wide
     ``--engine``/``--reorder`` at call time; ``budget`` caps the search
     (``None``: the engine's default); ``max_stg_bits`` caps the explicit
-    engine's ``latches + inputs``, never past ``MAX_STG_BITS``.  Raises
-    :class:`ValueError` when the circuits' interfaces differ."""
+    engine's ``latches + inputs``, never past ``MAX_STG_BITS``;
+    ``session``, the retiming that derived *c* from *d*, lets ``auto``
+    try the move certificate first.  Raises :class:`ValueError` when
+    the circuits' interfaces differ."""
     check_interfaces(c, d)
     for relation in relations:
         if relation not in RELATIONS:
@@ -226,6 +245,16 @@ def decide(
                 "unknown relation %r (choose from %s)" % (relation, RELATIONS)
             )
     name, reason = _choose(engine, c, d)
+    if session is not None and reason != "requested":  # resolved from auto
+        # Imported on first use: the CLI and serve never hold a session.
+        from .stg.certificate import certify
+
+        failure, stats = certify(session.history, c, d)
+        if failure is None:
+            proof = "certificate: %d moves composed" % len(session.history)
+            answer = dict(engine="certificate", reason=proof, bdd_stats=stats)
+            return tuple(Verdict(r, **answer, **_contained(r)) for r in relations)
+        reason += "; certificate %s" % failure
     answers: Dict[str, Dict[str, Any]] = {}
     extras: Dict[str, Any] = {}
     try:
@@ -233,14 +262,16 @@ def decide(
     except (SearchBudgetExceeded, StateSpaceTooLarge) as exc:
         answers = dict.fromkeys(relations, _undecided(exc))
     else:
+        contained = False
         for relation in (r for r in RELATIONS if r in relations):  # implies first
+            if contained:
+                answers[relation] = _contained(relation)
+                continue
             try:
                 answers[relation] = run[relation](k)
             except SearchBudgetExceeded as exc:
                 answers[relation] = _undecided(exc)
-            if relation == "implies" and answers[relation]["status"] == HOLDS:
-                run["safe"] = run["delayed"] = lambda k: _holds(True)
-                run["least-delay"] = lambda k: _least(0)
+            contained = relation == "implies" and answers[relation]["status"] == HOLDS
         extras = shared()
     return tuple(
         Verdict(relation, engine=name, reason=reason, **answers[relation], **extras)

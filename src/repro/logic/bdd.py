@@ -13,7 +13,9 @@ manager sufficient for the symbolic analyses in
   from which all Boolean connectives derive;
 * restriction (cofactors), recursive existential/universal
   quantification over variable sets, variable-to-variable renaming (the
-  next-state <-> current-state substitution of image computation);
+  next-state <-> current-state substitution of image computation) and
+  vector composition (functions for variables: a relation evaluated at
+  the next state without a transition relation);
 * a fused and-exists operator :meth:`BDDManager.relprod` -- the
   relational-product workhorse of image computation, which never
   materialises the (often huge) intermediate conjunction;
@@ -233,6 +235,11 @@ class BDD:
         """Variable-to-variable substitution (see
         :meth:`BDDManager.rename`)."""
         return self.manager.rename(self, mapping)
+
+    def compose(self, mapping: Dict[str, "BDD"]) -> "BDD":
+        """Function-for-variable substitution (see
+        :meth:`BDDManager.compose`)."""
+        return self.manager.compose(self, mapping)
 
     def support(self) -> Tuple[str, ...]:
         """Variables this function actually depends on."""
@@ -715,6 +722,36 @@ class BDDManager:
         result = self._ite(selector, high, low)
         cache[index] = result
         return result
+
+    def compose(self, f: BDD, mapping: Dict[str, BDD]) -> BDD:
+        """Vector composition: substitute the function ``mapping[v]``
+        for every variable ``v`` it names, simultaneously -- ``f``
+        evaluated at a next state when the mapping holds next-state
+        functions, with no transition relation conjoined.  Below the
+        deepest substituted variable a subtree passes through."""
+        if not mapping:
+            return f
+        self._maybe_reorder()
+        by_var = {self._var_index[name]: g.index for name, g in mapping.items()}
+        deepest = max(self._order[var] for var in by_var)
+        order, low, high, var_of = self._order, self._low, self._high, self._var
+        cache: Dict[int, int] = {}
+
+        def walk(index: int) -> int:
+            if index <= TRUE_INDEX or order[var_of[index]] > deepest:
+                return index
+            hit = cache.get(index)
+            if hit is not None:
+                return hit
+            var = var_of[index]
+            selector = by_var.get(var)
+            if selector is None:
+                selector = self._node(var, FALSE_INDEX, TRUE_INDEX)
+            result = self._ite(selector, walk(high[index]), walk(low[index]))
+            cache[index] = result
+            return result
+
+        return BDD(self, walk(f.index))
 
     # -- garbage collection -------------------------------------------------------
 

@@ -188,7 +188,8 @@ def remove_cls_redundancies(
     scan restarts on the simplified circuit, so later candidates are
     judged in context.  Exact but exponential in the ternary product
     state space -- intended for the small circuits of this reproduction.
-    A search past *max_pairs* raises
+    A search past *max_pairs* pair visits (one per reached state pair
+    and ternary input symbol) raises
     :class:`~repro.stg.replaceability.SearchBudgetExceeded`.
     """
     report = RedundancyReport(

@@ -11,10 +11,12 @@ questions independently:
 
 Arms are the four decision engines (explicit subset construction,
 symbolic BDD fixpoints, the same fixpoints under auto reordering over
-a partitioned transition relation, bounded CNF unrolling) and,
-optionally, the served path (the same engines and CLS batch behind
-``repro serve``).  :func:`run_differential` collects the ballots and
-returns the disagreements:
+a partitioned transition relation, bounded CNF unrolling), the move
+certificate on retiming cases (:mod:`repro.stg.certificate`: it votes
+``C ⊑ D`` and its consequences when it proves, and abstains otherwise)
+and, optionally, the served path (the same engines and CLS batch
+behind ``repro serve``).  :func:`run_differential` collects the
+ballots and returns the disagreements:
 
 * every *decided* verdict must be unanimous (``None`` = the arm's
   budget ran out -- an honest abstention, never counted as a vote);
@@ -39,10 +41,11 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..logic.bdd import BDDManager
+from ..logic.bdd import BDDManager, NodeLimitExceeded
 from ..retime.validity import first_cls_difference, random_ternary_sequences
 from ..sat import check_implication, check_safe_replacement, sat_delay_needed
 from ..sat.replay import replay_witness
+from ..stg.certificate import MoveCertificate, RecordMismatch
 from ..stg.delayed import delay_needed_for_implication
 from ..stg.equivalence import implies as stg_implies
 from ..stg.explicit import extract_stg
@@ -71,11 +74,13 @@ MATRICES: Dict[str, Dict[str, Tuple[str, ...]]] = {
         "cls": ("compiled",),
     },
     "std": {
-        "arms": ("explicit", "symbolic", "symbolic+reorder", "sat"),
+        "arms": ("explicit", "symbolic", "symbolic+reorder", "sat", "certificate"),
         "cls": ("compiled",),
     },
     "full": {
-        "arms": ("explicit", "symbolic", "symbolic+reorder", "sat", "serve"),
+        "arms": (
+            "explicit", "symbolic", "symbolic+reorder", "sat", "certificate", "serve"
+        ),
         "cls": ("compiled", "serve"),
     },
 }
@@ -89,6 +94,9 @@ FAULT_NAMES = (
     # The symbolic fixpoint reports one delay step too few -- the shape
     # of an iteration-count bug in the delayed-image chain.
     "symbolic-underreports-delay",
+    # The move certificate skips its totality check, so a forward move
+    # across a non-justifiable cell (the paper's hazard) "proves" C ⊑ D.
+    "certificate-ignores-hazard",
 )
 
 _ACTIVE_FAULTS: List[str] = []
@@ -309,6 +317,27 @@ def _sat_verdict(case: Case) -> Ballot:
     return verdict
 
 
+def _certificate_verdict(case: Case) -> Ballot:
+    """The move certificate: on a retiming case, a proof votes ``C ⊑ D``,
+    ``C ≼ D`` and delay 0; a failed certificate abstains."""
+    verdict = Ballot("certificate")
+    if case.session is None:
+        return verdict
+    try:
+        certificate = MoveCertificate(
+            case.session.history, case.candidate, case.original
+        )
+        total = "certificate-ignores-hazard" in _ACTIVE_FAULTS or certificate.total()
+        proved = total and certificate.closed()
+    except (RecordMismatch, NodeLimitExceeded):
+        return verdict
+    if proved:
+        verdict.implies = verdict.safe = True
+        verdict.delay = 0
+        verdict.delay_decided = True
+    return verdict
+
+
 def _serve_verdict(case: Case, client) -> Ballot:
     """The served path: the same checks through a live ``repro serve``
     process boundary (JSON round-trip included)."""
@@ -396,6 +425,8 @@ def run_differential(
             verdicts[arm] = _symbolic_verdict(case, reordering=True)
         elif arm == "sat":
             verdicts[arm] = _sat_verdict(case)
+        elif arm == "certificate":
+            verdicts[arm] = _certificate_verdict(case)
         elif arm == "serve":
             if client is not None:
                 verdicts[arm] = _serve_verdict(case, client)

@@ -9,12 +9,14 @@ that sequence:
 * Theorem 4.5 -- if no non-justifiable element is crossed forward more
   than ``k`` times, then ``C^k ⊑ D``.
 
-:class:`RetimingSession` applies moves one at a time, records each
-move's :class:`~repro.retime.moves.MoveKind`, and maintains the
-per-element *net forward crossing count* used to compute the tightest
-``k`` Theorem 4.5 allows: a backward move across an element undoes a
-prior forward move across it, so the bound tracks the running maximum
-of the net count per non-justifiable element.
+:class:`RetimingSession` applies moves one at a time and records each
+move's :class:`~repro.retime.moves.MoveKind`, crossed cell function and
+removed and created latch names (:class:`AppliedMove`, the one record
+that initial-state propagation and the move certificate both read).
+It maintains the per-element *net forward crossing count* used to
+compute the tightest ``k`` Theorem 4.5 allows: a backward move across
+an element undoes a prior forward move across it, so the bound tracks
+the running maximum of the net count per non-justifiable element.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from ..logic.functions import CellFunction
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
@@ -29,8 +32,8 @@ from .moves import (
     Direction,
     MoveKind,
     RetimingMove,
-    apply_move,
     classify_move,
+    execute_move,
 )
 
 __all__ = ["AppliedMove", "RetimingSession", "replay_moves"]
@@ -38,10 +41,21 @@ __all__ = ["AppliedMove", "RetimingSession", "replay_moves"]
 
 @dataclass(frozen=True)
 class AppliedMove:
-    """One executed move together with its classification."""
+    """One executed move: its classification, the crossed cell's
+    function, and the names of the latches it removed and created, each
+    in the cell's pin order -- the facts the move relates (y = F(z),
+    with z the latches on F's inputs and y those on its outputs)."""
 
     move: RetimingMove
     kind: MoveKind
+    function: CellFunction
+    removed: Tuple[str, ...]
+    created: Tuple[str, ...]
+
+    @property
+    def forward(self) -> bool:
+        """Did the latches cross forward (z removed, y created)?"""
+        return self.move.direction is Direction.FORWARD
 
 
 class RetimingSession:
@@ -78,7 +92,8 @@ class RetimingSession:
         """Apply one move; returns the new current circuit."""
         with _span("retime.move"):
             kind = classify_move(self.current, move)
-            self.current = apply_move(self.current, move)
+            function = self.current.cell(move.element).function
+            self.current, removed, created = execute_move(self.current, move)
         if _TRACE.enabled:
             counters = _TRACE.counters
             counters["retime.moves.applied"] = (
@@ -94,7 +109,7 @@ class RetimingSession:
                 counters["retime.moves.hazardous"] = (
                     counters.get("retime.moves.hazardous", 0) + 1
                 )
-        self.history.append(AppliedMove(move, kind))
+        self.history.append(AppliedMove(move, kind, function, removed, created))
         delta = 1 if move.direction is Direction.FORWARD else -1
         net = self._net_forward.get(move.element, 0) + delta
         self._net_forward[move.element] = net

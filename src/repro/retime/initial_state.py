@@ -26,12 +26,10 @@ model (no initial states at all) dissolves the problem entirely.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..logic.justifiability import justify
-from ..netlist.circuit import Circuit
 from .engine import RetimingSession
-from .moves import Direction
 
 __all__ = ["InitialStateError", "propagate_initial_state"]
 
@@ -55,16 +53,6 @@ class InitialStateError(ValueError):
         )
 
 
-def _replay_circuits(session: RetimingSession) -> List[Circuit]:
-    """The circuit before each move (and after the last)."""
-    from .moves import apply_move
-
-    circuits = [session.original.copy()]
-    for applied in session.history:
-        circuits.append(apply_move(circuits[-1], applied.move))
-    return circuits
-
-
 def propagate_initial_state(
     session: RetimingSession, initial_state: Sequence[bool]
 ) -> Tuple[bool, ...]:
@@ -74,52 +62,28 @@ def propagate_initial_state(
     latch order).  Raises :class:`InitialStateError` when a backward
     move requires justifying an unjustifiable output vector.
     """
-    circuits = _replay_circuits(session)
-    if len(initial_state) != circuits[0].num_latches:
+    if len(initial_state) != session.original.num_latches:
         raise ValueError(
             "initial state width %d, circuit has %d latches"
-            % (len(initial_state), circuits[0].num_latches)
+            % (len(initial_state), session.original.num_latches)
         )
     # Track values by latch NAME, since orders shift across moves.
     values: Dict[str, bool] = {
         name: bool(bit)
-        for name, bit in zip(circuits[0].latch_names, initial_state)
+        for name, bit in zip(session.original.latch_names, initial_state)
     }
 
     for index, applied in enumerate(session.history):
-        before = circuits[index]
-        after = circuits[index + 1]
-        element = applied.move.element
-        cell_before = before.cell(element)
-        cell_after = after.cell(element)
-
-        if applied.move.direction is Direction.FORWARD:
-            # Input latches (in 'before') disappear; output latches (in
-            # 'after') receive F(Y).
-            input_latch_names = [
-                before.driver_of(net)[1] for net in cell_before.inputs
-            ]
-            y = tuple(values.pop(name) for name in input_latch_names)
-            fy = cell_before.function.eval_binary(y)
-            for net, bit in zip(cell_after.outputs, fy):
-                readers = after.readers_of(net)
-                # The fresh latch reads the new output net.
-                (reader,) = readers
-                assert reader[0] == "latch"
-                values[reader[1]] = bit
+        removed = tuple(values.pop(name) for name in applied.removed)
+        if applied.forward:
+            # The input latches held Y; the new output latches hold F(Y).
+            created = applied.function.eval_binary(removed)
         else:
-            # Output latches (in 'before') disappear; input latches (in
-            # 'after') receive some Z with F(Z) = Y'.
-            output_latch_names = [
-                before.readers_of(net)[0][1] for net in cell_before.outputs
-            ]
-            y_prime = tuple(values.pop(name) for name in output_latch_names)
-            z = justify(cell_before.function, y_prime)
-            if z is None:
-                raise InitialStateError(index, element, y_prime)
-            for net, bit in zip(cell_after.inputs, z):
-                driver = after.driver_of(net)
-                assert driver[0] == "latch"
-                values[driver[1]] = bit
+            # The output latches held Y'; the new input latches need
+            # some Z with F(Z) = Y'.
+            created = justify(applied.function, removed)
+            if created is None:
+                raise InitialStateError(index, applied.move.element, removed)
+        values.update(zip(applied.created, created))
 
     return tuple(values[name] for name in session.current.latch_names)

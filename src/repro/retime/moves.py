@@ -43,8 +43,13 @@ __all__ = [
     "backward_move",
     "apply_move",
     "classify_move",
+    "execute_move",
     "enabled_moves",
 ]
+
+
+#: Latch names in a cell's pin order.
+Names = Tuple[str, ...]
 
 
 class Direction(enum.Enum):
@@ -126,6 +131,12 @@ def forward_move(circuit: Circuit, element: str) -> Circuit:
     on each output (Figure 6, top-to-bottom).  Raises
     :class:`MoveError` when some input is not directly latch-driven.
     """
+    return _forward(circuit, element)[0]
+
+
+def _forward(circuit: Circuit, element: str) -> Tuple[Circuit, Names, Names]:
+    """:func:`forward_move`, plus the removed input latches and the
+    created output latches, each in pin order."""
     result = circuit.copy()
     cell = result.cell(element)
     latch_names = _input_latches(result, cell)
@@ -147,9 +158,11 @@ def forward_move(circuit: Circuit, element: str) -> Circuit:
     result.replace_cell(
         element, Cell(element, cell.function, new_inputs, tuple(new_outputs))
     )
-    for fresh, net in latch_plan:
-        result.add_latch(result.fresh_name("L@%s" % net), fresh, net)
-    return result
+    created = tuple(
+        result.add_latch(result.fresh_name("L@%s" % net), fresh, net).name
+        for fresh, net in latch_plan
+    )
+    return result, tuple(latch_names), created
 
 
 def backward_move(circuit: Circuit, element: str) -> Circuit:
@@ -159,6 +172,12 @@ def backward_move(circuit: Circuit, element: str) -> Circuit:
     on each input (Figure 6, bottom-to-top).  Raises :class:`MoveError`
     when some output is not read by exactly one latch.
     """
+    return _backward(circuit, element)[0]
+
+
+def _backward(circuit: Circuit, element: str) -> Tuple[Circuit, Names, Names]:
+    """:func:`backward_move`, plus the removed output latches and the
+    created input latches, each in pin order."""
     result = circuit.copy()
     cell = result.cell(element)
     latch_names = _output_latches(result, cell)
@@ -173,21 +192,28 @@ def backward_move(circuit: Circuit, element: str) -> Circuit:
         result.remove_latch(latch.name)
 
     new_inputs: List[str] = []
+    created: List[str] = []
     for net in cell.inputs:
         fresh = result.fresh_net("%s@b" % net)
-        result.add_latch(result.fresh_name("L@%s" % net), net, fresh)
+        latch = result.add_latch(result.fresh_name("L@%s" % net), net, fresh)
+        created.append(latch.name)
         new_inputs.append(fresh)
     result.replace_cell(
         element, Cell(element, cell.function, tuple(new_inputs), new_outputs)
     )
-    return result
+    return result, tuple(latch_names), tuple(created)
 
 
 def apply_move(circuit: Circuit, move: RetimingMove) -> Circuit:
     """Dispatch :class:`RetimingMove` to the right rewrite."""
-    if move.direction is Direction.FORWARD:
-        return forward_move(circuit, move.element)
-    return backward_move(circuit, move.element)
+    return execute_move(circuit, move)[0]
+
+
+def execute_move(circuit: Circuit, move: RetimingMove) -> Tuple[Circuit, Names, Names]:
+    """:func:`apply_move`, plus the names of the latches the move
+    removed and created, each in the crossed cell's pin order."""
+    rewrite = _forward if move.direction is Direction.FORWARD else _backward
+    return rewrite(circuit, move.element)
 
 
 def classify_move(circuit: Circuit, move: RetimingMove) -> MoveKind:

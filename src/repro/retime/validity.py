@@ -13,16 +13,18 @@ paper's claims on the concrete pair:
   sequences for C and D on every input sequence (checked on supplied or
   randomly sampled ternary sequences).
 
-The containment questions go through :func:`repro.decide.decide`,
-which picks the engine and reports a blown budget or an oversized STG
-as undecided -- ``None`` in the report; CLS invariance checks are pure
-simulation and scale to any circuit the simulators handle.
+The containment questions go through :func:`repro.decide.decide` with
+the session as evidence, so ``auto`` first tries the move certificate
+(:mod:`repro.stg.certificate`) and otherwise picks an engine; a blown
+budget or an oversized STG is undecided -- ``None`` in the report.
+CLS invariance checks are pure simulation and scale to any circuit the
+simulators handle.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..decide import decide
@@ -163,6 +165,10 @@ class ValidityReport:
         The least n with ``C^n ⊑ D`` (None if skipped/not found).
     cls_invariant:
         Corollary 5.3 verified on the sampled input sequences.
+    decided_by:
+        What decided the containment verdicts: ``"certificate"`` or an
+        engine name (None when ``check_stg`` was off).  Provenance, not
+        a verdict: reports compare equal without it.
     """
 
     hazardous_moves: int
@@ -172,6 +178,7 @@ class ValidityReport:
     delayed_implication_holds: Optional[bool]
     min_delay: Optional[int]
     cls_invariant: bool
+    decided_by: Optional[str] = field(default=None, compare=False)
 
     def consistent_with_paper(self) -> bool:
         """Do the observations match the theorems?
@@ -207,11 +214,13 @@ def check_retiming_validity(
     """Run the full battery of paper checks on a retiming session.
 
     The four containment verdicts come from one
-    :func:`repro.decide.decide` call: ``engine`` and ``reorder`` are
-    its engine and BDD reordering mode (``None``: the process
-    defaults), and ``max_stg_bits`` its explicit-engine gate on
-    ``latches + inputs``.  An undecided verdict -- a blown budget, or
-    an STG over the gate -- is reported as ``None``, never a guess.
+    :func:`repro.decide.decide` call, which gets the session as
+    evidence: ``engine`` and ``reorder`` are its engine and BDD
+    reordering mode (``None``: the process defaults; under ``auto`` the
+    move certificate is tried first), and ``max_stg_bits`` its
+    explicit-engine gate on ``latches + inputs``.  An undecided verdict
+    -- a blown budget, or an STG over the gate -- is reported as
+    ``None``, never a guess.
     """
     original, retimed = session.original, session.current
     k = session.theorem45_k
@@ -232,6 +241,7 @@ def check_retiming_validity(
                 engine=engine,
                 reorder=reorder,
                 max_stg_bits=max_stg_bits,
+                session=session,
             )
         invariant = cls_equivalent(original, retimed, sequences, seed=seed)
     return ValidityReport(
@@ -242,4 +252,5 @@ def check_retiming_validity(
         delayed_implication_holds=delayed and delayed.holds,
         min_delay=least and least.least_n,
         cls_invariant=invariant,
+        decided_by=implication and implication.engine,
     )

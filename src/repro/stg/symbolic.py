@@ -42,7 +42,9 @@ from ..netlist.circuit import Circuit
 
 __all__ = [
     "SymbolicMachine",
+    "cell_output_bdd",
     "compile_circuit",
+    "net_functions",
     "symbolic_delayed_states",
     "product_outputs_equivalent",
     "relprod_chain",
@@ -175,24 +177,11 @@ class SymbolicMachine:
             self.input_names = ["i.%s" % net for net in circuit.inputs]
             self.input_vars = [m.variable(name) for name in self.input_names]
 
-        # Evaluate every net as a BDD over (state, input) variables.
-        values: Dict[str, BDD] = {}
-        for net, var in zip(circuit.inputs, self.input_vars):
-            values[net] = var
-        for latch, var in zip(circuit.latches, self.state_vars):
-            values[latch.data_out] = var
-        for cell_name in circuit.topological_cells():
-            cell = circuit.cell(cell_name)
-            in_vals = [values[n] for n in cell.inputs]
-            for pin, net in enumerate(cell.outputs):
-                values[net] = _cell_output_bdd(m, cell.function, in_vals, pin)
-
-        #: Next-state function per latch, over (state, input) variables.
-        self.next_functions: List[BDD] = [
-            values[latch.data_in] for latch in circuit.latches
-        ]
-        #: Output function per primary output, over (state, input) vars.
-        self.output_functions: List[BDD] = [values[net] for net in circuit.outputs]
+        #: Next-state function per latch and output function per primary
+        #: output, over (state, input) variables.
+        self.next_functions, self.output_functions = net_functions(
+            circuit, m, self.input_vars, self.state_vars
+        )
 
         #: Conjunctively partitioned transition relation: one conjunct
         #: ``s_k' <-> f_k(s, i)`` per latch, in latch order.
@@ -436,7 +425,30 @@ class SymbolicMachine:
         return current
 
 
-def _cell_output_bdd(
+def net_functions(
+    circuit: Circuit,
+    manager: BDDManager,
+    input_vars: Sequence[BDD],
+    state_vars: Sequence[BDD],
+) -> Tuple[List[BDD], List[BDD]]:
+    """Every latch's next-state function and every primary output's
+    function, as BDDs over *input_vars* and *state_vars* (one each per
+    input and latch, in the circuit's order)."""
+    values: Dict[str, BDD] = dict(zip(circuit.inputs, input_vars))
+    for latch, var in zip(circuit.latches, state_vars):
+        values[latch.data_out] = var
+    for cell_name in circuit.topological_cells():
+        cell = circuit.cell(cell_name)
+        in_vals = [values[n] for n in cell.inputs]
+        for pin, net in enumerate(cell.outputs):
+            values[net] = cell_output_bdd(manager, cell.function, in_vals, pin)
+    return (
+        [values[latch.data_in] for latch in circuit.latches],
+        [values[net] for net in circuit.outputs],
+    )
+
+
+def cell_output_bdd(
     manager: BDDManager, function, inputs: List[BDD], pin: int
 ) -> BDD:
     """One output pin of a cell as a BDD, by family dispatch with a

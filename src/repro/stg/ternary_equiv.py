@@ -23,6 +23,13 @@ practice tiny: X's persist or collapse monotonically along fixed input
 prefixes, and the search memoises pairs.  A breadth-first order makes
 extracted counterexamples (distinguishing input sequences) minimal.
 
+Each reached pair is stepped with all ``3**num_inputs`` symbols, so
+the work is pairs times symbols.  The budget counts exactly that: one
+*pair visit* per (pair, symbol) step, a pair reached again counting
+again.  A wide circuit therefore ends undecided after the same bounded
+work as a narrow one (s208, with 10 inputs, visits 59,049 pairs from
+its first pair alone).
+
 This gives a *complete* verifier for the invariant that
 :func:`repro.retime.validity.cls_equivalent` samples randomly -- and an
 executable Corollary 5.3: for retimed pairs the verifier always answers
@@ -50,6 +57,8 @@ __all__ = [
     "MAX_PAIRS",
 ]
 
+#: Budget on pair visits: one per (reached pair, ternary input symbol)
+#: step, so it bounds the search's work, not only its memory.
 MAX_PAIRS = 200_000
 
 TernaryVec = Tuple[T, ...]
@@ -101,10 +110,9 @@ def decide_cls_equivalence(
     retiming-invariant (it is not -- see the ablation benchmark).
 
     Raises :class:`ValueError` on interface mismatch and
-    :class:`~repro.stg.replaceability.SearchBudgetExceeded` when the
-    reachable pair space exceeds *max_pairs* (never observed on the
-    workloads in this repository, but the bound keeps adversarial
-    inputs from hanging a run).
+    :class:`~repro.stg.replaceability.SearchBudgetExceeded` past
+    *max_pairs* pair visits (one per reached pair and ternary input
+    symbol), so a wide circuit ends undecided instead of hanging.
     """
     check_interfaces(c, d)
     sim_c = compile_circuit(c)
@@ -129,10 +137,16 @@ def decide_cls_equivalence(
         inputs.reverse()
         return tuple(inputs)
 
+    visits = 0
     while queue:
         node = queue.popleft()
         state_c, state_d = node
         for symbol in symbols:
+            visits += 1
+            if visits > max_pairs:
+                raise SearchBudgetExceeded(
+                    _over_budget("CLS-equivalence search", max_pairs)
+                )
             out_c, next_c = sim_c.step_ternary(state_c, symbol)
             out_d, next_d = sim_d.step_ternary(state_d, symbol)
             if out_c != out_d:
@@ -143,13 +157,16 @@ def decide_cls_equivalence(
                 )
             child = (next_c, next_d)
             if child not in parents:
-                if len(parents) >= max_pairs:
-                    raise SearchBudgetExceeded(
-                        "CLS-equivalence search exceeded %d state pairs" % max_pairs
-                    )
                 parents[child] = (node, symbol)
                 queue.append(child)
     return None
+
+
+def _over_budget(search: str, max_pairs: int) -> str:
+    return (
+        "%s exceeded %d state pairs visited (one visit per reached pair and "
+        "ternary input symbol)" % (search, max_pairs)
+    )
 
 
 def cls_equivalent_exhaustive(
@@ -165,24 +182,24 @@ def cls_reachable_pairs(
     """Number of reachable ternary state pairs of the product (a size
     diagnostic for the decision procedure); raises
     :class:`~repro.stg.replaceability.SearchBudgetExceeded` past
-    *max_pairs*."""
+    *max_pairs* pair visits, counted as by :func:`decide_cls_equivalence`."""
     sim_c = compile_circuit(c)
     sim_d = compile_circuit(d)
     symbols = _ternary_symbols(len(c.inputs))
     start = (all_x_state(c), all_x_state(d))
     seen = {start}
     queue: deque = deque([start])
+    visits = 0
     while queue:
         state_c, state_d = queue.popleft()
         for symbol in symbols:
+            visits += 1
+            if visits > max_pairs:
+                raise SearchBudgetExceeded(_over_budget("CLS reachability", max_pairs))
             _, next_c = sim_c.step_ternary(state_c, symbol)
             _, next_d = sim_d.step_ternary(state_d, symbol)
             child = (next_c, next_d)
             if child not in seen:
-                if len(seen) >= max_pairs:
-                    raise SearchBudgetExceeded(
-                        "CLS reachability exceeded %d state pairs" % max_pairs
-                    )
                 seen.add(child)
                 queue.append(child)
     return len(seen)

@@ -271,6 +271,32 @@ def test_relprod_equals_exists_of_conjunction(data):
         assert m.evaluate(fused, {**env, **{q: False for q in quantified}}) == expected
 
 
+@settings(deadline=None, max_examples=12)
+@given(data=st.data())
+def test_compose_substitutes_functions_simultaneously(data):
+    """``f.compose({v: g_v})`` evaluates like f at the point where every
+    substituted v takes g_v's value, all at once (a swap included)."""
+    m = BDDManager()
+    variables = EIGHT_VARS[:5]
+    for name in variables:
+        m.variable(name)
+    f, f_fn = _random_formula(m, variables, data.draw)
+    targets = data.draw(st.lists(st.sampled_from(variables), min_size=1, unique=True))
+    parts = {name: _random_formula(m, variables, data.draw) for name in targets}
+    composed = f.compose({name: bdd for name, (bdd, _) in parts.items()})
+    for bits in itertools.product((False, True), repeat=len(variables)):
+        env = dict(zip(variables, bits))
+        point = {**env, **{name: fn(env) for name, (_, fn) in parts.items()}}
+        assert m.evaluate(composed, env) == f_fn(point)
+
+
+def test_compose_with_variables_is_rename(m):
+    a, b, c = m.declare("a", "b", "c")
+    f = (a & ~b) | c
+    assert f.compose({}) == f
+    assert f.compose({"a": b, "b": a}) == (b & ~a) | c
+
+
 def test_relprod_trivial_cases(m):
     a, b = m.declare("a", "b")
     assert m.relprod(m.false, a, ["a"]).is_false

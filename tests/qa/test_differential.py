@@ -103,6 +103,49 @@ def test_symbolic_delay_fault_is_caught():
     )
 
 
+def _figure1_forward_case():
+    from repro.retime.engine import RetimingSession
+
+    session = RetimingSession(figure1_design_d())
+    session.forward("fanQ")
+    recipe = Recipe(kind="retiming", seed=0, num_inputs=1, num_outputs=1,
+                    num_gates=3, num_latches=1, num_moves=1)
+    return Case(recipe=recipe, original=session.original,
+                candidate=session.current, moves=session.moves, session=session)
+
+
+def test_certificate_votes_on_retiming_cases_and_abstains_elsewhere():
+    assert "certificate" in MATRICES["std"]["arms"]
+    assert "certificate" in MATRICES["full"]["arms"]
+    case = next(
+        c
+        for c in (_case(0, i) for i in range(50))
+        if c.session is not None and c.session.hazardous_move_count == 0
+    )
+    ballot = run_differential(case, matrix="std").verdicts["certificate"]
+    assert (ballot.implies, ballot.safe, ballot.delay, ballot.delay_decided) == (
+        True, True, 0, True
+    )
+    # The paper's hazard fails the certificate: it abstains.
+    result = run_differential(_figure1_forward_case(), matrix="std")
+    assert result.agreed, result.disagreements
+    ballot = result.verdicts["certificate"]
+    assert (ballot.implies, ballot.safe, ballot.delay_decided) == (None, None, False)
+    pair = Case(recipe=Recipe(kind="pair", seed=0, num_inputs=1, num_outputs=1,
+                              num_gates=3, num_latches=2),
+                original=figure1_design_d(), candidate=figure1_design_c())
+    assert run_differential(pair, matrix="std").verdicts["certificate"].implies is None
+
+
+def test_certificate_hazard_fault_is_caught():
+    """Without its totality check the certificate "proves" Figure 1's
+    forward(fanQ); the explicit engine's ``C ⋢ D`` splits the ballot."""
+    with injected_fault("certificate-ignores-hazard"):
+        result = run_differential(_figure1_forward_case(), matrix="std")
+    assert result.verdicts["certificate"].implies is True
+    assert any("implies ballot split" in p for p in result.disagreements)
+
+
 def test_retiming_cases_check_the_paper_theorems():
     """On a hazard-free retiming the theorem ballots are armed: break
     the implication verdict by hand and Cor 4.4 must fire."""

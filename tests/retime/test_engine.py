@@ -21,6 +21,24 @@ def test_single_hazardous_move_accounting():
     assert sum(counts.values()) == 1
 
 
+def test_each_move_records_its_cell_and_latches_in_pin_order():
+    """The record the initial-state propagation and the certificate
+    read: the crossed function, and the latches removed and created."""
+    d = figure1_design_d()
+    session = RetimingSession(d)
+    session.forward("fanQ")
+    session.backward("fanQ")
+    forward, backward = session.history
+    fan = d.cell("fanQ")
+    assert forward.function is backward.function is fan.function
+    (q,) = forward.removed
+    assert d.driver_of(fan.inputs[0]) == ("latch", q)
+    assert forward.forward and not backward.forward
+    assert len(forward.created) == fan.function.n_outputs == 2
+    assert backward.removed == forward.created
+    assert session.current.latch_names == backward.created
+
+
 def test_original_is_never_mutated():
     d = figure1_design_d()
     snapshot = d.copy()

@@ -85,10 +85,9 @@ def test_propagation_preserves_behaviour_or_fails_honestly(seed, steps, data):
         # Honest failure: the vector really is outside the element's
         # image (checked via the justifiability analysis).
         from repro.logic.justifiability import justify
-        from repro.retime.initial_state import _replay_circuits
 
-        before = _replay_circuits(session)[exc.move_index]
-        fn = before.cell(exc.element).function
+        # Moves never change a cell's function.
+        fn = session.original.cell(exc.element).function
         assert justify(fn, exc.vector) is None
         return
     seq = [

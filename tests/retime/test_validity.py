@@ -134,9 +134,21 @@ def test_check_retiming_validity_on_figure1():
 
 def test_check_retiming_validity_skips_large_stgs():
     session = RetimingSession(load("s27"))
-    report = check_retiming_validity(session, max_stg_bits=3)
+    report = check_retiming_validity(session, max_stg_bits=3, engine="explicit")
     assert report.implication_holds is None
     assert report.cls_invariant
+
+
+def test_check_retiming_validity_certifies_past_the_stg_gate():
+    """The default path proves C ⊑ D from the (empty) move history
+    where the explicit engine's gate would leave it undecided."""
+    session = RetimingSession(load("s27"))
+    report = check_retiming_validity(session, max_stg_bits=3)
+    assert report.decided_by == "certificate"
+    assert report.implication_holds is True
+    assert report.safe_replacement_holds is True
+    assert report.min_delay == 0
+    assert report.consistent_with_paper()
 
 
 @settings(deadline=None, max_examples=8)

@@ -111,6 +111,35 @@ def test_pair_budget_guard():
         cls_reachable_pairs(shift_register(4), shift_register(4), max_pairs=2)
 
 
+def test_budget_bounds_the_work_on_a_many_input_pair(monkeypatch):
+    """s208 has 10 inputs: one reached pair alone is 3**10 = 59,049
+    ternary steps of each machine.  The budget counts pair visits, one
+    per (pair, symbol) step, so the search ends undecided after at most
+    that many steps instead of running for minutes."""
+    from repro.bench.iscas import load
+    from repro.retime.apply import lag_to_moves
+    from repro.retime.graph import build_retiming_graph
+    from repro.retime.leiserson_saxe import min_period_retiming
+    from repro.sim.compiled import CompiledCircuit
+    from repro.stg.replaceability import SearchBudgetExceeded
+
+    original = load("s208")
+    lag = min_period_retiming(build_retiming_graph(original)).lag
+    retimed = lag_to_moves(original, lag).current
+    steps = []
+    step_ternary = CompiledCircuit.step_ternary
+    monkeypatch.setattr(
+        CompiledCircuit,
+        "step_ternary",
+        lambda self, *args: steps.append(1) or step_ternary(self, *args),
+    )
+    for search in (decide_cls_equivalence, cls_reachable_pairs):
+        steps.clear()
+        with pytest.raises(SearchBudgetExceeded, match="exceeded 500 state pairs"):
+            search(original, retimed, max_pairs=500)
+        assert len(steps) == 2 * 500
+
+
 def test_reachable_pairs_diagnostic():
     count = cls_reachable_pairs(figure1_design_d(), figure1_design_c())
     # The all-X pair is absorbing for this input alphabet: X's never
