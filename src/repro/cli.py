@@ -73,7 +73,7 @@ from .retime.min_area import min_area_retiming
 from .retime.validity import cls_equivalent
 from .sim.atpg import generate_tests
 from .sim.binary import BinarySimulator, parse_state
-from .sim.exact import exact_outputs
+from .sim.exact import SweepTooLarge, exact_outputs
 from .sim.ternary_sim import TernarySimulator
 from .stg.explicit import MAX_STG_BITS, extract_stg
 from .stg.replaceability import SearchBudgetExceeded
@@ -210,7 +210,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ]
         print(ascii_table(("cycle", "inputs", "outputs", "state after"), rows))
     elif args.mode == "exact":
-        outs = exact_outputs(circuit, _definite(sequence, "exact"))
+        try:
+            outs = exact_outputs(circuit, _definite(sequence, "exact"))
+        except SweepTooLarge as exc:
+            raise SystemExit("%s: %s" % (args.circuit, exc)) from None
         rows = [
             (cycle, format_ternary_sequence(out, sep=""))
             for cycle, out in enumerate(outs)
@@ -413,13 +416,16 @@ def _check_containment(args: argparse.Namespace, retimed, original) -> int:
 
 def cmd_atpg(args: argparse.Namespace) -> int:
     circuit = _load(args.circuit)
-    result = generate_tests(
-        circuit,
-        semantics=args.semantics,
-        max_attempts=args.attempts,
-        max_length=args.length,
-        seed=args.seed,
-    )
+    try:
+        result = generate_tests(
+            circuit,
+            semantics=args.semantics,
+            max_attempts=args.attempts,
+            max_length=args.length,
+            seed=args.seed,
+        )
+    except SweepTooLarge as exc:
+        raise SystemExit("%s: %s" % (args.circuit, exc)) from None
     print(banner("ATPG for %s (%s semantics)" % (args.circuit, args.semantics)))
     print(result.summary())
     for index, test in enumerate(result.tests):

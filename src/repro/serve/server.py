@@ -48,6 +48,7 @@ from ..netlist.io_bench import parse_bench
 from ..netlist.transform import normalize_fanout
 from ..netlist.validate import check_interfaces, validate
 from ..retime.validity import first_difference, random_ternary_sequences
+from ..sim.exact import SweepTooLarge
 from ..sim.fault import FaultSimulator
 from ..stg.replaceability import SearchBudgetExceeded
 from ..stg.symbolic_replaceability import REORDER_MODES, get_default_reorder
@@ -607,7 +608,10 @@ class ReproServer:
             raise RequestError("bad-request", "semantics must be 'cls' or 'exact'")
         tests = parse_binary_tests(request.get("tests"), len(circuit.inputs))
         simulator = FaultSimulator(circuit, semantics=semantics)
-        verdicts = simulator.run_test_set(tests)
+        try:
+            verdicts = simulator.run_test_set(tests)
+        except SweepTooLarge as exc:
+            raise RequestError("bad-request", str(exc)) from None
         detected = sum(1 for v in verdicts.values() if v is not None)
         return {
             "semantics": semantics,

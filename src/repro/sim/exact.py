@@ -16,11 +16,20 @@ The implementation sweeps every power-up state with the compiled
 lane-parallel core (:mod:`repro.sim.compiled`): one integer lane mask
 per net carries all ``2**n`` lanes, and the universal/existential
 verdict per output pin is a single all-lanes comparison (all ones ->
-``1``, all zeros -> ``0``, anything else -> ``X``).  The sweep is exact
-up to :data:`DEFAULT_MAX_LATCHES` latches and falls back to random
-state sampling beyond (sampling keeps the verdict sound for ``X`` but
-may erroneously report a definite value; callers that need exactness
-pass ``sample=None`` and accept the latch limit).
+``1``, all zeros -> ``0``, anything else -> ``X``).
+
+A sweep costs ``2**n`` lanes per cycle only until the power-up states
+merge.  Once an input prefix has driven every swept state into one
+state (Figure 2's initializing sequences), the lanes stay equal --
+inputs and stuck-at forcing are the same in every lane -- so the rest
+of the sequence runs on one lane, and each output is that lane's
+definite value.  The answer is the same as stepping every lane to the
+end; only the work differs.
+
+The exhaustive sweep is capped at :data:`DEFAULT_MAX_LATCHES` latches
+(:class:`SweepTooLarge` beyond).  Library callers may pass ``sample=``
+to sweep random power-up states instead; sampling keeps the verdict
+sound for ``X`` but may erroneously report a definite value.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from .multi import all_states_array
 __all__ = [
     "DEFAULT_MAX_LATCHES",
     "ExactSimulator",
+    "SweepTooLarge",
     "exact_outputs",
     "is_initializing_sequence",
     "synchronized_state",
@@ -48,6 +58,10 @@ __all__ = [
 DEFAULT_MAX_LATCHES = 20
 
 TernaryVec = Tuple[T, ...]
+
+
+class SweepTooLarge(ValueError):
+    """An exhaustive power-up sweep over more latches than its cap."""
 
 
 @lru_cache(maxsize=128)
@@ -67,6 +81,11 @@ def _exhaustive_state_masks(num_latches: int) -> Tuple[int, ...]:
     )
 
 
+def _one_state(state_masks: Sequence[int], lanes: int) -> bool:
+    """Do all *lanes* hold one state (each latch all-0 or all-1)?"""
+    return all(mask == 0 or mask == lanes for mask in state_masks)
+
+
 class ExactSimulator:
     """Sweep power-up states to compute exact unknown-state outputs.
 
@@ -75,12 +94,13 @@ class ExactSimulator:
     circuit:
         The circuit to analyse.
     max_latches:
-        Guard for the exhaustive sweep; exceeding it raises unless
-        *sample* is given.
+        Guard for the exhaustive sweep; exceeding it raises
+        :class:`SweepTooLarge` unless *sample* is given.
     sample:
-        If set, use this many uniformly random power-up states instead
-        of all ``2**n`` (with *seed*); the result is then a sound
-        under-approximation of disagreement (X never wrongly reported).
+        If set, use this many (at least one) uniformly random power-up
+        states instead of all ``2**n`` (with *seed*); the result is then
+        a sound under-approximation of disagreement (X never wrongly
+        reported).
     overrides:
         Optional stuck-at forcing (net -> bool), for fault analyses.
     """
@@ -99,12 +119,13 @@ class ExactSimulator:
         self._states: Optional[np.ndarray] = None
         if self.exhaustive:
             if circuit.num_latches > max_latches:
-                raise ValueError(
-                    "circuit %s has %d latches; exhaustive sweep capped at %d "
-                    "(pass sample=... to subsample)"
-                    % (circuit.name, circuit.num_latches, max_latches)
+                raise SweepTooLarge(
+                    "circuit %s has %d latches; the exact power-up sweep is "
+                    "capped at %d" % (circuit.name, circuit.num_latches, max_latches)
                 )
         else:
+            if sample < 1:
+                raise ValueError("sample must be at least 1, got %d" % sample)
             rng = np.random.default_rng(seed)
             self._states = rng.integers(
                 0, 2, size=(int(sample), circuit.num_latches)
@@ -118,45 +139,86 @@ class ExactSimulator:
             self._states = all_states_array(self.circuit.num_latches)
         return self._states
 
+    def _initial_masks(self, states: Optional[np.ndarray]) -> Tuple[Tuple[int, ...], int]:
+        """The power-up lane masks and their count; an explicit *states*
+        array must have at least one row and one column per latch."""
+        num_latches = self.circuit.num_latches
+        if states is None and self.exhaustive:
+            return _exhaustive_state_masks(num_latches), 1 << num_latches
+        rows = np.asarray(self.states if states is None else states, dtype=bool)
+        if rows.ndim != 2 or rows.shape[1] != num_latches:
+            raise ValueError(
+                "circuit %s has %d latches, got power-up states of shape %s"
+                % (self.circuit.name, num_latches, rows.shape)
+            )
+        if rows.shape[0] == 0:
+            raise ValueError(
+                "circuit %s: an exact sweep needs at least one power-up state"
+                % self.circuit.name
+            )
+        masks = tuple(column_to_mask(rows[:, j]) for j in range(num_latches))
+        return masks, rows.shape[0]
+
     def _sweep(
         self,
         states: Optional[np.ndarray],
         input_sequence: Iterable[Sequence[bool]],
-    ) -> Tuple[List[Tuple[int, ...]], Tuple[int, ...], int, int]:
-        """Run all lanes through the compiled core, staying in mask form."""
+    ) -> Tuple[Tuple[TernaryVec, ...], Tuple[int, ...], int, int]:
+        """Run every swept state through the compiled core in mask form,
+        on one lane from the first cycle at which all of them agree.
+
+        Returns the exact outputs, the final state masks, the lanes they
+        span (``1`` exactly when the swept states have merged into one)
+        and the number of states swept.
+        """
         compiled = compile_circuit(self.circuit)
-        if states is None and self.exhaustive:
-            state_masks: Tuple[int, ...] = _exhaustive_state_masks(
-                self.circuit.num_latches
-            )
-            batch = 1 << self.circuit.num_latches
-        else:
-            lanes = np.asarray(
-                self.states if states is None else states, dtype=bool
-            )
-            batch = lanes.shape[0]
-            state_masks = tuple(
-                column_to_mask(lanes[:, j]) for j in range(lanes.shape[1])
-            )
-        all_lanes = (1 << batch) - 1
-        forced = compiled.forced_binary(self.overrides, all_lanes)
-        outputs_per_cycle: List[Tuple[int, ...]] = []
+        state_masks, batch = self._initial_masks(states)
+        lanes = (1 << batch) - 1
+        forced = compiled.forced_binary(self.overrides, lanes)
+        outputs: List[TernaryVec] = []
+        vectors = iter(input_sequence)
         with _span("sim.exact"):
-            for vector in input_sequence:
-                check_width(compiled, vector)
-                input_masks = [all_lanes if bit else 0 for bit in vector]
-                out_masks, state_masks = compiled.step_binary_masks(
-                    state_masks, input_masks, all_lanes, forced
-                )
-                outputs_per_cycle.append(out_masks)
+            if not _one_state(state_masks, lanes):
+                for vector in vectors:
+                    check_width(compiled, vector)
+                    out_masks, state_masks = compiled.step_binary_masks(
+                        state_masks, [lanes if bit else 0 for bit in vector], lanes, forced
+                    )
+                    outputs.append(
+                        tuple(
+                            ONE if mask == lanes else (ZERO if mask == 0 else X)
+                            for mask in out_masks
+                        )
+                    )
+                    if _one_state(state_masks, lanes):
+                        break
+            wide_cycles = len(outputs)
+            if _one_state(state_masks, lanes):
+                # Every lane holds one state, and inputs and forcing are
+                # the same in every lane, so the lanes stay equal: one
+                # lane, fed each Boolean vector as its masks, finishes.
+                lanes = 1
+                state_masks = tuple(1 if mask else 0 for mask in state_masks)
+                forced = compiled.forced_binary(self.overrides, 1)
+                for vector in vectors:
+                    check_width(compiled, vector)
+                    out_masks, state_masks = compiled.step_binary_masks(
+                        state_masks, vector, 1, forced
+                    )
+                    outputs.append(tuple([ONE if mask else ZERO for mask in out_masks]))
         if _TRACE.enabled:
             counters = _TRACE.counters
             counters["sim.exact.sweeps"] = counters.get("sim.exact.sweeps", 0) + 1
             counters["sim.exact.lanes"] = counters.get("sim.exact.lanes", 0) + batch
             counters["sim.exact.cycles"] = (
-                counters.get("sim.exact.cycles", 0) + len(outputs_per_cycle)
+                counters.get("sim.exact.cycles", 0) + len(outputs)
             )
-        return outputs_per_cycle, state_masks, all_lanes, batch
+            counters["sim.exact.synchronized_cycles"] = (
+                counters.get("sim.exact.synchronized_cycles", 0)
+                + len(outputs)
+                - wide_cycles
+            )
+        return tuple(outputs), tuple(state_masks), lanes, batch
 
     def outputs(
         self, input_sequence: Iterable[Sequence[bool]], *, states: Optional[np.ndarray] = None
@@ -167,22 +229,17 @@ class ExactSimulator:
         a subset of power-up states -- the delayed-design analyses pass
         the reachable states of ``D^n`` here.
         """
-        per_cycle, _, all_lanes, _ = self._sweep(states, input_sequence)
-        return tuple(
-            tuple(
-                ONE if mask == all_lanes else (ZERO if mask == 0 else X)
-                for mask in out_masks
-            )
-            for out_masks in per_cycle
-        )
+        return self._sweep(states, input_sequence)[0]
 
     def final_states(
         self, input_sequence: Iterable[Sequence[bool]], *, states: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """The set of final states (as array rows, duplicates possible)."""
-        _, final_masks, _, batch = self._sweep(states, input_sequence)
-        if not final_masks:
-            return np.zeros((batch, 0), dtype=bool)
+        """The final state of each swept power-up state, one row per
+        state (duplicates possible; a synchronized sweep repeats its
+        one state)."""
+        _, final_masks, lanes, batch = self._sweep(states, input_sequence)
+        if lanes == 1:
+            return np.tile(np.array(final_masks, dtype=bool), (batch, 1))
         return np.stack([mask_to_column(mask, batch) for mask in final_masks], axis=1)
 
 
@@ -234,10 +291,5 @@ def synchronized_state(
     ``None`` if at least two power-up states end up in different states.
     """
     sim = ExactSimulator(circuit, max_latches=max_latches)
-    final = sim.final_states(input_sequence)
-    if final.shape[0] == 0:
-        return None
-    first = final[0]
-    if (final == first).all():
-        return tuple(bool(v) for v in first)
-    return None
+    _, final_masks, lanes, _ = sim._sweep(None, input_sequence)  # noqa: SLF001
+    return tuple(bool(mask) for mask in final_masks) if lanes == 1 else None

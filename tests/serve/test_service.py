@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.bench.generators import random_sequential_circuit
+from repro.bench.iscas import load
 from repro.bench.paper_circuits import figure1_design_c, figure1_design_d
 from repro.netlist.io_bench import write_bench
 from repro.retime.apply import lag_to_moves
@@ -541,6 +542,26 @@ class TestProtocolErrors:
             client.request({"op": "fault-grade", "circuit": "x"})["error"]["code"]
             == "unknown-circuit"
         )
+
+    def test_exact_grading_over_the_latch_cap_is_a_bad_request(self, client, capfd):
+        """s382 has 21 latches, one over the exact sweep's cap: the
+        client gets a one-line ``bad-request``, the server's stderr no
+        traceback, and the connection serves on."""
+        client.result({"op": "load", "name": "s382", "bench": write_bench(load("s382"))})
+        resp = client.request(
+            {
+                "op": "fault-grade",
+                "circuit": "s382",
+                "tests": ["000"],
+                "semantics": "exact",
+            }
+        )
+        assert resp["ok"] is False
+        assert resp["error"]["code"] == "bad-request"
+        assert "21 latches" in resp["error"]["message"]
+        assert "sample" not in resp["error"]["message"]
+        assert client.result({"op": "ping"})["pong"] is True
+        assert "Traceback" not in capfd.readouterr().err
 
 
 class TestTracing:

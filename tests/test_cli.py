@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from repro.bench.iscas import BENCHMARKS
+from repro.bench.iscas import BENCHMARKS, load
 from repro.bench.paper_circuits import figure1_design_c, figure1_design_d
 from repro.cli import main
 from repro.obs import RunReport, TRACER
@@ -76,6 +76,25 @@ def test_simulate_exact(s27_path, capsys):
 def test_simulate_exact_rejects_x_inputs(s27_path):
     with pytest.raises(SystemExit, match="definite"):
         main(["simulate", s27_path, "--mode", "exact", "--sequence", "0X00,1111"])
+
+
+@pytest.mark.parametrize(
+    "command",
+    (
+        ["simulate", "--mode", "exact", "--sequence", "000,000"],
+        ["atpg", "--semantics", "exact"],
+    ),
+)
+def test_exact_run_over_the_latch_cap_is_a_one_line_error(command, tmp_path):
+    """s382 has 21 latches, one over the exact sweep's cap: the bad-file
+    convention, not a traceback, and no API-only advice."""
+    path = tmp_path / "s382.bench"
+    path.write_text(write_bench(load("s382")))
+    with pytest.raises(SystemExit) as exc:
+        main(command[:1] + [str(path)] + command[1:])
+    message = exc.value.code
+    assert message.startswith("%s: " % path) and "21 latches" in message
+    assert "\n" not in message and "sample" not in message
 
 
 def test_simulate_width_mismatch(s27_path):
