@@ -35,9 +35,7 @@ Subcommands:
 ``serve``       run the persistent verification service: circuits and
                 compiled programs stay resident across
                 newline-delimited JSON requests over TCP or a unix
-                socket, and compatible CLS sweeps from concurrent
-                requests are micro-batched into shared lane passes
-                (protocol reference: ``docs/SERVICE.md``)
+                socket (protocol reference: ``docs/SERVICE.md``)
 ``fuzz``        cross-engine conformance fuzzing: replay the regression
                 corpus, stream seeded random cases through the engine
                 matrix, shrink and bundle any disagreement
@@ -47,8 +45,8 @@ All commands read and write ISCAS-89 ``.bench`` files (BLIF via the
 ``.blif`` extension), the formats the benchmark circuits of the paper's
 era shipped in.  The full reference with worked examples is
 ``docs/CLI.md``.  Bad user input -- an unreadable or malformed circuit
-file, a non-positive sample setting, a period below the minimum, a
-``--max-stg-bits`` outside 0..22 -- ends in a one-line error, never a
+file, a non-positive count or time budget, a period below the minimum,
+a ``--max-stg-bits`` outside 0..22 -- ends in a one-line error, never a
 traceback.
 """
 
@@ -121,6 +119,17 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for durations that must be above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid float value: %r" % text) from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be > 0, got %s" % text)
     return value
 
 
@@ -625,14 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("redundancy", help="CLS-invariant redundancy removal")
     p.add_argument("circuit")
     p.add_argument("-o", "--output", help="write the optimised .bench here")
-    p.add_argument("--max-pairs", type=int, default=50_000)
+    p.add_argument("--max-pairs", type=_positive_int, default=50_000)
     p.set_defaults(func=cmd_redundancy)
 
     p = sub.add_parser("atpg", help="generate a stuck-at test set")
     p.add_argument("circuit")
     p.add_argument("--semantics", choices=("exact", "cls"), default="exact")
-    p.add_argument("--attempts", type=int, default=100)
-    p.add_argument("--length", type=int, default=8)
+    p.add_argument("--attempts", type=_positive_int, default=100)
+    p.add_argument("--length", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_atpg)
@@ -657,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="default search budget for containment/equivalence "
@@ -680,14 +689,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed for the recipe stream")
     p.add_argument(
         "--iterations",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="fuzz N cases (default 200 when no --time-budget is given)",
     )
     p.add_argument(
         "--time-budget",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="stop starting new cases after this much wall clock",

@@ -40,7 +40,6 @@ __all__ = [
     "random_ternary_sequences",
     "cls_equivalent",
     "first_cls_difference",
-    "first_difference",
     "ValidityReport",
     "check_retiming_validity",
 ]
@@ -87,7 +86,7 @@ def cls_equivalent(
     return first_cls_difference(original, retimed, sequences, **kwargs) is None
 
 
-def first_difference(outs_a, outs_b) -> Optional[Tuple[int, int]]:
+def _first_difference(outs_a, outs_b) -> Optional[Tuple[int, int]]:
     """The first ``(sequence index, cycle)`` at which two batches of
     per-sequence output traces differ, or ``None`` if none does.
 
@@ -140,7 +139,7 @@ def first_cls_difference(
     if _TRACE.enabled:
         _TRACE.incr("retime.validity.cls_checks")
         _TRACE.incr("retime.validity.cls_sequences", len(sequences))
-    return first_difference(
+    return _first_difference(
         _cls_sweep(original, sequences), _cls_sweep(retimed, sequences)
     )
 

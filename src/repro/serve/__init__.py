@@ -1,4 +1,4 @@
-"""``repro.serve`` -- the persistent batching verification service.
+"""``repro.serve`` -- the persistent verification service.
 
 The CLI answers one question per process: parse, compile, extract,
 answer, exit.  This package keeps all of that resident and answers a
@@ -9,10 +9,8 @@ stream of questions over a socket instead:
 * :mod:`.server` -- the asyncio front end, the resident
   :class:`~repro.serve.server.CircuitRegistry`, the per-operation
   handlers, the budget and shutdown discipline.
-* :mod:`.batcher` -- the micro-batcher coalescing compatible CLS
-  sweeps from concurrent requests into shared lane passes.
-* :mod:`.report` -- the rolling service report (request counts, batch
-  occupancy, cache hit rates, latency quantiles).
+* :mod:`.report` -- the rolling service report (request counts, sweep
+  counts, cache hit rates, latency quantiles).
 * :mod:`.client` -- the reference blocking client and the in-process
   background-server harness used by tests and the doctested manual.
 
@@ -20,7 +18,6 @@ Start one with ``repro serve --port 7357``; the full protocol reference
 and a worked live example are in ``docs/SERVICE.md``.
 """
 
-from .batcher import MicroBatcher
 from .client import ServeClient, start_background_server
 from .protocol import ERROR_CODES, OPS, PROTOCOL_VERSION, RequestError
 from .report import SERVICE_SCHEMA_VERSION, ServiceStats
@@ -32,7 +29,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "SERVICE_SCHEMA_VERSION",
     "CircuitRegistry",
-    "MicroBatcher",
     "ReproServer",
     "RequestError",
     "ServeClient",

@@ -3,7 +3,7 @@
 Where :class:`repro.obs.RunReport` freezes **one run** (one CLI
 invocation, one traced request), the :class:`ServiceStats` here is the
 **service-lifetime** record a long-running ``repro serve`` instance
-keeps: request and error counts per operation, micro-batch occupancy,
+keeps: request and error counts per operation, CLS lane sweeps,
 resident-cache hit rates, and per-operation latency quantiles.  Any
 client can ask for the current snapshot with a ``{"op": "report"}``
 request, and the server writes a final snapshot to
@@ -108,8 +108,10 @@ class ServiceStats:
         self._requests: Dict[str, int] = {}
         self._errors: Dict[str, Dict[str, int]] = {}
         self._latency: Dict[str, _OpLatency] = {}
-        # Micro-batcher occupancy: one "sweep" is one merged lane pass,
-        # one "job" is one request-side sweep submission it carried.
+        # CLS lane sweeps: one "sweep" is one lane pass, one "job" one
+        # request's submission to it.  Each pass carries one request, so
+        # jobs equal sweeps; schema 1 keeps the fields for the benchmark
+        # metric that reads them (docs/SERVICE.md).
         self._batch_sweeps = 0
         self._batch_jobs = 0
         self._batch_lanes = 0
@@ -147,8 +149,8 @@ class ServiceStats:
             per_op[code] = per_op.get(code, 0) + 1
 
     def record_batch(self, jobs: int, lanes: int) -> None:
-        """Count one merged lane sweep carrying *jobs* submissions and
-        *lanes* total lanes."""
+        """Count one lane sweep carrying *jobs* submissions and *lanes*
+        total lanes."""
         with self._lock:
             self._batch_sweeps += 1
             self._batch_jobs += jobs

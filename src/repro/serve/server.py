@@ -1,4 +1,4 @@
-"""``repro serve`` -- the persistent batching verification service.
+"""``repro serve`` -- the persistent verification service.
 
 One CLI invocation pays parse + compile + STG extraction from scratch
 and throws the result away; the server keeps all of it resident and
@@ -8,10 +8,10 @@ answers verdict requests over a socket instead:
   (the compiled flat op program is cached *on* each circuit object, so
   it survives with the circuit) plus a content-hash parse cache for
   inline ``.bench``/BLIF text.
-* **micro-batching** -- compatible CLS sweeps from concurrent
-  ``check-validity`` requests coalesce into shared lane passes
-  (:mod:`repro.serve.batcher`), bit-for-bit identical to serving each
-  request alone.
+* **one path per operation** -- every request runs its operation's
+  handler on the worker pool; ``check-validity`` answers its sampled
+  check with :func:`repro.retime.validity.first_cls_difference`, the
+  call behind the CLI's ``check``.
 * **budget discipline** -- containment questions go through
   :func:`repro.decide.decide`, as the CLI's do; an undecided verdict
   (a blown budget, or an STG too large to enumerate) and an exhausted
@@ -19,11 +19,11 @@ answers verdict requests over a socket instead:
   ``budget-exceeded`` error envelope (the request is *undecided*),
   never a crash and never a wedged server.
 * **observability** -- a rolling :class:`~repro.serve.report.ServiceStats`
-  (request counts, batch occupancy, cache hit rates, p50/p99 latency)
+  (request counts, sweep counts, cache hit rates, p50/p99 latency)
   any client can fetch with ``{"op": "report"}``, plus an optional
   per-request :class:`repro.obs.RunReport` for requests sent with
-  ``"trace": true`` (traced requests run exclusively and unbatched so
-  the report covers exactly that request's work).
+  ``"trace": true`` (traced requests run the same handler, serialised
+  so the report covers exactly that request's work).
 
 The wire protocol (newline-delimited JSON over TCP or a unix socket) is
 specified in :mod:`repro.serve.protocol` and documented with a live
@@ -47,13 +47,12 @@ from ..netlist.circuit import Circuit
 from ..netlist.io_bench import parse_bench
 from ..netlist.transform import normalize_fanout
 from ..netlist.validate import check_interfaces, validate
-from ..retime.validity import first_difference, random_ternary_sequences
+from ..retime.validity import first_cls_difference, random_ternary_sequences
 from ..sim.exact import SweepTooLarge
 from ..sim.fault import FaultSimulator
 from ..stg.replaceability import SearchBudgetExceeded
 from ..stg.symbolic_replaceability import REORDER_MODES, get_default_reorder
 from ..stg.ternary_equiv import decide_cls_equivalence
-from .batcher import MicroBatcher
 from .protocol import (
     OPS,
     PROTOCOL_VERSION,
@@ -73,6 +72,11 @@ __all__ = ["CircuitRegistry", "ReproServer"]
 #: Worker threads executing request bodies.
 WORKER_THREADS = 4
 
+#: Longest request line, in bytes before its newline (asyncio's default
+#: ``StreamReader`` limit).  A longer line answers one ``parse-error``
+#: envelope and closes its connection.
+LINE_LIMIT = 2 ** 16
+
 
 # ---------------------------------------------------------------------------
 # Resident circuit state.
@@ -85,10 +89,9 @@ class CircuitRegistry:
     ``load`` registers a circuit under a client-chosen name; later
     requests reference it as ``"circuit": "name"`` and hit the same
     *object* every time -- which is exactly what keeps the compiled op
-    program (cached on the circuit) and the batcher's identity-keyed
-    merging effective across requests.  Inline ``{"bench": "..."}``
-    references go through the parse cache instead: identical text is
-    parsed once, ever.
+    program (cached on the circuit) effective across requests.  Inline
+    ``{"bench": "..."}`` references go through the parse cache instead:
+    identical text is parsed once, ever.
     """
 
     def __init__(self, stats: ServiceStats) -> None:
@@ -125,8 +128,8 @@ class CircuitRegistry:
             ) from None
         self.stats.record_cache("parsed", hit=False)
         with self._lock:
-            # Under a race the first parse wins, keeping object identity
-            # stable for the batcher.
+            # Under a race the first parse wins, so the program compiled
+            # for this text stays cached on one circuit object.
             circuit = self._parsed.setdefault(key, circuit)
         return key, circuit
 
@@ -206,9 +209,6 @@ class ReproServer:
         Default search budget for containment/equivalence analyses
         (``None`` -> the library defaults); individual requests may
         override with their own ``"budget"`` field.
-    batch_window_s:
-        How long the micro-batcher holds the first sweep of a batch
-        waiting for compatible company (see :class:`MicroBatcher`).
     service_report_path:
         Where to write the final rolling service report on shutdown.
     """
@@ -220,7 +220,6 @@ class ReproServer:
         port: int = 0,
         unix_socket: Optional[str] = None,
         budget: Optional[int] = None,
-        batch_window_s: float = 0.002,
         service_report_path: Optional[str] = None,
     ) -> None:
         self.host = host
@@ -230,11 +229,6 @@ class ReproServer:
         self.service_report_path = service_report_path
         self.stats = ServiceStats()
         self.registry = CircuitRegistry(self.stats)
-        self.batcher = MicroBatcher(
-            self._run_blocking,
-            window_s=batch_window_s,
-            stats=self.stats,
-        )
         self.address: Optional[Any] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -264,12 +258,12 @@ class ReproServer:
         )
         if self.unix_socket:
             self._server = await asyncio.start_unix_server(
-                self._on_connection, path=self.unix_socket
+                self._on_connection, path=self.unix_socket, limit=LINE_LIMIT
             )
             self.address = self.unix_socket
         else:
             self._server = await asyncio.start_server(
-                self._on_connection, host=self.host, port=self.port
+                self._on_connection, host=self.host, port=self.port, limit=LINE_LIMIT
             )
             self.address = self._server.sockets[0].getsockname()[:2]
 
@@ -318,7 +312,23 @@ class ReproServer:
         tasks: set = set()
         try:
             while True:
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readline()
+                except ValueError:
+                    # An overrun: asyncio dropped the line, and the rest of
+                    # the stream cannot be framed, so answer and hang up.
+                    self.stats.record_error("invalid", "parse-error")
+                    await self._send(
+                        error_response(
+                            None,
+                            "parse-error",
+                            "request line longer than the %d-byte limit; "
+                            "closing the connection" % LINE_LIMIT,
+                        ),
+                        writer,
+                        write_lock,
+                    )
+                    break
                 if not raw:
                     break
                 line = raw.decode("utf-8", errors="replace").strip()
@@ -345,7 +355,14 @@ class ReproServer:
     async def _serve_line(
         self, line: str, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
     ) -> None:
-        response = await self._handle_line(line)
+        await self._send(await self._handle_line(line), writer, write_lock)
+
+    @staticmethod
+    async def _send(
+        response: Dict[str, Any],
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+    ) -> None:
         async with write_lock:
             try:
                 writer.write(encode_response(response))
@@ -384,9 +401,6 @@ class ReproServer:
                 result, run_report = await self._run_blocking(
                     lambda: self._run_traced(op, request)
                 )
-            elif op == "check-validity":
-                result = await self._check_validity_batched(request)
-                run_report = None
             else:
                 handler = self._handlers[op]
                 result = await self._run_blocking(lambda: handler(request))
@@ -420,8 +434,8 @@ class ReproServer:
         """Run *op* exclusively with per-request observability.
 
         The tracer is process-global, so traced requests serialise on a
-        lock and bypass the batcher -- the attached RunReport then
-        covers exactly this request's work and nobody else's.
+        lock -- the attached RunReport then covers exactly this
+        request's work and nobody else's.
         """
         handler = self._handlers[op]
         with self._trace_lock:
@@ -465,7 +479,7 @@ class ReproServer:
 
     # .. check-validity ....................................................
 
-    def _check_validity_args(self, request: Dict[str, Any]):
+    def _sync_check_validity(self, request: Dict[str, Any]) -> Dict[str, Any]:
         original = self.registry.resolve(request, "original")
         retimed = self.registry.resolve(request, "retimed")
         _check_interfaces(original, retimed)
@@ -475,16 +489,15 @@ class ReproServer:
         sequences = random_ternary_sequences(
             len(original.inputs), count=samples, length=length, seed=seed
         )
-        return original, retimed, sequences
-
-    def _check_validity_result(
-        self, request: Dict[str, Any], original, retimed, sequences, outs_o, outs_r
-    ) -> Dict[str, Any]:
-        first = first_difference(outs_o, outs_r)
+        # The report's batch section: one lane pass per circuit, each
+        # carrying this request's sequences alone.
+        for _ in (original, retimed):
+            self.stats.record_batch(1, samples)
+        first = first_cls_difference(original, retimed, sequences)
         result: Dict[str, Any] = {
             "equivalent": first is None,
-            "samples": len(sequences),
-            "length": len(sequences[0]) if sequences else 0,
+            "samples": samples,
+            "length": length,
             "first_difference": (
                 None if first is None else {"sequence": first[0], "cycle": first[1]}
             ),
@@ -535,33 +548,6 @@ class ReproServer:
                 if witness is not None:
                     result["equivalent"] = False
         return result
-
-    async def _check_validity_batched(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        original, retimed, sequences = self._check_validity_args(request)
-        outs_o, outs_r = await asyncio.gather(
-            self.batcher.sweep(original, sequences),
-            self.batcher.sweep(retimed, sequences),
-        )
-        if request.get("exhaustive"):
-            return await self._run_blocking(
-                lambda: self._check_validity_result(
-                    request, original, retimed, sequences, outs_o, outs_r
-                )
-            )
-        return self._check_validity_result(
-            request, original, retimed, sequences, outs_o, outs_r
-        )
-
-    def _sync_check_validity(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """The unbatched variant, used for traced requests."""
-        from ..sim.ternary_multi import BatchedTernarySimulator
-
-        original, retimed, sequences = self._check_validity_args(request)
-        outs_o = BatchedTernarySimulator(original).run_sequences(sequences)
-        outs_r = BatchedTernarySimulator(retimed).run_sequences(sequences)
-        return self._check_validity_result(
-            request, original, retimed, sequences, outs_o, outs_r
-        )
 
     # .. safe-replacement ..................................................
 

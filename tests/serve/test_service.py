@@ -2,8 +2,8 @@
 
 Every test talks to a real server over a real socket through the
 reference client.  The headline contracts: verdicts are **bit-for-bit
-identical** to the direct library path the one-shot CLI takes (even
-when concurrent requests batch), budget exhaustion is a structured
+identical** to the direct library path the one-shot CLI takes (traced
+or not, concurrent or not), budget exhaustion is a structured
 envelope rather than a crash, and shutdown drains in-flight work.
 """
 
@@ -344,30 +344,21 @@ class TestConcurrencyAndBatching:
             want = expected[request["op"]]
             assert {key: result[key] for key in want} == want
 
-    @pytest.mark.parametrize(
-        "server", [{"batch_window_s": 0.05}], indirect=True
-    )
-    def test_pipelined_sweeps_batch_and_stay_deterministic(self, server):
-        _, address = server
+    def test_pipelined_sweeps_stay_deterministic(self, client):
         original, retimed = _pair()
-        with ServeClient(address) as client:
-            _load_pair(client, original, retimed)
-            responses = client.request_many(
-                [
-                    {"op": "check-validity", "original": "orig", "retimed": "ret",
-                     "seed": seed}
-                    for seed in range(4)
-                ]
-            )
-            report = client.result({"op": "report"})
+        _load_pair(client, original, retimed)
+        responses = client.request_many(
+            [
+                {"op": "check-validity", "original": "orig", "retimed": "ret",
+                 "seed": seed}
+                for seed in range(4)
+            ]
+        )
         for seed, response in enumerate(responses):
             assert response["ok"]
             sequences = random_ternary_sequences(3, count=20, length=12, seed=seed)
             expected = first_cls_difference(original, retimed, sequences)
             assert response["result"]["equivalent"] is (expected is None)
-        # The four concurrent requests merged their compatible sweeps.
-        assert report["batch"]["max_jobs_per_sweep"] > 1
-        assert report["batch"]["jobs"] > report["batch"]["sweeps"]
 
 
 class TestBudgets:
@@ -543,6 +534,26 @@ class TestProtocolErrors:
             == "unknown-circuit"
         )
 
+    def test_line_over_the_stream_limit_answers_an_envelope(
+        self, server, client, capfd, caplog
+    ):
+        """A request line over the 64 KiB limit gets one ``parse-error``
+        envelope naming the limit, then its connection closes; the
+        server logs no unhandled exception, its stderr shows no
+        traceback, and it keeps serving."""
+        _, address = server
+        text = "# padding\n" * 7000 + write_bench(figure1_design_d())
+        resp = client.request({"op": "load", "name": "big", "bench": text})
+        assert resp["ok"] is False and resp["id"] is None
+        assert resp["error"]["code"] == "parse-error"
+        assert "65536-byte limit" in resp["error"]["message"]
+        with pytest.raises(ConnectionError):
+            client.recv()
+        with ServeClient(address) as fresh:
+            assert fresh.result({"op": "ping"})["circuits"] == []
+        assert "Traceback" not in capfd.readouterr().err
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == []
+
     def test_exact_grading_over_the_latch_cap_is_a_bad_request(self, client, capfd):
         """s382 has 21 latches, one over the exact sweep's cap: the
         client gets a one-line ``bad-request``, the server's stderr no
@@ -584,6 +595,25 @@ class TestTracing:
         assert report["schema"] >= 1
         assert report["meta"]["label"] == "serve.check-validity"
         assert report["spans"], "traced request recorded no spans"
+
+    def test_traced_check_validity_runs_the_untraced_path(self, client):
+        """One handler answers both: the same result on one pair and
+        seed, and the traced report counts the sampled sequences of
+        :func:`repro.retime.validity.first_cls_difference`."""
+        _load_pair(client, *_pair())
+        request = {
+            "op": "check-validity",
+            "original": "orig",
+            "retimed": "ret",
+            "samples": 7,
+            "seed": 3,
+        }
+        plain = client.result(request)
+        traced = client.request(dict(request, trace=True))
+        assert traced["result"] == plain
+        counters = traced["report"]["counters"]
+        assert counters["retime.validity.cls_checks"] == 1
+        assert counters["retime.validity.cls_sequences"] == 7
 
 
 class TestReorder:

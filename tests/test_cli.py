@@ -8,7 +8,7 @@ import pytest
 
 from repro.bench.iscas import BENCHMARKS, load
 from repro.bench.paper_circuits import figure1_design_c, figure1_design_d
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.obs import RunReport, TRACER
 from repro.decide import get_default_engine, set_default_engine
 from repro.netlist.io_bench import write_bench
@@ -233,7 +233,7 @@ def test_redundancy_command(tmp_path, capsys):
 def test_redundancy_blown_budget_is_undecided(tmp_path, capsys):
     bench = tmp_path / "red.bench"
     bench.write_text(_REDUNDANT_BENCH)
-    assert main(["redundancy", str(bench), "--max-pairs", "0"]) == 2
+    assert main(["redundancy", str(bench), "--max-pairs", "1"]) == 2
     captured = capsys.readouterr()
     assert "undecided" in captured.err and "--max-pairs" in captured.err
     assert "applied" not in captured.out
@@ -540,18 +540,41 @@ class TestCheckExitCodeMatrix:
         assert "seed 3" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flag, value",
-        [("--samples", "0"), ("--samples", "-3"), ("--length", "0"), ("--length", "-1")],
+        "command, flag, value",
+        [
+            pytest.param("check", flag, value, id="%s-%s" % (flag, value))
+            for flag, value in (
+                ("--samples", "0"), ("--samples", "-3"),
+                ("--length", "0"), ("--length", "-1"),
+            )
+        ]
+        + [
+            ("atpg", "--length", "0"),
+            ("atpg", "--length", "-3"),
+            ("atpg", "--attempts", "0"),
+            ("atpg", "--attempts", "-1"),
+            ("redundancy", "--max-pairs", "-5"),
+            ("fuzz", "--iterations", "0"),
+            ("fuzz", "--iterations", "-4"),
+            ("fuzz", "--time-budget", "0"),
+            ("fuzz", "--time-budget", "-1"),
+            ("serve", "--budget", "0"),
+        ],
     )
     def test_non_positive_sample_settings_are_rejected(
-        self, flag, value, check_pair, capsys
+        self, command, flag, value, check_pair, capsys
     ):
-        """An empty sample batch would print a vacuous pass."""
+        """An empty sample batch, test set, search or fuzz run would
+        print a vacuous pass.  The parser alone is driven, so a command
+        that would accept the value (``serve`` serves forever) never
+        starts."""
         good, _ = check_pair
+        circuits = {"check": [good, good], "atpg": [good], "redundancy": [good]}
         with pytest.raises(SystemExit) as exc:
-            main(["check", good, good, flag, value])
+            build_parser().parse_args([command, *circuits.get(command, []), flag, value])
         assert exc.value.code == 2
-        assert "argument %s: must be >= 1" % flag in capsys.readouterr().err
+        bound = "> 0" if flag == "--time-budget" else ">= 1"
+        assert "argument %s: must be %s" % (flag, bound) in capsys.readouterr().err
 
     @pytest.mark.parametrize("second, status", [("good", 2), ("bad", 1)])
     def test_exhaustive_blown_budget_is_undecided(
