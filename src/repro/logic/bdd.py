@@ -20,11 +20,11 @@ manager sufficient for the symbolic analyses in
   relational-product workhorse of image computation, which never
   materialises the (often huge) intermediate conjunction;
 * **bounded computed tables**: every operation cache is capped at
-  ``cache_limit`` entries and flushed wholesale when full, so a long
+  :data:`CACHE_LIMIT` entries and flushed wholesale when full, so a long
   fixpoint run cannot grow memoisation without bound;
-* **mark-and-sweep garbage collection** keyed on protected roots
-  (:meth:`protect` / :meth:`collect`), recycling node slots through a
-  free list while keeping hash-consing canonical for the survivors;
+* **mark-and-sweep garbage collection** (:meth:`collect`) rooted at the
+  live :class:`BDD` handles, recycling node slots through a free list
+  while keeping hash-consing canonical for the survivors;
 * **dynamic variable reordering** (Rudell sifting): adjacent-level
   swaps as the in-place primitive (:meth:`swap_adjacent`), full sifting
   passes (:meth:`reorder`), and an automatic trigger at a live-node
@@ -43,7 +43,7 @@ position in the diagram order).  With ``reorder="off"`` (the default)
 id and level coincide forever -- the historical fixed-order behaviour.
 :meth:`reorder` runs one Rudell sifting pass: each variable is moved
 through the order by adjacent-level swaps to its locally best level,
-with the excursion abandoned once the table grows past ``max_growth``
+with the excursion abandoned once the table grows past :data:`MAX_GROWTH`
 times its size at the start of that variable's sift.  With
 ``reorder="auto"`` a sifting pass fires automatically whenever the live
 node count crosses ``reorder_threshold`` (and thereafter each time it
@@ -51,16 +51,19 @@ doubles past the post-sift size); ``reorder="manual"`` never
 auto-triggers but documents that the owner will call :meth:`reorder`
 at moments of its choosing.
 
-**Handle-validity contract.**  Reordering is *in place*: a node's index
-keeps denoting the same Boolean function across any sequence of swaps
-and sifts, so every live :class:`BDD` handle -- including the indices
-callers have squirrelled away in sets and dicts -- remains valid, and
-canonicity (equal functions <=> equal indices) is preserved.  The
-manager tracks all live handles through weak references and treats
-them as reorder roots, so a reorder can never free a node a handle can
-still reach.  Auto-reordering only ever fires at public operation
-boundaries (never inside a recursion), where no partially-built
-diagram exists.
+**Liveness contract.**  A node lives while a live :class:`BDD` handle
+reaches it, and neither :meth:`collect` nor :meth:`reorder` invalidates
+a handle.  The manager tracks every handle through a weak reference, so
+the live handles are the roots of both: a collection frees exactly the
+nodes no handle reaches, and a swap frees only cofactor nodes that no
+handle or parent references any more.  Reordering is *in place*: a
+node's index keeps denoting the same Boolean function across any
+sequence of swaps and sifts, so handles -- and sets and dicts keyed on
+them -- stay valid, and canonicity (equal functions <=> equal indices)
+is preserved.  A caller releases an intermediate by dropping its last
+handle; one kept by mistake costs memory, never correctness.
+Auto-reordering only ever fires at public operation boundaries (never
+inside a recursion), where no partially-built diagram exists.
 
 **Cache-invalidation contract.**  A swap can free nodes (dead cofactor
 nodes of the two affected levels), so all operation caches (``ite``,
@@ -74,13 +77,6 @@ FALSE, node 1 the constant TRUE.  Every node satisfies the ROBDD
 invariants (``low != high``, children at deeper levels), so semantic
 equivalence really is index equality -- a property the test suite
 checks against brute-force truth tables and across random reorders.
-
-GC contract: :meth:`collect` frees every node not reachable from a
-protected root (or a root passed to the call); any :class:`BDD` handle
-to a freed node is *invalidated* -- its slot may be recycled by later
-allocations.  Callers running long fixpoints protect their live
-frontier/relation roots and collect between iterations.  (Reordering
-is stricter: it never invalidates handles.)
 """
 
 from __future__ import annotations
@@ -91,9 +87,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 __all__ = [
     "BDDManager",
     "BDD",
-    "DEFAULT_CACHE_LIMIT",
+    "CACHE_LIMIT",
     "DEFAULT_REORDER_THRESHOLD",
-    "DEFAULT_MAX_GROWTH",
+    "MAX_GROWTH",
     "REORDER_MODES",
     "NodeLimitExceeded",
 ]
@@ -101,8 +97,11 @@ __all__ = [
 FALSE_INDEX = 0
 TRUE_INDEX = 1
 
-#: Default bound on each operation cache (entries, not nodes).
-DEFAULT_CACHE_LIMIT = 1 << 20
+#: Bound on each operation cache (``ite``, ``exists``, ``relprod``), in
+#: entries, not nodes.  A full cache is flushed (counted in
+#: ``stats["cache_evictions"]``): only recomputation cost, never
+#: correctness.
+CACHE_LIMIT = 1 << 20
 
 #: Live-node count at which ``reorder="auto"`` fires its first sift.
 #: Deliberately high: a sifting pass is O(variables x nodes) of pure
@@ -114,7 +113,7 @@ DEFAULT_REORDER_THRESHOLD = 500_000
 
 #: A sifted variable's excursion is abandoned once the table exceeds
 #: this factor of its size when the variable's sift started.
-DEFAULT_MAX_GROWTH = 1.2
+MAX_GROWTH = 1.2
 
 #: Accepted values for the ``reorder`` knob, here and downstream
 #: (``SymbolicContainmentChecker``, the CLI's ``--reorder``).
@@ -138,8 +137,8 @@ class BDD:
 
     Handles support the Boolean operators (``&``, ``|``, ``^``, ``~``)
     and comparisons; they are only meaningful within their manager.
-    Live handles are tracked (weakly) by the manager and are kept valid
-    across dynamic reordering.
+    Live handles are tracked (weakly) by the manager: they are the roots
+    of garbage collection and reordering, and stay valid across both.
     """
 
     __slots__ = ("manager", "index", "__weakref__")
@@ -263,19 +262,12 @@ class BDDManager:
 
     Parameters
     ----------
-    cache_limit:
-        Bound on each operation cache (``ite``, ``exists``,
-        ``relprod``).  When a cache reaches the limit it is flushed
-        (counted in ``stats["cache_evictions"]``); correctness is
-        unaffected -- only recomputation cost.
     reorder:
         ``"off"`` (fixed order, the default), ``"auto"`` (sift when the
         live node count crosses *reorder_threshold*) or ``"manual"``
         (never auto-sift; the owner calls :meth:`reorder`).
     reorder_threshold:
         Live-node count that arms the first automatic sift.
-    max_growth:
-        Per-variable growth bound during sifting (see module docs).
     node_limit:
         Optional hard budget on unique-table nodes; exceeding it raises
         :class:`NodeLimitExceeded` (a :class:`MemoryError`), the BDD
@@ -285,22 +277,16 @@ class BDDManager:
     def __init__(
         self,
         *,
-        cache_limit: int = DEFAULT_CACHE_LIMIT,
         reorder: str = "off",
         reorder_threshold: int = DEFAULT_REORDER_THRESHOLD,
-        max_growth: float = DEFAULT_MAX_GROWTH,
         node_limit: Optional[int] = None,
     ) -> None:
-        if cache_limit < 1:
-            raise ValueError("cache_limit must be positive")
         if reorder not in REORDER_MODES:
             raise ValueError(
                 "reorder must be one of %s, not %r" % (REORDER_MODES, reorder)
             )
         if reorder_threshold < 2:
             raise ValueError("reorder_threshold must be at least 2")
-        if max_growth < 1.0:
-            raise ValueError("max_growth must be >= 1.0")
         if node_limit is not None and node_limit < 2:
             raise ValueError("node_limit must be at least 2")
         # Parallel node arrays; entries 0/1 are the terminals (their
@@ -320,17 +306,14 @@ class BDDManager:
         self._level_vars: List[int] = []
         self._var_nodes: List[set] = []
         self._free: List[int] = []
-        self._protected: Dict[int, int] = {}
         self._qsets: Dict[FrozenSet[int], int] = {}
         self._qset_vars: List[FrozenSet[int]] = []
         # Live handles, tracked by OBJECT identity (BDD.__eq__ compares
         # indices, so a value-keyed WeakSet would collapse distinct
         # handles onto one weakref and lose track when it dies).
         self._handles: Dict[int, "weakref.ref[BDD]"] = {}
-        self.cache_limit = cache_limit
         self.reorder_mode = reorder
         self.reorder_threshold = reorder_threshold
-        self.max_growth = max_growth
         self.node_limit = node_limit
         self._next_reorder_at = reorder_threshold
         self._reordering = False
@@ -354,8 +337,8 @@ class BDDManager:
         }
 
     def _track(self, handle: BDD) -> None:
-        """Register a live handle (weakly, by object identity) so
-        reordering can treat it as a root."""
+        """Register a live handle (weakly, by object identity) as a
+        root of collection and reordering."""
         key = id(handle)
         handles = self._handles
         handles[key] = weakref.ref(
@@ -447,7 +430,7 @@ class BDDManager:
 
     def _cache_room(self, cache: Dict) -> Dict:
         """Flush *cache* when it has hit the bound; returns the cache."""
-        if len(cache) >= self.cache_limit:
+        if len(cache) >= CACHE_LIMIT:
             cache.clear()
             self.stats["cache_evictions"] += 1
         return cache
@@ -755,35 +738,27 @@ class BDDManager:
 
     # -- garbage collection -------------------------------------------------------
 
-    def protect(self, f: BDD) -> BDD:
-        """Mark *f* as a GC root (reference-counted); returns *f*."""
-        if f.manager is not self:
-            raise ValueError("cannot protect a BDD from another manager")
-        self._protected[f.index] = self._protected.get(f.index, 0) + 1
-        return f
+    def _handle_indices(self) -> List[int]:
+        """The node of every live handle: the roots of :meth:`collect`
+        and of reordering."""
+        indices = []
+        # Copied first: a handle dying mid-walk pops its entry.
+        for handle_ref in list(self._handles.values()):
+            handle = handle_ref()
+            if handle is not None:
+                indices.append(handle.index)
+        return indices
 
-    def unprotect(self, f: BDD) -> None:
-        """Drop one protection reference added by :meth:`protect`."""
-        count = self._protected.get(f.index, 0)
-        if count <= 1:
-            self._protected.pop(f.index, None)
-        else:
-            self._protected[f.index] = count - 1
+    def collect(self) -> int:
+        """Mark-and-sweep: free every node no live handle reaches;
+        returns the number freed.
 
-    def collect(self, roots: Iterable[BDD] = ()) -> int:
-        """Mark-and-sweep: free every node unreachable from the
-        protected roots and *roots*; returns the number freed.
-
-        Handles to freed nodes are invalidated (their slots go on a
-        free list for reuse); all operation caches are flushed, since
-        cached entries may reference freed slots.
+        Freed slots go on a free list for reuse; all operation caches
+        are flushed, since cached entries may name freed slots.  No live
+        handle is affected (see the module's liveness contract).
         """
         marked = {FALSE_INDEX, TRUE_INDEX}
-        stack: List[int] = list(self._protected)
-        for f in roots:
-            if f.manager is not self:
-                raise ValueError("cannot collect with a root from another manager")
-            stack.append(f.index)
+        stack = self._handle_indices()
         while stack:
             index = stack.pop()
             if index in marked:
@@ -801,10 +776,7 @@ class BDDManager:
                 self._high[index] = -1
                 self._free.append(index)
                 freed += 1
-        # Cached results may name freed slots; flush everything.
-        self._ite_cache.clear()
-        self._exists_cache.clear()
-        self._relprod_cache.clear()
+        self._flush_op_caches()
         self.stats["gc_runs"] += 1
         self.stats["gc_freed_nodes"] += freed
         return freed
@@ -830,18 +802,14 @@ class BDDManager:
 
     def _build_refs(self) -> List[int]:
         """Reference counts for every slot: parents in the unique table
-        plus one for each live handle / protected root.  Only used (and
-        kept consistent) for the duration of one reorder."""
+        plus one for each live handle.  Only used (and kept consistent)
+        for the duration of one reorder."""
         ref = [0] * len(self._var)
         low, high = self._low, self._high
         for index in self._unique.values():
             ref[low[index]] += 1
             ref[high[index]] += 1
-        for handle_ref in list(self._handles.values()):
-            handle = handle_ref()
-            if handle is not None and 0 <= handle.index < len(ref):
-                ref[handle.index] += 1
-        for index in self._protected:
+        for index in self._handle_indices():
             ref[index] += 1
         ref[FALSE_INDEX] += 1
         ref[TRUE_INDEX] += 1
@@ -976,13 +944,13 @@ class BDDManager:
         self._exists_cache.clear()
         self._relprod_cache.clear()
 
-    def _sift_one(self, var: int, ref: List[int], limit_factor: float) -> None:
+    def _sift_one(self, var: int, ref: List[int]) -> None:
         """Move *var* to its locally best level by adjacent swaps,
         abandoning an excursion once the table passes the growth
         bound, and settling on the best size seen."""
         nlevels = len(self._level_vars)
         start_size = len(self._unique)
-        limit = int(start_size * limit_factor) + 8
+        limit = int(start_size * MAX_GROWTH) + 8
         best_size = start_size
         best_pos = self._order[var]
         # Excursion 1: to the bottom.
@@ -1005,7 +973,7 @@ class BDDManager:
         while self._order[var] < best_pos:
             self._swap_adjacent(self._order[var], ref)
 
-    def reorder(self, *, max_growth: Optional[float] = None) -> Dict[str, int]:
+    def reorder(self) -> Dict[str, int]:
         """One Rudell sifting pass over every variable (most populated
         level first); returns a ``{"before": ..., "after": ...,
         "swaps": ...}`` summary in live-node counts.
@@ -1016,9 +984,6 @@ class BDDManager:
         """
         if self._reordering or len(self._level_vars) < 2:
             return {"before": self.live_node_count, "after": self.live_node_count, "swaps": 0}
-        growth = self.max_growth if max_growth is None else max_growth
-        if growth < 1.0:
-            raise ValueError("max_growth must be >= 1.0")
         self._reordering = True
         try:
             self._flush_op_caches()
@@ -1029,7 +994,7 @@ class BDDManager:
                 range(len(self._var_names)),
                 key=lambda v: (-len(self._var_nodes[v]), v),
             ):
-                self._sift_one(var, ref, growth)
+                self._sift_one(var, ref)
             after = len(self._unique)
             self.stats["reorder.runs"] += 1
             if before > after:

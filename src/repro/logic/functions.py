@@ -28,8 +28,8 @@ multi-output fanout junction ``JUNC``, and constant cells.  Constant
 cells deserve a note: the paper's Section 5 assumes that *"if all inputs
 of any combinational element are X's, then all outputs are X's"*, an
 assumption a constant cell violates; :attr:`CellFunction.all_x_to_all_x`
-records whether each cell satisfies it, and the retiming validity
-checker refuses hazardous moves across cells that do not.
+records whether each cell satisfies it, and the retiming validity report
+requires Corollary 5.3 only when every cell a move crossed does.
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ def _symbolic_verdict(case: Case, *, reordering: bool) -> Ballot:
     if reordering:
         manager = BDDManager(reorder="auto", reorder_threshold=256)
         checker = SymbolicContainmentChecker(
-            case.candidate, case.original, manager=manager, reorder="auto", partitioned=True
+            case.candidate, case.original, manager=manager, partitioned=True
         )
     else:
         checker = SymbolicContainmentChecker(case.candidate, case.original, reorder="off")

@@ -11,7 +11,9 @@ paper's claims on the concrete pair:
 * **Corollary 5.3**: regardless of hazard, the conservative
   three-valued simulator started all-X produces identical output
   sequences for C and D on every input sequence (checked on supplied or
-  randomly sampled ternary sequences).
+  randomly sampled ternary sequences) -- provided every crossed cell
+  maps all-X inputs to all-X outputs, Theorem 5.1's premise, which a
+  constant cell breaks.
 
 The containment questions go through :func:`repro.decide.decide` with
 the session as evidence, so ``auto`` first tries the move certificate
@@ -164,6 +166,9 @@ class ValidityReport:
         The least n with ``C^n ⊑ D`` (None if skipped/not found).
     cls_invariant:
         Corollary 5.3 verified on the sampled input sequences.
+    cls_premise:
+        Theorem 5.1's premise: every cell a move crossed maps all-X
+        inputs to all-X outputs (:attr:`CellFunction.all_x_to_all_x`).
     decided_by:
         What decided the containment verdicts: ``"certificate"`` or an
         engine name (None when ``check_stg`` was off).  Provenance, not
@@ -177,17 +182,18 @@ class ValidityReport:
     delayed_implication_holds: Optional[bool]
     min_delay: Optional[int]
     cls_invariant: bool
+    cls_premise: bool
     decided_by: Optional[str] = field(default=None, compare=False)
 
     def consistent_with_paper(self) -> bool:
         """Do the observations match the theorems?
 
-        - Corollary 5.3 must always hold.
+        - Corollary 5.3 must hold wherever Theorem 5.1's premise does.
         - If no hazardous move was made, implication (and hence safe
           replacement) must hold.
         - Delayed implication at k must hold whenever checked.
         """
-        if not self.cls_invariant:
+        if self.cls_premise and not self.cls_invariant:
             return False
         if self.hazardous_moves == 0:
             for verdict in (self.implication_holds, self.safe_replacement_holds):
@@ -251,5 +257,8 @@ def check_retiming_validity(
         delayed_implication_holds=delayed and delayed.holds,
         min_delay=least and least.least_n,
         cls_invariant=invariant,
+        cls_premise=all(
+            applied.function.all_x_to_all_x for applied in session.history
+        ),
         decided_by=implication and implication.engine,
     )

@@ -40,7 +40,6 @@ from .ternary_equiv import (  # noqa: F401
 )
 from .symbolic import (  # noqa: F401
     SymbolicMachine,
-    compile_circuit,
     product_outputs_equivalent,
     symbolic_delayed_states,
 )

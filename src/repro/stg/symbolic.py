@@ -43,7 +43,6 @@ from ..netlist.circuit import Circuit
 __all__ = [
     "SymbolicMachine",
     "cell_output_bdd",
-    "compile_circuit",
     "net_functions",
     "symbolic_delayed_states",
     "product_outputs_equivalent",
@@ -320,24 +319,6 @@ class SymbolicMachine:
             self._outputs_by_symbol[symbol] = cached
         return cached
 
-    def roots(self) -> List[BDD]:
-        """Every BDD this machine owns -- the GC-protection set a
-        fixpoint loop passes to :meth:`BDDManager.collect`."""
-        handles: List[BDD] = list(self.partitions)
-        if self._transition is not None:
-            handles.append(self._transition)
-        handles.extend(self.state_vars)
-        handles.extend(self.next_vars)
-        handles.extend(self.input_vars)
-        handles.extend(self.next_functions)
-        handles.extend(self.output_functions)
-        handles.extend(self._transition_by_symbol.values())
-        for parts in self._partitions_by_symbol.values():
-            handles.extend(parts)
-        for outputs in self._outputs_by_symbol.values():
-            handles.extend(outputs)
-        return handles
-
     # -- image operators ---------------------------------------------------------
 
     def image(self, states: BDD) -> BDD:
@@ -494,16 +475,11 @@ def cell_output_bdd(
     return acc
 
 
-def compile_circuit(circuit: Circuit) -> SymbolicMachine:
-    """Compile *circuit* into a fresh manager."""
-    return SymbolicMachine(circuit)
-
-
 def symbolic_delayed_states(circuit: Circuit, cycles: int) -> frozenset:
     """The state set of ``D^cycles`` as integers (MSB = latch 0),
     computed symbolically -- the BDD counterpart of
     :func:`repro.stg.delayed.delayed_states`."""
-    machine = compile_circuit(circuit)
+    machine = SymbolicMachine(circuit)
     states = machine.delayed(cycles)
     result = set()
     for bits in machine.enumerate_states(states):

@@ -63,7 +63,8 @@ manager's dynamic-reordering knob: ``reorder="auto"`` (the process
 default, changeable via :func:`set_default_reorder` / ``--reorder``)
 lets the manager sift itself when it crosses its node threshold,
 ``"manual"`` sifts exactly once after compilation, ``"off"`` pins the
-declaration order.  Verdicts and minimal-length witnesses are
+declaration order.  A checker handed a manager runs in, and reports,
+that manager's mode.  Verdicts and minimal-length witnesses are
 bit-identical in every mode and partitioning -- the orders are decided
 over canonical functions and witnesses are reconstructed
 lexicographically -- so the knob only trades node count against wall
@@ -71,15 +72,19 @@ time (``tests/stg/test_reorder_differential.py`` locks this down).
 
 All fixpoints run bounded: the subset search raises
 :class:`~repro.stg.replaceability.SearchBudgetExceeded` beyond
-``max_buckets`` nodes, and every loop garbage-collects the BDD manager
-against its protected roots when the node count passes
-``gc_node_limit``.  Per-operation BDD counters land in ``repro.obs``
-(counters ``bdd.*``, spans ``stg.symbolic.*``) whenever tracing is on.
+``max_buckets`` nodes, and each of the three fixpoint loops
+garbage-collects the BDD manager once its live node count passes
+:data:`GC_NODE_LIMIT`.  A node lives while a live handle reaches it
+(the contract of :mod:`repro.logic.bdd`), so a collection keeps what
+the checker, its machines and the loop still hold -- and each loop
+drops an iteration's intermediates before its collect point.
+Per-operation BDD counters land in ``repro.obs`` (counters ``bdd.*``,
+spans ``stg.symbolic.*``) whenever tracing is on.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..logic.bdd import BDD, BDDManager, REORDER_MODES
 from ..netlist.circuit import Circuit
@@ -193,6 +198,11 @@ class SymbolicContainmentChecker:
     and shared by :meth:`implies`, :meth:`delayed_implies`,
     :meth:`delay_needed` and the Proposition 3.1 shortcut of
     :meth:`find_violation`.
+
+    *reorder* sets the reordering mode (see :func:`resolve_reorder`);
+    left ``None``, a passed *manager* keeps its own mode and a fresh one
+    gets the process default.  :attr:`reorder` is the mode the manager
+    runs in.
     """
 
     def __init__(
@@ -201,21 +211,18 @@ class SymbolicContainmentChecker:
         d: Circuit,
         *,
         manager: Optional[BDDManager] = None,
-        gc_node_limit: int = GC_NODE_LIMIT,
         reorder: Optional[str] = None,
         partitioned: object = "auto",
-        node_budget: Optional[int] = None,
     ) -> None:
         check_interfaces(c, d)
         self.c = c
         self.d = d
-        self.reorder = resolve_reorder(reorder)
         if manager is None:
-            manager = BDDManager(reorder=self.reorder, node_limit=node_budget)
+            manager = BDDManager(reorder=resolve_reorder(reorder))
         elif reorder is not None:
-            manager.reorder_mode = self.reorder
+            manager.reorder_mode = resolve_reorder(reorder)
         self.manager = manager
-        self.gc_node_limit = gc_node_limit
+        self.reorder = manager.reorder_mode
         with _span("stg.symbolic.compile"):
             self.mc = SymbolicMachine(
                 c, self.manager, prefix="c.", partitioned=partitioned
@@ -238,19 +245,11 @@ class SymbolicContainmentChecker:
         self._equivalence: Optional[BDD] = None
         self._has_partner: Optional[BDD] = None
 
-    # -- GC plumbing -------------------------------------------------------
-
-    def _maybe_collect(self, extra_roots: Iterable[BDD]) -> None:
-        manager = self.manager
-        if manager.live_node_count <= self.gc_node_limit:
-            return
-        roots: List[BDD] = self.mc.roots() + self.md.roots()
-        if self._equivalence is not None:
-            roots.append(self._equivalence)
-        if self._has_partner is not None:
-            roots.append(self._has_partner)
-        roots.extend(extra_roots)
-        manager.collect(roots)
+    def _maybe_collect(self) -> None:
+        """A fixpoint loop's collect point: everything the caller no
+        longer holds is garbage once the table passes the limit."""
+        if self.manager.live_node_count > GC_NODE_LIMIT:
+            self.manager.collect()
 
     # -- the pair-equivalence fixpoint ------------------------------------
 
@@ -262,10 +261,10 @@ class SymbolicContainmentChecker:
             return self._equivalence
         manager, mc, md = self.manager, self.mc, self.md
         with _span("stg.symbolic.equivalence"):
-            outputs_match = manager.true
+            relation = manager.true
             for fc, fd in zip(mc.output_functions, md.output_functions):
-                outputs_match = outputs_match & fc.iff(fd)
-            relation = outputs_match.forall(mc.input_names)
+                relation = relation & fc.iff(fd)
+            relation = relation.forall(mc.input_names)
             prime = {**mc._state_to_next, **md._state_to_next}  # noqa: SLF001
             quantify = mc.input_names + mc.next_names + md.next_names
             if self.partitioned:
@@ -274,29 +273,26 @@ class SymbolicContainmentChecker:
                 # quantification schedule.
                 partitions = mc.partitions + md.partitions
                 plan = quantification_schedule(manager, partitions, quantify)
-                product = None
+
+                def preimage(target: BDD) -> BDD:
+                    return relprod_chain(manager, target, partitions, quantify, plan=plan)
+
             else:
-                partitions = None
-                plan = None
                 product = mc.transition & md.transition
+
+                def preimage(target: BDD) -> BDD:
+                    return manager.relprod(product, target, quantify)
+
             iterations = 0
             while True:
                 iterations += 1
-                primed = relation.rename(prime)
-                # Pairs with SOME input stepping outside the relation.
-                if partitions is not None:
-                    escaping = relprod_chain(
-                        manager, ~primed, partitions, quantify, plan=plan
-                    )
-                else:
-                    escaping = manager.relprod(product, ~primed, quantify)
-                refined = relation & ~escaping
+                # Drop the pairs with SOME input stepping outside the
+                # relation; the step's intermediates die with this line.
+                refined = relation & ~preimage(~relation.rename(prime))
                 if refined == relation:
                     break
                 relation = refined
-                self._maybe_collect(
-                    [relation] if product is None else [relation, product]
-                )
+                self._maybe_collect()
         self._equivalence = relation
         self._has_partner = relation.exists(md.state_names)
         if _TRACE.enabled:
@@ -330,20 +326,18 @@ class SymbolicContainmentChecker:
         suffices (the chain stabilised without containment)."""
         partnered = self._partner_states()
         current = self.manager.true
-        chain: List[BDD] = []  # roots: keeps frontier indices stable
         seen: set = set()
         n = 0
         with _span("stg.symbolic.delay_needed"):
             while max_cycles is None or n <= max_cycles:
                 if (current & ~partnered).is_false:
                     return n
-                if current.index in seen:
+                if current in seen:
                     return None
-                seen.add(current.index)
-                chain.append(current)
+                seen.add(current)
                 current = self.mc.image(current)
                 n += 1
-                self._maybe_collect(chain + [current, partnered])
+                self._maybe_collect()
         return None
 
     # -- safe replacement ---------------------------------------------------
@@ -385,48 +379,15 @@ class SymbolicContainmentChecker:
             cache[key] = cached
         return cached
 
-    def _subset_roots(
-        self,
-        frontier: Sequence[_Bucket],
-        seen: Dict[int, Tuple[BDD, BDD]],
-        c_cubes: Dict,
-        d_cubes: Dict,
-    ) -> List[BDD]:
-        """The live GC roots of the subset fixpoint: the frontier
-        buckets plus the parent chains a violation would be
-        reconstructed through, every ``seen`` (subset, accumulated-A)
-        pair -- the map is keyed on ``subset.index``, so those nodes
-        must never be recycled -- and both output-cube caches, whose
-        handles are reused across frontier levels."""
-        roots: List[BDD] = []
-        visited: set = set()
-        for bucket in frontier:
-            node: Optional[_Bucket] = bucket
-            while node is not None and id(node) not in visited:
-                visited.add(id(node))
-                roots.append(node.a_set)
-                roots.append(node.subset)
-                node = node.parent
-        for subset, accumulated in seen.values():
-            roots.append(subset)
-            roots.append(accumulated)
-        roots.extend(c_cubes.values())
-        roots.extend(d_cubes.values())
-        return roots
-
     def _subset_fixpoint(
         self, max_buckets: int
     ) -> Optional[SafeReplacementViolation]:
-        manager, mc, md = self.manager, self.mc, self.md
-        num_symbols = 1 << len(self.c.inputs)
-        num_outputs = len(self.c.outputs)
-        out_symbols = range(1 << num_outputs)
+        manager = self.manager
         c_cubes: Dict = {}
         d_cubes: Dict = {}
-
         root = _Bucket(manager.true, manager.true, None, None, None)
-        # subset index -> (subset handle, C-states already seen with it)
-        seen: Dict[int, Tuple[BDD, BDD]] = {root.subset.index: (root.subset, root.a_set)}
+        # subset -> the C-states already seen with it
+        seen: Dict[BDD, BDD] = {root.subset: root.a_set}
         frontier: List[_Bucket] = [root]
         processed = 0
 
@@ -439,39 +400,55 @@ class SymbolicContainmentChecker:
                         "symbolic safe-replacement search exceeded %d buckets"
                         % max_buckets
                     )
-                for symbol in range(num_symbols):
-                    for out in out_symbols:
-                        emitting = bucket.a_set & self._output_cube(
-                            mc, symbol, out, c_cubes
-                        )
-                        if emitting.is_false:
-                            continue
-                        matched = bucket.subset & self._output_cube(
-                            md, symbol, out, d_cubes
-                        )
-                        new_subset = md.image_for(symbol, matched)
-                        if new_subset.is_false:
-                            # No D-state matched this history: violation.
-                            if _TRACE.enabled:
-                                _TRACE.incr("stg.symbolic.buckets", processed)
-                            _publish_bdd_stats(manager)
-                            return self._reconstruct(bucket, symbol, out, emitting)
-                        new_a = mc.image_for(symbol, emitting)
-                        entry = seen.get(new_subset.index)
-                        previous = entry[1] if entry is not None else manager.false
-                        fresh = new_a & ~previous
-                        if fresh.is_false:
-                            continue
-                        seen[new_subset.index] = (new_subset, previous | fresh)
-                        child = _Bucket(fresh, new_subset, bucket, symbol, out)
-                        next_frontier.append(child)
+                violation = self._expand(bucket, seen, c_cubes, d_cubes, next_frontier)
+                if violation is not None:
+                    if _TRACE.enabled:
+                        _TRACE.incr("stg.symbolic.buckets", processed)
+                    _publish_bdd_stats(manager)
+                    return self._reconstruct(bucket, *violation)
+            # Live now: the new frontier with the parent chains a
+            # violation is reconstructed through, ``seen`` and the
+            # output-cube caches.  The loop variable would also keep one
+            # childless bucket alive.
             frontier = next_frontier
-            self._maybe_collect(
-                self._subset_roots(frontier, seen, c_cubes, d_cubes)
-            )
+            del bucket
+            self._maybe_collect()
         if _TRACE.enabled:
             _TRACE.incr("stg.symbolic.buckets", processed)
         _publish_bdd_stats(manager)
+        return None
+
+    def _expand(
+        self,
+        bucket: _Bucket,
+        seen: Dict[BDD, BDD],
+        c_cubes: Dict,
+        d_cubes: Dict,
+        children: List[_Bucket],
+    ) -> Optional[Tuple[int, int, BDD]]:
+        """Append *bucket*'s successors with unseen C-states to
+        *children*; or, when an output C emits from *bucket* leaves no
+        D-state matching, return that violation's ``(symbol, out,
+        emitting C-states)``."""
+        mc, md = self.mc, self.md
+        for symbol in range(1 << len(self.c.inputs)):
+            for out in range(1 << len(self.c.outputs)):
+                emitting = bucket.a_set & self._output_cube(mc, symbol, out, c_cubes)
+                if emitting.is_false:
+                    continue
+                matched = bucket.subset & self._output_cube(md, symbol, out, d_cubes)
+                new_subset = md.image_for(symbol, matched)
+                if new_subset.is_false:
+                    return symbol, out, emitting
+                new_a = mc.image_for(symbol, emitting)
+                previous = seen.get(new_subset)
+                if previous is None:
+                    previous = self.manager.false
+                fresh = new_a & ~previous
+                if fresh.is_false:
+                    continue
+                seen[new_subset] = previous | fresh
+                children.append(_Bucket(fresh, new_subset, bucket, symbol, out))
         return None
 
     def _reconstruct(

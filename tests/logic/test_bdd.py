@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.logic import bdd
 from repro.logic.bdd import BDDManager
 
 
@@ -325,24 +326,26 @@ def test_relprod_counters_advance(m):
 
 
 class TestGarbageCollection:
+    """One rule: a node lives while a live handle reaches it."""
+
     def test_collect_preserves_root_semantics(self):
-        """Brute-force truth tables of protected roots are unchanged by
-        a collection that frees everything else."""
+        """Brute-force truth tables of a held handle are unchanged by a
+        collection that frees everything else."""
         m = BDDManager()
         variables = ["a", "b", "c", "d"]
-        for name in variables:
-            m.variable(name)
-        a, b, c, d = (m.variable(n) for n in variables)
+        a, b, c, d = m.declare(*variables)
         keep = (a & b) | (c ^ d)
         truth = {
             bits: m.evaluate(keep, dict(zip(variables, bits)))
             for bits in itertools.product((False, True), repeat=4)
         }
-        # Garbage: lots of unrelated intermediates.
+        # Garbage: lots of unrelated intermediates, dropped at once.
         for i in range(6):
-            _ = (a ^ c) & (b | d) & m.cube({"a": bool(i % 2)})
-        freed = m.collect([keep])
+            (a ^ c) & (b | d) & m.cube({"a": bool(i % 2)})
+        del a, b, c, d
+        freed = m.collect()
         assert freed > 0
+        assert m.live_node_count == m.size_of(keep)
         for bits, expected in truth.items():
             assert m.evaluate(keep, dict(zip(variables, bits))) == expected
 
@@ -356,27 +359,39 @@ class TestGarbageCollection:
         f, f_fn = _random_formula(m, variables, data.draw)
         garbage, _ = _random_formula(m, variables, data.draw)
         del garbage
-        m.collect([f])
+        m.collect()
         for bits in itertools.product((False, True), repeat=len(variables)):
             env = dict(zip(variables, bits))
             assert m.evaluate(f, env) == f_fn(env)
 
-    def test_protect_survives_collect_without_roots(self):
+    def test_held_handle_survives_collect(self):
+        """The held conjunction keeps every node it reaches, b's
+        variable node among them, though the variables' handles are
+        gone; only a's variable node, which it does not reach, goes."""
         m = BDDManager()
         a, b = m.declare("a", "b")
-        f = m.protect(a & b)
-        m.collect()
+        f = a & b
+        del a, b
+        assert m.collect() == 1
+        assert m.live_node_count == m.size_of(f) == 4
         assert f.satisfy_one() == {"a": True, "b": True}
 
-    def test_unprotect_is_refcounted(self):
+    def test_dropped_handle_nodes_are_freed(self):
+        """Dropping a handle frees, at the next collection, exactly the
+        nodes no other handle reaches; rebuilding it allocates again."""
         m = BDDManager()
         a, b = m.declare("a", "b")
-        f = a ^ b
-        m.protect(f)
-        m.protect(f)
-        m.unprotect(f)
-        m.collect()  # still protected once
-        assert f.count(["a", "b"]) == 2
+        f = a & b
+        g = a ^ b
+        shared = m.live_node_count
+        del g
+        assert m.live_node_count == shared  # freed by collect, not on drop
+        assert m.collect() == 2  # a ^ b's root and its ~b child
+        assert m.live_node_count == shared - 2
+        created = m.stats["nodes_created"]
+        assert (a ^ b).count(["a", "b"]) == 2
+        assert m.stats["nodes_created"] == created + 2
+        assert f.count(["a", "b"]) == 1
 
     def test_freed_slots_are_reused(self):
         """After a sweep, new allocations fill the free list before
@@ -385,9 +400,9 @@ class TestGarbageCollection:
         a, b, c = m.declare("a", "b", "c")
         garbage = (a ^ b) & (b ^ c) | (a & ~c)
         before = m.num_nodes
-        freed = m.collect([a, b, c])  # keep the variables, drop the rest
+        del garbage
+        freed = m.collect()  # the variables are held, the rest is not
         assert freed > 0
-        del garbage  # handle invalidated by the sweep
         rebuilt = (a ^ b) & (b ^ c) | (a & ~c)
         assert m.num_nodes == before  # reused slots, no array growth
         assert rebuilt.count(["a", "b", "c"]) == 4
@@ -398,23 +413,20 @@ class TestGarbageCollection:
         m = BDDManager()
         a, b = m.declare("a", "b")
         f = a & b
-        m.collect([f, a, b])
+        a | b  # garbage
+        m.collect()
         g = ~(~a | ~b)  # De Morgan: same function, built differently
         assert g == f
 
     def test_collect_stats(self):
         m = BDDManager()
         a, b = m.declare("a", "b")
-        _ = a & b
+        a & b
+        del a, b
         m.collect()
         assert m.stats["gc_runs"] == 1
-        assert m.stats["gc_freed_nodes"] > 0
+        assert m.stats["gc_freed_nodes"] == 3
         assert m.live_node_count == 2  # only terminals survive
-
-    def test_collect_rejects_foreign_roots(self):
-        m, other = BDDManager(), BDDManager()
-        with pytest.raises(ValueError):
-            m.collect([other.variable("a")])
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +435,22 @@ class TestGarbageCollection:
 
 
 class TestCacheEviction:
-    def test_eviction_keeps_hash_consing_canonical(self):
+    def test_eviction_keeps_hash_consing_canonical(self, monkeypatch):
         """Node-count regression: with a tiny cache limit the op caches
         flush constantly, but equivalent formulas must still share one
         node and the unique table must not grow duplicates."""
-        tiny = BDDManager(cache_limit=4)
-        big = BDDManager()
         variables = ["a", "b", "c", "d", "e"]
-        for m in (tiny, big):
-            for name in variables:
-                m.variable(name)
 
         def build(m):
             a, b, c, d, e = (m.variable(n) for n in variables)
             return ((a & b) | (c & d)) ^ (e & (a | ~d))
 
-        f_tiny, f_big = build(tiny), build(big)
+        big, tiny = BDDManager(), BDDManager()
+        for m in (big, tiny):
+            m.declare(*variables)
+        f_big = build(big)
+        monkeypatch.setattr(bdd, "CACHE_LIMIT", 4)
+        f_tiny = build(tiny)
         assert tiny.stats["cache_evictions"] > 0
         assert big.stats["cache_evictions"] == 0
         # Same canonical diagram regardless of eviction...
@@ -450,18 +462,16 @@ class TestCacheEviction:
         assert g_tiny == f_tiny
         assert tiny.live_node_count == before
 
-    def test_eviction_preserves_semantics(self):
-        tiny = BDDManager(cache_limit=2)
+    def test_eviction_preserves_semantics(self, monkeypatch):
+        monkeypatch.setattr(bdd, "CACHE_LIMIT", 2)
+        tiny = BDDManager()
         a, b, c = tiny.declare("a", "b", "c")
         f = (a & b) | (~a & c)
+        assert tiny.stats["cache_evictions"] > 0
         for bits in itertools.product((False, True), repeat=3):
             env = dict(zip(["a", "b", "c"], bits))
             expected = (bits[0] and bits[1]) or (not bits[0] and bits[2])
             assert tiny.evaluate(f, env) == expected
-
-    def test_cache_limit_validated(self):
-        with pytest.raises(ValueError):
-            BDDManager(cache_limit=0)
 
 
 def test_stats_counters_present_and_monotone(m):

@@ -7,9 +7,8 @@ the diagram stays canonical (equal functions <=> equal handles), and
 every inspection operation (``satisfy_one``, ``count``, ``support``)
 returns exactly what a fixed-order oracle manager returns.  This suite
 property-tests that contract, plus the interactions with the other
-machinery that mutates the node store (mark-and-sweep GC under
-pressure, the PR-4 unrooted-cache bug class) and the auto-trigger
-bookkeeping.
+machinery that mutates the node store (mark-and-sweep GC, whose roots
+are the same live handles) and the auto-trigger bookkeeping.
 """
 
 from __future__ import annotations
@@ -251,8 +250,6 @@ def test_constructor_validates_reorder_mode():
     with pytest.raises(ValueError):
         BDDManager(reorder="sometimes")
     with pytest.raises(ValueError):
-        BDDManager(max_growth=0.5)
-    with pytest.raises(ValueError):
         BDDManager(reorder_threshold=1)
 
 
@@ -293,40 +290,53 @@ def test_node_limit_raises_memoryerror_subclass():
 
 
 # ---------------------------------------------------------------------------
-# GC x reorder interleavings (the PR-4 unrooted-cache bug class).
+# GC x reorder interleavings: both keep exactly what live handles reach.
 # ---------------------------------------------------------------------------
+
+
+def _reachable(m, handles):
+    """Node indices (terminals excluded) reachable from *handles*."""
+    seen = set()
+    stack = [f.index for f in handles]
+    while stack:
+        index = stack.pop()
+        if index > 1 and index not in seen:
+            seen.add(index)
+            stack.extend((m._low[index], m._high[index]))
+    return seen
 
 
 @settings(deadline=None, max_examples=20)
 @given(data=st.data())
 def test_gc_and_reorder_interleave_safely(data):
-    """Random interleavings of building, collecting (with protected
-    roots) and reordering never corrupt the survivors."""
+    """Random interleavings of building, dropping, collecting and
+    reordering never change a held handle's function, and a final
+    collection leaves exactly the nodes the held handles reach."""
     m = BDDManager()
-    for name in VARIABLES:
-        m.variable(name)
-    kept = []
-    for _ in range(data.draw(st.integers(2, 5))):
-        f, fn = _random_formula(m, VARIABLES, data.draw)
-        m.protect(f)
-        kept.append((f, fn))
-        action = data.draw(st.integers(0, 2))
+    m.declare(*VARIABLES)
+    held = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        held.append(_random_formula(m, VARIABLES, data.draw))
+        action = data.draw(st.integers(0, 3))
         if action == 0:
             m.collect()
         elif action == 1:
             _scramble(m, data.draw, rounds=3)
-        # action == 2: keep building
-    m.collect()
+        elif action == 2:
+            held.pop(data.draw(st.integers(0, len(held) - 1)))
+        # action == 3: keep building
     _scramble(m, data.draw, rounds=3)
-    for f, fn in kept:
+    m.collect()
+    assert m.live_node_count == 2 + len(_reachable(m, [f for f, _ in held]))
+    for f, fn in held:
         for bits in itertools.product((False, True), repeat=len(VARIABLES)):
             env = dict(zip(VARIABLES, bits))
             assert m.evaluate(f, env) == fn(env)
 
 
-def test_reorder_respects_unprotected_live_handles(m):
-    """Live handles that are NOT protected GC roots must still survive
-    a reorder (weakref tracking), unlike collect() which frees them."""
+def test_reorder_respects_live_handles(m):
+    """A handle that no parent node references -- only the handle
+    itself -- must survive a reorder: the manager tracks it weakly."""
     a, b, c = m.declare("a", "b", "c")
     f = (a & b) | (b & c) | (a & c)  # majority
     m.reorder()
@@ -338,17 +348,16 @@ def test_reorder_respects_unprotected_live_handles(m):
 
 def test_collect_then_reorder_reuses_freed_slots_consistently(m):
     a, b = m.declare("a", "b")
-    keep = m.protect(a & b)
+    keep = a & b
     garbage = a ^ b
-    # collect() frees everything unreachable from protected roots --
-    # including the unprotected variable handles -- so drop them too
-    # and re-derive after the reorder has recycled the freed slots.
-    del garbage, a, b
-    m.collect()
+    del garbage
+    assert m.collect() == 2
     m.reorder()
-    a, b = m.declare("a", "b")
+    rebuilt = a ^ b  # recycles slots the collection freed
+    assert rebuilt == (a | b) & ~keep
     assert keep == (a & b)
     assert keep.satisfy_one() == {"a": True, "b": True}
+    assert rebuilt.count(["a", "b"]) == 2
 
 
 def test_qset_interning_survives_reorder(m):

@@ -129,6 +129,7 @@ def test_check_retiming_validity_on_figure1():
     assert report.delayed_implication_holds is True
     assert report.min_delay == 1
     assert report.cls_invariant
+    assert report.cls_premise
     assert report.consistent_with_paper()
 
 
@@ -160,6 +161,7 @@ def test_full_battery_always_consistent_with_paper(seed, steps):
     )
     session = random_retiming(circuit, rng, steps)
     report = check_retiming_validity(session, seed=seed)
+    assert report.cls_premise  # so Cor 5.3 is among what is checked
     assert report.consistent_with_paper(), session.summary()
 
 
@@ -243,6 +245,35 @@ def test_first_cls_difference_rejects_mismatched_interfaces():
             first_cls_difference(original, retimed)
         with pytest.raises(ValueError, match="mismatched interfaces"):
             cls_equivalent(original, retimed)
+
+
+def test_a_constant_cell_breaks_theorem_51s_premise():
+    """Theorem 5.1 assumes every cell maps all-X inputs to all-X
+    outputs.  A forward move across a CONST1 cell parks an X in a latch
+    where D had the constant, so the CLS outputs differ; the report
+    records the broken premise and does not require Cor 5.3."""
+    from repro.netlist.builder import CircuitBuilder
+    from repro.sim.ternary_sim import TernarySimulator
+
+    b = CircuitBuilder("const")
+    k1 = b.gate("CONST1", name="k1")
+    q = b.latch(b.gate("AND", b.input("i"), k1, name="g"), name="l")
+    b.output(b.gate("BUF", q, name="buf"))
+    original = b.build()
+    session = RetimingSession(original)
+    session.forward("k1")
+
+    ones = [(ONE,)] * 3
+    assert TernarySimulator(original).run_from_unknown(ones).outputs == [
+        (X,), (ONE,), (ONE,)
+    ]
+    assert TernarySimulator(session.current).run_from_unknown(ones).outputs == [
+        (X,), (X,), (ONE,)
+    ]
+    report = check_retiming_validity(session, sequences=[ones])
+    assert not report.cls_invariant
+    assert not report.cls_premise
+    assert report.consistent_with_paper()
 
 
 def test_strict_latch_reset_transfer_fails_but_outputs_agree():

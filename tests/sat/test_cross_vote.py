@@ -65,9 +65,7 @@ def _reordering_checker(c, d):
     """The fourth voter: auto sifting at a deliberately low threshold
     (so it really fires) over the partitioned transition relation."""
     manager = BDDManager(reorder="auto", reorder_threshold=256)
-    return SymbolicContainmentChecker(
-        c, d, manager=manager, reorder="auto", partitioned=True
-    )
+    return SymbolicContainmentChecker(c, d, manager=manager, partitioned=True)
 
 
 def _cross_vote(c, d, seed=None):

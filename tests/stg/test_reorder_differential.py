@@ -47,9 +47,7 @@ SMALL_THRESHOLD = 256
 
 def _checker(c, d, reorder, partitioned):
     manager = BDDManager(reorder=reorder, reorder_threshold=SMALL_THRESHOLD)
-    return SymbolicContainmentChecker(
-        c, d, manager=manager, reorder=reorder, partitioned=partitioned
-    )
+    return SymbolicContainmentChecker(c, d, manager=manager, partitioned=partitioned)
 
 
 def _decide_all(c, d, reorder, partitioned):
@@ -168,12 +166,24 @@ def test_auto_reordering_actually_fires_during_invariance_checking():
     circuit = load("mini_perm12")
     manager = BDDManager(reorder="auto", reorder_threshold=64)
     checker = SymbolicContainmentChecker(
-        circuit, circuit, manager=manager, reorder="auto", partitioned=True
+        circuit, circuit, manager=manager, partitioned=True
     )
     assert checker.is_safe_replacement() is True
     assert manager.stats["reorder.auto_triggers"] > 0
     assert manager.stats["reorder.runs"] > 0
     assert manager.stats["reorder.swaps"] > 0
+
+
+@pytest.mark.parametrize("mode", ["off", "manual"])
+def test_a_passed_manager_sets_the_checkers_reorder_mode(mode):
+    """A checker runs and reports its manager's mode: a ``manual``
+    manager gets its one post-compile sift, an ``off`` one none."""
+    manager = BDDManager(reorder=mode)
+    checker = SymbolicContainmentChecker(
+        figure1_design_c(), figure1_design_d(), manager=manager
+    )
+    assert checker.reorder == manager.reorder_mode == mode
+    assert manager.stats["reorder.runs"] == (mode == "manual")
 
 
 class TestAutoPartitioning:

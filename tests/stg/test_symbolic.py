@@ -12,14 +12,13 @@ from repro.stg.delayed import delayed_states
 from repro.stg.explicit import extract_stg
 from repro.stg.symbolic import (
     SymbolicMachine,
-    compile_circuit,
     product_outputs_equivalent,
     symbolic_delayed_states,
 )
 
 
 def test_compile_figure1_d():
-    machine = compile_circuit(figure1_design_d())
+    machine = SymbolicMachine(figure1_design_d())
     assert len(machine.state_vars) == 1
     assert len(machine.input_vars) == 1
     assert len(machine.output_functions) == 1
@@ -32,14 +31,14 @@ def test_compile_figure1_d():
 
 
 def test_transition_relation_is_functional():
-    machine = compile_circuit(figure1_design_d())
+    machine = SymbolicMachine(figure1_design_d())
     # For every (s, i) exactly one s': quantifying s' out of T is true.
     t = machine.transition
     assert t.exists(machine.next_names).is_true
 
 
 def test_image_and_reachability_on_figure1_c():
-    machine = compile_circuit(figure1_design_c())
+    machine = SymbolicMachine(figure1_design_c())
     everything = machine.all_states()
     one_step = machine.image(everything)
     # C^1 = {00, 11}
@@ -65,7 +64,7 @@ def test_symbolic_delayed_matches_explicit():
 
 
 def test_preimage_inverts_image_on_singletons():
-    machine = compile_circuit(figure1_design_d())
+    machine = SymbolicMachine(figure1_design_d())
     zero = machine.state_cube((False,))
     pre = machine.preimage(zero)
     # Every state can reach 0 in one step (input 0), so preimage is all.
@@ -73,14 +72,14 @@ def test_preimage_inverts_image_on_singletons():
 
 
 def test_count_states():
-    machine = compile_circuit(figure1_design_c())
+    machine = SymbolicMachine(figure1_design_c())
     assert machine.count_states(machine.all_states()) == 4
     assert machine.count_states(machine.delayed(1)) == 2
     assert machine.count_states(machine.state_cube((True, False))) == 1
 
 
 def test_state_cube_width_checked():
-    machine = compile_circuit(figure1_design_c())
+    machine = SymbolicMachine(figure1_design_c())
     with pytest.raises(ValueError):
         machine.state_cube((True,))
 
@@ -140,7 +139,7 @@ def test_product_miter_reflexive():
 
 
 def test_shift_register_reachability_is_everything():
-    machine = compile_circuit(shift_register(4))
+    machine = SymbolicMachine(shift_register(4))
     reach = machine.reachable(machine.state_cube((False,) * 4))
     assert machine.count_states(reach) == 16
 
@@ -149,7 +148,7 @@ def test_symbolic_transitions_agree_with_explicit_stg():
     """Property: the BDD next-state/output functions evaluate exactly
     as the explicit STG tabulates, on every (state, input) pair."""
     circuit = random_sequential_circuit(9, num_inputs=2, num_gates=7, num_latches=3)
-    machine = compile_circuit(circuit)
+    machine = SymbolicMachine(circuit)
     stg = extract_stg(circuit)
     m = machine.manager
     n, width = circuit.num_latches, len(circuit.inputs)

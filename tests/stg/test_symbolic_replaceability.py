@@ -44,6 +44,7 @@ from repro.stg.equivalence import (
 )
 from repro.stg.explicit import extract_stg
 from repro.stg.replaceability import find_violation
+from repro.stg import symbolic_replaceability
 from repro.stg.symbolic_replaceability import (
     SymbolicContainmentChecker,
     symbolic_delay_needed_for_implication,
@@ -190,17 +191,18 @@ class TestRandomPairsAtScale:
 
 
 class TestGCUnderPressure:
-    """Regression for a GC root-set bug: with a tiny ``gc_node_limit``
-    every frontier level collects, and the output-cube caches were once
-    left out of the root set -- recycled slots then produced wrong
-    verdicts, corrupt witnesses or RecursionErrors."""
+    """With a tiny ``GC_NODE_LIMIT`` every frontier level collects.  A
+    hand-built root set once left out the output-cube caches, and
+    recycled slots then produced wrong verdicts, corrupt witnesses or
+    RecursionErrors; live handles are the roots now."""
 
     @pytest.mark.parametrize("seed", [1, 7, 19, 23, 42, 77, 101, 123])
-    def test_subset_fixpoint_survives_constant_collection(self, seed):
+    def test_subset_fixpoint_survives_constant_collection(self, seed, monkeypatch):
+        monkeypatch.setattr(symbolic_replaceability, "GC_NODE_LIMIT", 50)
         c, d = _random_pair(seed, max_latches=3)
         c_stg, d_stg = extract_stg(c), extract_stg(d)
         explicit = find_violation(c_stg, d_stg)
-        checker = SymbolicContainmentChecker(c, d, gc_node_limit=50)
+        checker = SymbolicContainmentChecker(c, d)
         symbolic = checker.find_violation(use_implication_shortcut=False)
         assert (explicit is None) == (symbolic is None)
         if symbolic is None:

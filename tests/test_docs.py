@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import doctest
+import importlib
 import pathlib
 import re
 import shlex
@@ -73,6 +74,38 @@ def test_theory_maps_experiments_to_artefacts():
         "compiled_core_speedup.txt",
     ):
         assert artefact in theory, "THEORY.md no longer maps %s" % artefact
+
+
+#: The prose docs whose backticked ``repro.…`` names must resolve.
+NAMING_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
+    str(path.relative_to(ROOT)) for path in (ROOT / "docs").glob("*.md")
+)
+
+
+def _resolve(dotted):
+    """Import the longest module prefix of *dotted*, then look the rest
+    up as attributes."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            obj = getattr(obj, attr)
+        return obj
+
+
+@pytest.mark.parametrize("relpath", NAMING_DOCS)
+def test_backticked_repro_names_resolve(relpath):
+    text = (ROOT / relpath).read_text()
+    dangling = []
+    for dotted in sorted(set(re.findall(r"`(repro(?:\.[A-Za-z_]\w*)+)", text))):
+        try:
+            _resolve(dotted)
+        except AttributeError:
+            dangling.append(dotted)
+    assert dangling == [], "%s names what does not exist" % relpath
 
 
 def test_cli_docstring_mentions_reference():
