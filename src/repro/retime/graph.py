@@ -138,8 +138,11 @@ class RetimingGraph:
         return result
 
     def registers_after(self, lag: Mapping[str, int]) -> int:
-        """Total register count after retiming by *lag*."""
-        return sum(self.retimed_weights(lag).values())
+        """Total register count after retiming by *lag*.  Summed over
+        ``edges``, not over :meth:`retimed_weights`' keys: two identical
+        parallel edges are one key there."""
+        weights = self.retimed_weights(lag)
+        return sum(weights[edge] for edge in self.edges)
 
     # -- clock period -------------------------------------------------------
 

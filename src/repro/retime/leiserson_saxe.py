@@ -17,7 +17,8 @@ Floyd-Warshall, memoised on the :class:`RetimingGraph`), so min-period
 and min-area retiming of one graph share it.  FEAS is a dense
 Bellman-Ford over the resulting difference constraints: O(V^2) per
 round, up to V+1 rounds -- entirely adequate for the benchmark sizes
-here.
+here.  Min-area retiming runs the same Bellman-Ford
+(:func:`shortest_potentials`) for its greatest optimal lag.
 """
 
 from __future__ import annotations
@@ -123,6 +124,42 @@ def _has_cycle(parent: numpy.ndarray) -> bool:
     return bool((jump != root).any())
 
 
+def shortest_potentials(
+    bound: numpy.ndarray, start: numpy.ndarray
+) -> Optional[numpy.ndarray]:
+    """The greatest r with ``r <= start`` and ``r[u] - r[v] <=
+    bound[u, v]`` for every pair, or ``None`` if a negative cycle rules
+    out every r.  Unconstrained pairs hold ``inf`` in *bound*; an entry
+    of r stays ``inf`` where nothing bounds it.
+
+    Each constraint is an arc v -> u of cost b, and the shortest-walk
+    potential r(u) = min(start(u), min_v r(v) + bound[u, v]) satisfies
+    them all, found by vectorised Bellman-Ford.  parent[u] is the v
+    whose arc last lowered r(u) (n stands for the virtual source every
+    vertex starts from, at its *start* value), so r(u) >= r(v) +
+    bound[u, v], strictly once r(v) has dropped since.  Around a cycle
+    of parents the arc out of the most recently lowered vertex is
+    strict, so the cycle's cost is negative: the system is infeasible
+    as soon as one forms, typically long before |V| rounds.
+    """
+    n = len(start)
+    rows = numpy.arange(n)
+    dist = start
+    parent = numpy.full(n + 1, n)
+    for _ in range(n + 1):
+        through = bound + dist
+        best = through.argmin(axis=1)
+        relaxed = through[rows, best]
+        improved = relaxed < dist
+        if not improved.any():
+            return dist
+        dist = numpy.where(improved, relaxed, dist)
+        parent[:n] = numpy.where(improved, best, parent[:n])
+        if _has_cycle(parent):
+            return None
+    return None  # still improving after |V| rounds: a negative cycle
+
+
 def feas(graph: RetimingGraph, period: int) -> Optional[Dict[str, int]]:
     """A legal lag achieving *period*, or ``None`` if none exists.
 
@@ -160,31 +197,9 @@ def feas(graph: RetimingGraph, period: int) -> Optional[Dict[str, int]]:
     bound[host, host_out] = min(bound[host, host_out], 0)
     bound[host_out, host] = min(bound[host_out, host], 0)
 
-    # Each constraint is an arc v -> u of cost b; any shortest-walk
-    # potential r(u) = min_v r(v) + bound[u, v] satisfies them all.
-    # parent[u] is the v whose arc last lowered r(u) (n stands for the
-    # virtual source every vertex starts from, at 0), so r(u) >= r(v) +
-    # bound[u, v], strictly once r(v) has dropped since.  Around a cycle
-    # of parents the arc out of the most recently lowered vertex is
-    # strict, so the cycle's cost is negative: the period is infeasible
-    # as soon as one forms, typically long before |V| rounds.
-    rows = numpy.arange(n)
-    dist = numpy.zeros(n)
-    parent = numpy.full(n + 1, n)
-    for _ in range(n + 1):
-        through = bound + dist
-        best = through.argmin(axis=1)
-        relaxed = through[rows, best]
-        improved = relaxed < dist
-        if not improved.any():
-            break
-        dist = numpy.where(improved, relaxed, dist)
-        parent[:n] = numpy.where(improved, best, parent[:n])
-        if _has_cycle(parent):
-            return None
-    else:
-        return None  # still improving after |V| rounds: a negative cycle
-
+    dist = shortest_potentials(bound, numpy.zeros(n))
+    if dist is None:
+        return None
     lag = {v: int(dist[i]) for i, v in enumerate(vertices)}
     weights = {edge: edge.retimed_weight(lag) for edge in graph.edges}
     if any(w < 0 for w in weights.values()):

@@ -21,6 +21,11 @@ scalar interpreter.  Ternary evaluation runs one lane at a time.
 Overrides follow the stuck-at contract of the product simulators: a
 forced net holds its value whatever its driver computes, primary
 inputs and latch outputs included.
+
+The module also holds the min-area retiming oracle: the textbook
+Leiserson-Saxe LP with a row for every pair the period constrains
+(:func:`min_area_lp`), and a second LP over that LP's optimal face
+that picks its greatest or least lag (:func:`min_area_extreme_lag`).
 """
 
 from __future__ import annotations
@@ -28,10 +33,15 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.netlist.circuit import Circuit
+from repro.retime.graph import HOST, HOST_OUT, RetimingGraph
+from repro.retime.leiserson_saxe import compute_wd
 
 __all__ = [
     "exhaustive_masks",
     "lane_mismatch",
+    "min_area_extreme_lag",
+    "min_area_lp",
+    "pinned_vertices",
     "propagate",
     "propagate_masks",
     "step",
@@ -194,3 +204,115 @@ def exhaustive_masks(n: int) -> Tuple[int, ...]:
             width *= 2
         masks.append(mask)
     return tuple(masks)
+
+
+# ---------------------------------------------------------------------------
+# Min-area retiming: the full Leiserson-Saxe LP.
+# ---------------------------------------------------------------------------
+
+
+def pinned_vertices(graph: RetimingGraph) -> Tuple[str, ...]:
+    """The vertices whose lag min-area retiming fixes at 0: both hosts,
+    and the first vertex, in ``graph.vertices`` order, of every weakly
+    connected component that holds neither host (its objective and
+    rows are shift-invariant)."""
+    order = {v: i for i, v in enumerate(graph.vertices)}
+    root = {v: v for v in graph.vertices}
+
+    def find(v: str) -> str:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for edge in graph.edges:
+        a, b = sorted((find(edge.u), find(edge.v)), key=order.get)
+        root[b] = a
+    hosts = {find(HOST), find(HOST_OUT)}
+    firsts = tuple(v for v in graph.vertices if root[v] == v and v not in hosts)
+    return (HOST, HOST_OUT) + firsts
+
+
+def _min_area_program(graph: RetimingGraph, period: Optional[int]):
+    """The LP over the unpinned lags: objective, ``A_ub``, ``b_ub`` and
+    the vertex of each column.  One row per edge and one per pair with
+    ``D(u, v) > period``, with none left out."""
+    from scipy.sparse import coo_matrix
+
+    pinned = set(pinned_vertices(graph))
+    free = [v for v in graph.vertices if v not in pinned]
+    column = {v: i for i, v in enumerate(free)}
+    rows = [(edge.u, edge.v, edge.weight) for edge in graph.edges]
+    if period is not None:
+        wd = compute_wd(graph)
+        for i, j in zip(*(wd.reachable & (wd.d > period)).nonzero()):
+            rows.append((graph.vertices[i], graph.vertices[j], int(wd.w[i, j]) - 1))
+    objective = [0.0] * len(free)
+    for edge in graph.edges:  # registers after = registers + sum lag(v) (in(v) - out(v))
+        if edge.v in column:
+            objective[column[edge.v]] += 1
+        if edge.u in column:
+            objective[column[edge.u]] -= 1
+    entries, upper = [], []
+    for u, v, bound in rows:  # lag(u) - lag(v) <= bound
+        if u not in column and v not in column:
+            if bound < 0:
+                raise ValueError("period %r infeasible" % period)
+            continue
+        row = len(upper)
+        if u in column:
+            entries.append((row, column[u], 1.0))
+        if v in column:
+            entries.append((row, column[v], -1.0))
+        upper.append(float(bound))
+    r, c, x = zip(*entries)
+    a_ub = coo_matrix((x, (r, c)), shape=(len(upper), len(free)))
+    return objective, a_ub, upper, free
+
+
+def _lag_of(graph: RetimingGraph, free, x) -> Dict[str, int]:
+    lag = dict.fromkeys(graph.vertices, 0)
+    for vertex, value in zip(free, x):
+        lag[vertex] = int(round(value))
+        assert abs(value - lag[vertex]) < 1e-6, (vertex, value)
+    return lag
+
+
+def min_area_lp(graph: RetimingGraph, period: Optional[int] = None) -> Tuple[int, Dict[str, int]]:
+    """Min-area retiming as the full LP, solved by HiGHS: the optimal
+    register count, and whichever optimal lag HiGHS returns."""
+    from scipy.optimize import linprog
+
+    objective, a_ub, upper, free = _min_area_program(graph, period)
+    if not free:
+        return graph.num_registers, dict.fromkeys(graph.vertices, 0)
+    result = linprog(objective, A_ub=a_ub, b_ub=upper, bounds=(None, None), method="highs")
+    assert result.success, result.message
+    lag = _lag_of(graph, free, result.x)
+    return graph.registers_after(lag), lag
+
+
+def min_area_extreme_lag(
+    graph: RetimingGraph, period: Optional[int], registers: int, *, greatest: bool
+) -> Dict[str, int]:
+    """The greatest (or least) lag among those of minimum register
+    count *registers* at *period*: a second LP maximising (or
+    minimising) the sum of the lags over the full LP's rows plus the
+    row "registers after <= *registers*".  The optimal lags form a
+    lattice, so the extreme sum picks out its top (or bottom)."""
+    from scipy.optimize import linprog
+    from scipy.sparse import vstack
+
+    objective, a_ub, upper, free = _min_area_program(graph, period)
+    if not free:
+        return dict.fromkeys(graph.vertices, 0)
+    result = linprog(
+        [-1.0 if greatest else 1.0] * len(free),
+        A_ub=vstack([a_ub, [objective]]),
+        b_ub=upper + [float(registers - graph.num_registers)],
+        bounds=(None, None),
+        method="highs",
+    )
+    assert result.success, result.message
+    lag = _lag_of(graph, free, result.x)
+    assert graph.registers_after(lag) == registers
+    return lag

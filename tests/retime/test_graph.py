@@ -79,6 +79,22 @@ def test_retimed_weights_and_registers_after():
     assert g.registers_after(lag) == 2  # one latch becomes two
 
 
+def test_registers_after_counts_identical_parallel_edges():
+    """Two self-loops with the same weight and pin are equal edges, so
+    one key of ``retimed_weights``; both still hold a register."""
+    g = RetimingGraph(
+        vertices=("a",),
+        edges=(
+            RetimingEdge(HOST, "a", 0),
+            RetimingEdge("a", "a", 1),
+            RetimingEdge("a", "a", 1),
+            RetimingEdge("a", HOST_OUT, 0),
+        ),
+    )
+    assert g.num_registers == 2
+    assert g.registers_after({"a": 0}) == 2
+
+
 def test_illegal_lag_rejected():
     g = build_retiming_graph(figure1_design_d())
     lag = {v: 0 for v in g.vertices}

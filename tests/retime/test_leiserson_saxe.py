@@ -357,3 +357,48 @@ def test_min_period_optimal_on_simple_graph():
     g = simple_graph()
     result = min_period_retiming(g)
     assert result.period == _brute_force_best_period(g)
+
+
+def _brute_force_min_area(graph: RetimingGraph, period):
+    """The least register count over the legal lags whose clock period
+    is at most *period* (any, when ``None``), and the componentwise
+    maximum of the lags that reach it, by exhaustive search.  Each
+    lag(v) ranges over ``[-W(HOST, v), W(v, HOST')]``, the window every
+    legal lag lies in: the paths HOST -> v and v -> HOST' keep a
+    non-negative weight.  (Every vertex of :func:`_random_graph` lies
+    on such paths.)"""
+    w, _ = compute_wd_reference(graph)
+    free = [v for v in graph.vertices if v not in (HOST, HOST_OUT)]
+    windows = [range(-w[(HOST, v)], w[(v, HOST_OUT)] + 1) for v in free]
+    best, top = None, None
+    for combo in itertools.product(*windows):
+        lag = dict(zip(free, combo))
+        lag[HOST] = lag[HOST_OUT] = 0
+        if not graph.is_legal_lag(lag):
+            continue
+        weights = graph.retimed_weights(lag)
+        if period is not None and graph.clock_period(weights) > period:
+            continue
+        registers = sum(weights[edge] for edge in graph.edges)
+        if best is None or registers < best:
+            best, top = registers, lag
+        elif registers == best:
+            top = {v: max(top[v], lag[v]) for v in lag}
+    return best, top
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_min_area_is_optimal_on_small_graphs(seed):
+    """`min_area_retiming` reaches the least register count of any
+    legal lag at the period, and returns the componentwise maximum of
+    the lags that reach it -- at no period, the minimum period and the
+    original one, exhaustive over <= 6-vertex graphs."""
+    g = _random_graph(seed)
+    if len(g.vertices) > 6:
+        pytest.skip("brute-force window sized for <= 6 vertices")
+    minp = min_period_retiming(g)
+    for period in (None, minp.period, minp.original_period):
+        result = min_area_retiming(g, period=period)
+        registers, top = _brute_force_min_area(g, period)
+        assert result.registers == registers, period
+        assert result.lag == top, period

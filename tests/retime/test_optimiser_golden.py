@@ -4,9 +4,12 @@
 this pins the lags behind them.  Min-period FEAS and the min-area LP
 both have many optimal solutions, and a change that picked another one
 would change move sequences and validity verdicts downstream while
-leaving every count alone.  ``golden/iscas89_optimisers.json`` records,
-per circuit, the min-period period and lag and the min-area register
-count and lag at that period; lags list their non-zero entries only.
+leaving every count alone.  Min-area retiming returns a defined one,
+the componentwise-greatest optimal lag (``tests/retime/test_min_area.py``
+holds it to the full LP's); FEAS returns its Bellman-Ford potential.
+``golden/iscas89_optimisers.json`` records, per circuit, the
+min-period period and lag and the min-area register count and lag at
+that period; lags list their non-zero entries only.
 """
 
 from __future__ import annotations

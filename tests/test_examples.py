@@ -49,13 +49,13 @@ def test_testability_demo(capsys):
 OPTIMIZE_ISCAS_TABLE = {
     "s27": ("6 -> 6", "3 -> 3", 0, 0, 0),
     "s208": ("11 -> 10", "8 -> 9", 1, 0, 0),
-    "s298": ("11 -> 10", "14 -> 16", 2, 0, 0),
+    "s298": ("11 -> 10", "14 -> 16", 9, 0, 0),
     "s344": ("14 -> 11", "15 -> 21", 6, 0, 0),
     "s349": ("14 -> 11", "15 -> 21", 6, 0, 0),
-    "s382": ("16 -> 12", "21 -> 32", 23, 0, 0),
+    "s382": ("16 -> 12", "21 -> 32", 22, 0, 0),
     "s386": ("8 -> 7", "6 -> 10", 4, 0, 0),
     "s420": ("19 -> 18", "16 -> 17", 1, 0, 0),
-    "s444": ("16 -> 12", "21 -> 32", 23, 0, 0),
+    "s444": ("16 -> 12", "21 -> 32", 22, 0, 0),
     "s526": ("16 -> 12", "21 -> 29", 41, 0, 0),
 }
 
