@@ -111,16 +111,19 @@ class Circuit:
         self._drivers: Dict[str, Driver] = {}
         self._topo_cache: Optional[Tuple[str, ...]] = None
         self._compiled_cache: Optional[object] = None
+        self._readers_cache: Optional[Dict[str, Tuple[Reader, ...]]] = None
 
     def _invalidate_caches(self) -> None:
         """Drop every structure-derived cache.
 
-        Called by every mutator.  The topological order and the compiled
-        evaluation program (:mod:`repro.sim.compiled`) share exactly one
-        invalidation contract: any structural change clears both.
+        Called by every mutator.  The topological order, the reader
+        index and the compiled evaluation program
+        (:mod:`repro.sim.compiled`) share exactly one invalidation
+        contract: any structural change clears all three.
         """
         self._topo_cache = None
         self._compiled_cache = None
+        self._readers_cache = None
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -199,19 +202,24 @@ class Circuit:
             raise CircuitError("net %r has no driver in %s" % (net, self.name))
 
     def readers_of(self, net: str) -> Tuple[Reader, ...]:
-        """All readers of *net*: cell pins, latch data inputs, POs."""
-        readers: List[Reader] = []
-        for cell in self._cells.values():
-            for pin, in_net in enumerate(cell.inputs):
-                if in_net == net:
-                    readers.append(("cell", cell.name, pin))
-        for latch in self._latches.values():
-            if latch.data_in == net:
-                readers.append(("latch", latch.name))
-        for index, out_net in enumerate(self._outputs):
-            if out_net == net:
-                readers.append(("output", index))
-        return tuple(readers)
+        """All readers of *net*: cell pins in cell and pin order, then
+        latch data inputs, then POs.
+
+        :func:`~repro.netlist.transform.normalize_fanout` numbers fanout
+        branches in this order.  The net -> readers index behind it is
+        built on first use and dropped by every mutator.
+        """
+        if self._readers_cache is None:
+            index: Dict[str, List[Reader]] = {}
+            for cell in self._cells.values():
+                for pin, in_net in enumerate(cell.inputs):
+                    index.setdefault(in_net, []).append(("cell", cell.name, pin))
+            for latch in self._latches.values():
+                index.setdefault(latch.data_in, []).append(("latch", latch.name))
+            for position, out_net in enumerate(self._outputs):
+                index.setdefault(out_net, []).append(("output", position))
+            self._readers_cache = {n: tuple(readers) for n, readers in index.items()}
+        return self._readers_cache.get(net, ())
 
     def fanout_count(self, net: str) -> int:
         """Number of readers of *net*."""
@@ -428,6 +436,7 @@ class Circuit:
         # so a structural copy may share them until either side mutates.
         other._topo_cache = self._topo_cache
         other._compiled_cache = self._compiled_cache
+        other._readers_cache = self._readers_cache
         return other
 
     def structurally_equal(self, other: "Circuit") -> bool:

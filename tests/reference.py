@@ -22,28 +22,35 @@ Overrides follow the stuck-at contract of the product simulators: a
 forced net holds its value whatever its driver computes, primary
 inputs and latch outputs included.
 
-The module also holds the min-area retiming oracle: the textbook
-Leiserson-Saxe LP with a row for every pair the period constrains
-(:func:`min_area_lp`), and a second LP over that LP's optimal face
-that picks its greatest or least lag (:func:`min_area_extreme_lag`).
+The module also holds the retiming oracles: the W/D matrices by
+all-pairs Floyd-Warshall (:func:`floyd_warshall_wd`); the textbook
+Leiserson-Saxe min-area LP with a row for every pair the period
+constrains (:func:`min_area_lp`), and a second LP over that LP's
+optimal face that picks its greatest or least lag
+(:func:`min_area_extreme_lag`); and the reader scan that
+:meth:`Circuit.readers_of` replaced with an index (:func:`readers_by_scan`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.netlist.circuit import Circuit
+import numpy
+
+from repro.netlist.circuit import Circuit, Reader
 from repro.retime.graph import HOST, HOST_OUT, RetimingGraph
-from repro.retime.leiserson_saxe import compute_wd
+from repro.retime.leiserson_saxe import WDMatrices, compute_wd, edge_arrays
 
 __all__ = [
     "exhaustive_masks",
+    "floyd_warshall_wd",
     "lane_mismatch",
     "min_area_extreme_lag",
     "min_area_lp",
     "pinned_vertices",
     "propagate",
     "propagate_masks",
+    "readers_by_scan",
     "step",
     "step_masks",
 ]
@@ -204,6 +211,59 @@ def exhaustive_masks(n: int) -> Tuple[int, ...]:
             width *= 2
         masks.append(mask)
     return tuple(masks)
+
+
+# ---------------------------------------------------------------------------
+# Netlist: the reader scan.
+# ---------------------------------------------------------------------------
+
+
+def readers_by_scan(circuit: Circuit, net: str) -> Tuple[Reader, ...]:
+    """All readers of *net* by scanning every cell pin, latch and
+    output: cells in insertion order and pin order, then latches, then
+    outputs -- the order :meth:`Circuit.readers_of` must keep."""
+    readers: List[Reader] = []
+    for cell in circuit.cells:
+        for pin, in_net in enumerate(cell.inputs):
+            if in_net == net:
+                readers.append(("cell", cell.name, pin))
+    for latch in circuit.latches:
+        if latch.data_in == net:
+            readers.append(("latch", latch.name))
+    for index, out_net in enumerate(circuit.outputs):
+        if out_net == net:
+            readers.append(("output", index))
+    return tuple(readers)
+
+
+# ---------------------------------------------------------------------------
+# W/D matrices: all-pairs Floyd-Warshall.
+# ---------------------------------------------------------------------------
+
+
+def floyd_warshall_wd(graph: RetimingGraph) -> WDMatrices:
+    """All-pairs (W, D) by vectorised Floyd-Warshall, pivoting on every
+    vertex.
+
+    Each edge ``u -> v`` costs ``(w(e), -d(u))``, packed into one float
+    ``w * base - d(u)`` with ``base`` above the total delay, exactly as
+    :func:`~repro.retime.leiserson_saxe.compute_wd` packs it; the
+    relaxation runs as |V| dense row+column broadcasts.  All quantities
+    stay far below 2**53, so float64 arithmetic is exact.
+    """
+    n = len(graph.vertices)
+    delays = numpy.array([graph.delays.get(v, 0) for v in graph.vertices], dtype=numpy.int64)
+    base = float(delays.sum() + 1)
+    tails, heads, weights = edge_arrays(graph)
+    dist = numpy.full((n, n), numpy.inf)
+    numpy.minimum.at(dist, (tails, heads), weights * base - delays[tails])
+    for k in range(n):
+        numpy.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    reachable = numpy.isfinite(dist)
+    packed = numpy.where(reachable, dist, 0.0)
+    w = numpy.ceil(packed / base).astype(numpy.int64)
+    d = numpy.where(reachable, (w * base - packed).astype(numpy.int64) + delays, 0)
+    return WDMatrices(w, d, reachable)
 
 
 # ---------------------------------------------------------------------------

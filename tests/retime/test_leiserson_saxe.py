@@ -4,26 +4,29 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import floyd_warshall_wd
 from repro.bench.generators import correlator, pipeline_circuit, random_sequential_circuit
-from repro.bench.iscas import load, names
+from repro.bench.iscas import iscas89_names, load, names
 from repro.retime import leiserson_saxe
 from repro.retime.graph import HOST, HOST_OUT, RetimingEdge, RetimingGraph, build_retiming_graph
-from repro.retime.leiserson_saxe import compute_wd, feas, min_period_retiming
+from repro.retime.leiserson_saxe import WDMatrices, compute_wd, feas, min_period_retiming
 from repro.retime.min_area import min_area_retiming
 
 PairMap = Dict[Tuple[str, str], int]
 
 
-def wd_dicts(graph: RetimingGraph) -> Tuple[PairMap, PairMap]:
-    """:func:`compute_wd`'s matrices as (W, D) dicts keyed by vertex
-    pairs, holding exactly the pairs some path connects."""
-    wd = compute_wd(graph)
+def wd_dicts(graph: RetimingGraph, wd: Optional[WDMatrices] = None) -> Tuple[PairMap, PairMap]:
+    """*wd*'s matrices (by default :func:`compute_wd`'s) as (W, D) dicts
+    keyed by vertex pairs, holding exactly the pairs some path
+    connects."""
+    wd = compute_wd(graph) if wd is None else wd
     w: PairMap = {}
     d: PairMap = {}
     for i, j in zip(*wd.reachable.nonzero()):
@@ -34,8 +37,9 @@ def wd_dicts(graph: RetimingGraph) -> Tuple[PairMap, PairMap]:
 
 
 def compute_wd_reference(graph: RetimingGraph) -> Tuple[PairMap, PairMap]:
-    """The pure-Python tuple-cost Floyd-Warshall that :func:`compute_wd`
-    vectorises -- the differential oracle."""
+    """The pure-Python tuple-cost Floyd-Warshall that
+    :func:`reference.floyd_warshall_wd` vectorises -- the differential
+    oracle on small graphs."""
     vertices = graph.vertices
     dist: Dict[Tuple[str, str], Tuple[float, float]] = {}
     for edge in graph.edges:
@@ -119,15 +123,15 @@ def test_candidate_periods_sorted_unique():
 
 def test_wd_computed_once_per_graph(monkeypatch):
     """Min-period retiming and the min-area retiming at its period share
-    one Floyd-Warshall; a fresh graph gets its own W/D."""
+    one W/D computation; a fresh graph gets its own W/D."""
     calls = []
-    floyd_warshall = leiserson_saxe._floyd_warshall
+    walks = leiserson_saxe._walks_through_registers
 
     def counting(graph):
         calls.append(graph)
-        return floyd_warshall(graph)
+        return walks(graph)
 
-    monkeypatch.setattr(leiserson_saxe, "_floyd_warshall", counting)
+    monkeypatch.setattr(leiserson_saxe, "_walks_through_registers", counting)
     g = build_retiming_graph(correlator(8))
     minp = min_period_retiming(g)
     min_area_retiming(g, period=minp.period)
@@ -139,6 +143,28 @@ def test_wd_computed_once_per_graph(monkeypatch):
     # The memo hands every caller the same arrays, so they are read-only.
     with pytest.raises(ValueError):
         compute_wd(g).w[0, 0] = 1
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        # a <-> b with no register: the walk lengths are unbounded.
+        [(HOST, "a", 0), ("a", "b", 0), ("b", "a", 0), ("b", HOST_OUT, 0)],
+        # The same loop, through a vertex that a register also feeds.
+        [(HOST, "a", 1), ("a", "b", 0), ("b", "a", 0), ("b", HOST_OUT, 0)],
+        # A zero-weight self-loop.
+        [(HOST, "a", 1), ("a", "a", 0), ("a", HOST_OUT, 0)],
+    ],
+    ids=["unregistered", "registered-entry", "self-loop"],
+)
+def test_wd_rejects_a_combinational_loop(edges):
+    """W and D are undefined on a zero-weight cycle: compute_wd raises
+    the error clock_period gives rather than return matrices."""
+    g = RetimingGraph(("a", "b"), [RetimingEdge(*e) for e in edges], name="loop")
+    with pytest.raises(ValueError, match="zero-weight cycle: combinational loop in loop"):
+        compute_wd(g)
+    with pytest.raises(ValueError, match="zero-weight cycle: combinational loop in loop"):
+        g.clock_period()
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +287,82 @@ def _random_graph(seed: int) -> RetimingGraph:
 
 @pytest.mark.parametrize("seed", range(30))
 def test_compute_wd_matches_reference_on_random_graphs(seed):
+    """compute_wd and the vectorised Floyd-Warshall oracle both equal
+    the pure-Python tuple-cost Floyd-Warshall."""
     g = _random_graph(seed)
-    assert wd_dicts(g) == compute_wd_reference(g)
+    expected = compute_wd_reference(g)
+    assert wd_dicts(g) == expected
+    assert wd_dicts(g, floyd_warshall_wd(g)) == expected
 
 
 @pytest.mark.parametrize("name", names())
 def test_compute_wd_matches_reference_on_benchmarks(name):
     g = build_retiming_graph(load(name))
-    assert wd_dicts(g) == compute_wd_reference(g)
+    expected = compute_wd_reference(g)
+    assert wd_dicts(g) == expected
+    assert wd_dicts(g, floyd_warshall_wd(g)) == expected
+
+
+def _edge_case_graph(kind: str) -> RetimingGraph:
+    """Small graphs on the edges of the register-tail decomposition."""
+    if kind == "no-register":
+        # No registered edge: no pivot at all, only zero-weight paths.
+        edges = [(HOST, "a", 0), ("a", "b", 0), ("a", "c", 0), ("b", "c", 0),
+                 ("c", HOST_OUT, 0)]
+        return RetimingGraph(("a", "b", "c"), [RetimingEdge(*e) for e in edges],
+                             {"a": 2, "b": 1, "c": 3}, name=kind)
+    if kind == "parallel-and-self-loops":
+        # Parallel edges of different weights, registered self-loops and
+        # a vertex that feeds registers on two out-edges.
+        edges = [(HOST, "a", 0), ("a", "b", 1), ("a", "b", 0), ("a", "b", 2, 1),
+                 ("a", "a", 1), ("b", "b", 2), ("b", "b", 1, 1), ("b", "a", 1),
+                 ("b", "c", 0), ("c", "a", 3), ("c", HOST_OUT, 0), ("a", HOST_OUT, 1)]
+        return RetimingGraph(("a", "b", "c"), [RetimingEdge(*e) for e in edges],
+                             {"a": 4, "b": 2, "c": 5}, name=kind)
+    if kind == "zero-delays":
+        # Zero-delay vertices (junctions): D ties between paths of one W.
+        edges = [(HOST, "j", 0), ("j", "a", 0), ("j", "b", 0), ("a", "k", 1),
+                 ("b", "k", 0), ("k", "j", 1), ("k", HOST_OUT, 0)]
+        return RetimingGraph(("j", "a", "b", "k"), [RetimingEdge(*e) for e in edges],
+                             {"j": 0, "a": 1, "b": 0, "k": 0}, name=kind)
+    raise AssertionError(kind)
+
+
+def _wd_oracle_cases():
+    """(id, graph builder) for every graph compute_wd is held to the
+    Floyd-Warshall oracle on."""
+    for name in iscas89_names():
+        yield name, lambda name=name: build_retiming_graph(load(name))
+        yield name + "+merged", lambda name=name: build_retiming_graph(
+            load(name), merge_junctions=True
+        )
+    for k in (6, 12, 24, 48):
+        yield "correlator%d" % k, lambda k=k: build_retiming_graph(correlator(k))
+    for size in (4, 8):
+        yield "pipe%dx%d" % (size, size), lambda size=size: build_retiming_graph(
+            pipeline_circuit(size, size, seed=1)
+        )
+    for seed in range(3):
+        yield "random%d" % seed, lambda seed=seed: build_retiming_graph(
+            random_sequential_circuit(seed, num_inputs=3, num_gates=60, num_latches=30)
+        )
+    for kind in ("no-register", "parallel-and-self-loops", "zero-delays"):
+        yield kind, lambda kind=kind: _edge_case_graph(kind)
+
+
+WD_ORACLE_CASES = dict(_wd_oracle_cases())
+
+
+@pytest.mark.parametrize("case", list(WD_ORACLE_CASES))
+def test_compute_wd_equals_floyd_warshall(case):
+    """The register-tail decomposition and all-pairs Floyd-Warshall
+    minimise over the same walks with exact costs: the same arrays,
+    entry for entry, on the graphs where they differ most in work."""
+    g = WD_ORACLE_CASES[case]()
+    got, expected = compute_wd(g), floyd_warshall_wd(g)
+    for name in ("w", "d", "reachable"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and numpy.array_equal(a, b), name
 
 
 def feas_reference(graph: RetimingGraph, period: int):
