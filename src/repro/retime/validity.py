@@ -20,7 +20,9 @@ the session as evidence, so ``auto`` first tries the move certificate
 (:mod:`repro.stg.certificate`) and otherwise picks an engine; a blown
 budget or an oversized STG is undecided -- ``None`` in the report.
 CLS invariance checks are pure simulation and scale to any circuit the
-simulators handle.
+simulators handle: :func:`first_cls_difference` steps both circuits'
+compiled dual-rail programs in lock-step, one lane per sequence, and
+compares the output rails without decoding a lane.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..decide import decide
-from ..logic.ternary import ONE, T, X, ZERO
+from ..logic.ternary import ONE, T, TernaryLike, X, ZERO, to_ternary
 from ..netlist.circuit import Circuit
 from ..netlist.validate import check_interfaces
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
-from ..sim.ternary_multi import BatchedTernarySimulator
+from ..sim.compiled import CompiledCircuit, check_width, compile_circuit
 from .engine import RetimingSession
 
 __all__ = [
@@ -88,35 +90,25 @@ def cls_equivalent(
     return first_cls_difference(original, retimed, sequences, **kwargs) is None
 
 
-def _first_difference(outs_a, outs_b) -> Optional[Tuple[int, int]]:
-    """The first ``(sequence index, cycle)`` at which two batches of
-    per-sequence output traces differ, or ``None`` if none does.
-
-    ``outs_a[i][t]`` is the output vector of sequence *i* at cycle *t*.
-    """
-    for index, (trace_a, trace_b) in enumerate(zip(outs_a, outs_b)):
-        for cycle, (va, vb) in enumerate(zip(trace_a, trace_b)):
-            if va != vb:
-                return index, cycle
-    return None
-
-
-def _cls_sweep(circuit: Circuit, sequences) -> List[List[Tuple[T, ...]]]:
-    """CLS outputs of every sequence from all-X, in input order.
-
-    Sequences of equal length share one batched dual-rail pass; a
-    ragged batch costs one pass per distinct length.
-    """
-    by_length: Dict[int, List[int]] = {}
-    for index, seq in enumerate(sequences):
-        by_length.setdefault(len(seq), []).append(index)
-    simulator = BatchedTernarySimulator(circuit)
-    outs: List[List[Tuple[T, ...]]] = [[] for _ in sequences]
-    for indices in by_length.values():
-        batch = simulator.run_sequences([sequences[i] for i in indices])
-        for index, trace in zip(indices, batch):
-            outs[index] = trace
-    return outs
+def _input_rails(
+    compiled: CompiledCircuit, vectors: Sequence[Sequence[TernaryLike]]
+) -> List[Tuple[int, int]]:
+    """The ``(can0, can1)`` rail masks of each input pin, lane *k*
+    carrying ``vectors[k]``; values are read as :func:`to_ternary`
+    reads them, and a vector of the wrong width is a ``ValueError``."""
+    can0 = [0] * compiled.num_inputs
+    can1 = [0] * compiled.num_inputs
+    lane = 1
+    for vector in vectors:
+        check_width(compiled, vector)
+        for pin, value in enumerate(vector):
+            value = to_ternary(value)
+            if value is not ONE:
+                can0[pin] |= lane
+            if value is not ZERO:
+                can1[pin] |= lane
+        lane <<= 1
+    return list(zip(can0, can1))
 
 
 def first_cls_difference(
@@ -128,9 +120,13 @@ def first_cls_difference(
     """The first (sequence index, cycle) where CLS outputs differ, or
     ``None`` when all checked sequences agree.
 
-    Every sequence runs through the batched dual-rail simulator (one
-    compiled lane-mask pass per cycle for all sequences of one length).
-    Raises :class:`ValueError` when the circuits' interfaces differ.
+    "First" is the lowest differing sequence index, then that
+    sequence's first differing cycle.  Sequences of one length run as
+    the lanes of one dual-rail sweep from all-X: each cycle packs their
+    vectors into input rails once and steps both circuits' compiled
+    programs, and a lane differs where some output rail does.  Raises
+    :class:`ValueError` when the circuits' interfaces differ or a
+    vector's width is not the input count.
     """
     check_interfaces(original, retimed)
     if sequences is None:
@@ -141,9 +137,32 @@ def first_cls_difference(
     if _TRACE.enabled:
         _TRACE.incr("retime.validity.cls_checks")
         _TRACE.incr("retime.validity.cls_sequences", len(sequences))
-    return _first_difference(
-        _cls_sweep(original, sequences), _cls_sweep(retimed, sequences)
-    )
+    programs = compile_circuit(original), compile_circuit(retimed)
+    by_length: Dict[int, List[int]] = {}
+    for index, seq in enumerate(sequences):
+        by_length.setdefault(len(seq), []).append(index)
+    first: Optional[Tuple[int, int]] = None
+    for length, indices in by_length.items():
+        lanes = (1 << len(indices)) - 1
+        states = [[(lanes, lanes)] * p.num_latches for p in programs]  # all-X
+        differs = []  # per cycle, the lanes whose outputs differ
+        seen = 0
+        for cycle in range(length):
+            rails = _input_rails(programs[0], [sequences[i][cycle] for i in indices])
+            outs_a, states[0] = programs[0].step_ternary_masks(states[0], rails, lanes)
+            outs_b, states[1] = programs[1].step_ternary_masks(states[1], rails, lanes)
+            diff = 0
+            for (a0, a1), (b0, b1) in zip(outs_a, outs_b):
+                diff |= (a0 ^ b0) | (a1 ^ b1)
+            differs.append(diff)
+            seen |= diff
+        if seen:
+            lowest = seen & -seen  # the group's lowest differing sequence
+            cycle = next(t for t, diff in enumerate(differs) if diff & lowest)
+            found = (indices[lowest.bit_length() - 1], cycle)
+            if first is None or found < first:
+                first = found
+    return first
 
 
 @dataclass(frozen=True)

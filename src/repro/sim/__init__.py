@@ -22,7 +22,6 @@ from .ternary_sim import (  # noqa: F401
     cls_outputs,
     cls_resets,
 )
-from .multi import BatchedBinarySimulator, all_states_array  # noqa: F401
 from .exact import (  # noqa: F401
     ExactSimulator,
     exact_outputs,
@@ -41,9 +40,4 @@ from .fault import (  # noqa: F401
     good_outputs,
 )
 from .atpg import AtpgResult, generate_tests, grade_test_set  # noqa: F401
-from .ternary_multi import (  # noqa: F401
-    BatchedTernarySimulator,
-    decode_ternary,
-    encode_ternary,
-)
 from .vcd import trace_to_vcd  # noqa: F401

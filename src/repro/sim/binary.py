@@ -5,8 +5,9 @@ computes exact Boolean outputs cycle by cycle.  The paper uses it
 implicitly everywhere a specific power-up state is discussed -- e.g. the
 rows of Table 1 are one binary simulation per power-up state.  Each
 cycle runs on the compile-once core of :mod:`repro.sim.compiled`; the
-batched sweeps of :mod:`repro.sim.multi` and :mod:`repro.sim.exact`
-run the same program over many states at once.
+exact sweep (:mod:`repro.sim.exact`) and STG extraction
+(:mod:`repro.stg.explicit`) run the same program over every power-up
+state at once, one lane mask bit per state.
 
 The state vector convention is shared with the whole library: element
 ``i`` of a state tuple is the content of ``circuit.latch_names[i]``.

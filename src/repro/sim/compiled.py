@@ -43,9 +43,13 @@ Three public scalar/mask entry points wrap this core:
   (CLS) cycles over :class:`~repro.logic.ternary.T`,
 * :meth:`CompiledCircuit.step_binary_masks` /
   :meth:`CompiledCircuit.step_ternary_masks` -- the batched
-  (lanes x nets) forms used by :mod:`repro.sim.multi`,
-  :mod:`repro.sim.ternary_multi`, :mod:`repro.sim.exact` and
-  :mod:`repro.stg.explicit`.
+  (lanes x nets) forms, which :mod:`repro.sim.exact`,
+  :mod:`repro.sim.fault`, :mod:`repro.stg.explicit` and
+  :mod:`repro.retime.validity` step directly.
+
+This module owns the lane format of a power-up sweep: lane ``i`` holds
+power-up state ``i``, and latch ``j`` takes bit ``n - 1 - j`` of ``i``
+(:func:`exhaustive_state_masks`).
 
 Each entry point takes the stuck-at ``overrides`` contract: an
 overridden net holds the forced value no matter what its driver
@@ -70,6 +74,7 @@ both step functions against it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Sized, Tuple
 
 import numpy as np
@@ -86,6 +91,7 @@ __all__ = [
     "check_width",
     "compile_circuit",
     "column_to_mask",
+    "exhaustive_state_masks",
     "mask_to_column",
 ]
 
@@ -135,7 +141,7 @@ Forcing = Tuple[Optional[Tuple[int, ...]], ...]
 
 
 # ---------------------------------------------------------------------------
-# numpy boundary helpers (the batched wrappers speak ndarray, the core ints).
+# Lane masks: ndarray columns in and out, and the exhaustive power-up sweep.
 # ---------------------------------------------------------------------------
 
 
@@ -152,6 +158,24 @@ def mask_to_column(mask: int, batch: int) -> np.ndarray:
     nbytes = (batch + 7) // 8
     buf = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
     return np.unpackbits(buf, bitorder="little", count=batch).astype(bool)
+
+
+@lru_cache(maxsize=128)
+def exhaustive_state_masks(num_latches: int) -> Tuple[int, ...]:
+    """Lane masks of the full ``2**n`` power-up sweep, per latch count.
+
+    Lane ``i`` carries state ``i``; latch ``j`` takes bit ``n - 1 - j``
+    of the index, so latch 0 is the most significant bit, as in
+    :func:`repro.sim.binary.state_from_int`.  The masks depend on ``n``
+    alone, so every exhaustive sweep over an ``n``-latch circuit shares
+    one packed copy -- exact fault grading builds a fresh
+    :class:`~repro.sim.exact.ExactSimulator` per fault and relies on it.
+    """
+    indices = np.arange(1 << num_latches, dtype=np.int64)
+    return tuple(
+        column_to_mask(((indices >> (num_latches - 1 - bit)) & 1).astype(bool))
+        for bit in range(num_latches)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,12 @@ Figure 1's D and C), which is what makes the CLS result interesting.
 
 The implementation sweeps every power-up state with the compiled
 lane-parallel core (:mod:`repro.sim.compiled`): one integer lane mask
-per net carries all ``2**n`` lanes, and the universal/existential
-verdict per output pin is a single all-lanes comparison (all ones ->
-``1``, all zeros -> ``0``, anything else -> ``X``).
+per net carries all ``2**n`` lanes, starting from the memoised
+:func:`~repro.sim.compiled.exhaustive_state_masks`, and the
+universal/existential verdict per output pin is a single all-lanes
+comparison (all ones -> ``1``, all zeros -> ``0``, anything else ->
+``X``).  :func:`all_states_array` lists the same states as ndarray
+rows, for the ``states`` surface of :class:`ExactSimulator`.
 
 A sweep costs ``2**n`` lanes per cycle only until the power-up states
 merge.  Once an input prefix has driven every swept state into one
@@ -34,7 +37,6 @@ sound for ``X`` but may erroneously report a definite value.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,13 +45,19 @@ from ..logic.ternary import ONE, T, X, ZERO
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
-from .compiled import check_width, column_to_mask, compile_circuit, mask_to_column
-from .multi import all_states_array
+from .compiled import (
+    check_width,
+    column_to_mask,
+    compile_circuit,
+    exhaustive_state_masks,
+    mask_to_column,
+)
 
 __all__ = [
     "DEFAULT_MAX_LATCHES",
     "ExactSimulator",
     "SweepTooLarge",
+    "all_states_array",
     "exact_outputs",
     "is_initializing_sequence",
     "synchronized_state",
@@ -64,21 +72,18 @@ class SweepTooLarge(ValueError):
     """An exhaustive power-up sweep over more latches than its cap."""
 
 
-@lru_cache(maxsize=128)
-def _exhaustive_state_masks(num_latches: int) -> Tuple[int, ...]:
-    """Lane masks of the full ``2**n`` power-up sweep, per latch count.
+def all_states_array(num_latches: int) -> np.ndarray:
+    """All ``2**n`` states as a boolean array of shape ``(2**n, n)``.
 
-    Lane ``i`` carries state ``i``; latch ``j`` takes bit ``n - 1 - j``
-    of the index, matching :func:`all_states_array` row order.  The
-    masks depend on ``n`` alone, so every exhaustive sweep over an
-    ``n``-latch circuit shares one packed copy -- exact fault grading
-    builds a fresh :class:`ExactSimulator` per fault and relies on it.
+    Row ``i`` equals :func:`repro.sim.binary.state_from_int` of ``i``
+    (latch 0 is the most significant bit): the lanes of
+    :func:`~repro.sim.compiled.exhaustive_state_masks`, one per row.
     """
-    indices = np.arange(1 << num_latches, dtype=np.int64)
-    return tuple(
-        column_to_mask(((indices >> (num_latches - 1 - bit)) & 1).astype(bool))
-        for bit in range(num_latches)
-    )
+    if num_latches < 0:
+        raise ValueError("negative latch count")
+    count = 1 << num_latches
+    columns = [mask_to_column(mask, count) for mask in exhaustive_state_masks(num_latches)]
+    return np.array(columns, dtype=bool).reshape(num_latches, count).T
 
 
 def _one_state(state_masks: Sequence[int], lanes: int) -> bool:
@@ -144,7 +149,7 @@ class ExactSimulator:
         array must have at least one row and one column per latch."""
         num_latches = self.circuit.num_latches
         if states is None and self.exhaustive:
-            return _exhaustive_state_masks(num_latches), 1 << num_latches
+            return exhaustive_state_masks(num_latches), 1 << num_latches
         rows = np.asarray(self.states if states is None else states, dtype=bool)
         if rows.ndim != 2 or rows.shape[1] != num_latches:
             raise ValueError(

@@ -47,8 +47,13 @@ from ..logic.ternary import ONE, T, ZERO, is_definite, to_ternary
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import span as _span
-from .compiled import CompiledCircuit, check_width, compile_circuit
-from .exact import ExactSimulator, _exhaustive_state_masks
+from .compiled import (
+    CompiledCircuit,
+    check_width,
+    compile_circuit,
+    exhaustive_state_masks,
+)
+from .exact import ExactSimulator
 from .ternary_sim import TernarySimulator
 
 __all__ = [
@@ -241,7 +246,7 @@ def _pack_detections(
     caught = 0
     if semantics == "exact":
         forcing = compiled.binary_forcing(stuck)
-        state = [mask * lows for mask in _exhaustive_state_masks(compiled.num_latches)]
+        state = [mask * lows for mask in exhaustive_state_masks(compiled.num_latches)]
         for vector, good_vec in zip(test, good):
             outs, state = compiled.step_binary_masks(
                 state, [M if bit else 0 for bit in vector], M, forcing

@@ -18,8 +18,8 @@ Inputs may themselves be ternary (the theorems quantify over sequences
 of three-valued input vectors); :func:`cls_outputs` is the convenience
 entry point used by the benchmarks.  Each cycle runs on the dual-rail
 program of :mod:`repro.sim.compiled`; the retiming validity checker
-sweeps whole sequence batches through the same program with
-:class:`~repro.sim.ternary_multi.BatchedTernarySimulator`.
+(:func:`repro.retime.validity.first_cls_difference`) steps the same
+program over whole sequence batches, one lane per sequence.
 """
 
 from __future__ import annotations

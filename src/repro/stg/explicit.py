@@ -6,7 +6,9 @@ machine with ``2**n`` states: every state is a legal power-up state,
 whether or not it is reachable from anywhere.  The STG is the object on
 which the paper's behavioural notions -- implication ``C ⊑ D``, safe
 replacement ``C ≼ D``, delayed designs ``D^n``, SHE's TSCC analysis --
-are defined, and this module materialises it by exhaustive simulation.
+are defined, and this module materialises it by exhaustive simulation:
+one step of the compiled core (:mod:`repro.sim.compiled`) per input
+symbol, over integer lane masks that hold every power-up state at once.
 
 Sizes: building an STG costs ``2**(latches + inputs)`` simulator steps.
 The guard :data:`MAX_STG_BITS` keeps accidental blow-ups from hanging a
@@ -24,7 +26,7 @@ import numpy as np
 from ..netlist.circuit import Circuit
 from ..obs.trace import TRACER as _TRACE
 from ..obs.trace import traced as _traced
-from ..sim.multi import BatchedBinarySimulator, all_states_array
+from ..sim.compiled import compile_circuit, exhaustive_state_masks, mask_to_column
 
 __all__ = [
     "STG",
@@ -152,38 +154,41 @@ def check_stg_interfaces(c: STG, d: STG) -> None:
         )
 
 
+def _codes(masks: Sequence[int], lanes: int) -> List[int]:
+    """Each lane's bits across *masks* as one integer, the first mask
+    the most significant bit: a state or output symbol per lane."""
+    codes = np.zeros(lanes, dtype=np.int64)
+    for mask in masks:
+        codes = (codes << 1) | mask_to_column(mask, lanes)
+    return codes.tolist()
+
+
 @_traced("stg.extract")
 def extract_stg(circuit: Circuit, *, max_bits: int = MAX_STG_BITS) -> STG:
     """Tabulate the complete STG of *circuit* by exhaustive simulation.
 
-    Uses the batched simulator (one compiled lane-mask pass per input
-    symbol over all ``2**n`` states).  Raises
-    :class:`StateSpaceTooLarge` when ``latches + inputs`` exceeds
-    *max_bits*.
+    One compiled lane-mask step per input symbol, over the ``2**n``
+    power-up lanes of :func:`~repro.sim.compiled.exhaustive_state_masks`
+    (lane ``s`` is state ``s``).  Raises :class:`StateSpaceTooLarge`
+    when ``latches + inputs`` exceeds *max_bits*.
     """
     check_stg_size(circuit, max_bits)
     n, m = circuit.num_latches, len(circuit.inputs)
     num_outputs = len(circuit.outputs)
-    states = all_states_array(n)
-    sim = BatchedBinarySimulator(circuit)
+    compiled = compile_circuit(circuit)
+    states = exhaustive_state_masks(n)
 
     num_states = 1 << n
     num_symbols = 1 << m
+    lanes = (1 << num_states) - 1
     next_state: List[List[int]] = [[0] * num_symbols for _ in range(num_states)]
     output: List[List[int]] = [[0] * num_symbols for _ in range(num_states)]
 
     for symbol in range(num_symbols):
-        bits = tuple(bool((symbol >> (m - 1 - i)) & 1) for i in range(m))
-        outs, nxt = sim.step(states, bits)
-        # Encode output vectors and next states as integers, vectorised.
-        out_codes = np.zeros(num_states, dtype=np.int64)
-        for pin in range(num_outputs):
-            out_codes = (out_codes << 1) | outs[:, pin].astype(np.int64)
-        nxt_codes = np.zeros(num_states, dtype=np.int64)
-        for bit in range(n):
-            nxt_codes = (nxt_codes << 1) | nxt[:, bit].astype(np.int64)
-        nxt_list = nxt_codes.tolist()
-        out_list = out_codes.tolist()
+        inputs = [lanes if (symbol >> (m - 1 - i)) & 1 else 0 for i in range(m)]
+        outs, nxt = compiled.step_binary_masks(states, inputs, lanes)
+        nxt_list = _codes(nxt, num_states)
+        out_list = _codes(outs, num_states)
         for s in range(num_states):
             next_state[s][symbol] = nxt_list[s]
             output[s][symbol] = out_list[s]

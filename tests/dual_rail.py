@@ -1,23 +1,60 @@
 """Per-cell dual-rail evaluation over numpy lanes: the executable
 specification of the CLS encoding.
 
-:mod:`repro.sim.ternary_multi` encodes a ternary value as the rail pair
-``(can0, can1)``.  Each library family has a closed dual-rail form --
-for AND, ``can1 = a.can1 & b.can1`` and ``can0 = a.can0 | b.can0`` --
-and :func:`eval_cell` applies it to numpy boolean lanes, one lane per
-independent simulation.  The product simulates through the compiled
-lane-mask core instead; the tests hold these closed forms to
+A ternary value is encoded *dual-rail* as the pair of booleans
+``(can0, can1)``:
+
+=========  =====  =====
+value      can0   can1
+=========  =====  =====
+``0``      1      0
+``1``      0      1
+``X``      1      1
+=========  =====  =====
+
+(``(0, 0)`` is unused.)  :func:`encode_ternary` and
+:func:`decode_ternary` convert a lane vector of values to numpy rails
+and back.  Each library family has a closed dual-rail form -- for AND,
+``can1 = a.can1 & b.can1`` and ``can0 = a.can0 | b.can0`` -- and
+:func:`eval_cell` applies it to numpy boolean lanes, one lane per
+independent simulation.  The product runs the same algebra over
+integer lane masks, one mask per rail (:mod:`repro.sim.compiled`); the
+tests hold these closed forms to
 :meth:`~repro.logic.functions.CellFunction.eval_ternary`, lane by lane.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.logic.ternary import ONE, ZERO
-from repro.sim.ternary_multi import Rail, decode_ternary
+from repro.logic.ternary import ONE, T, X, ZERO
+
+Rail = Tuple[np.ndarray, np.ndarray]  # (can0, can1), each shape (batch,)
+
+
+def encode_ternary(values: Sequence[T]) -> Rail:
+    """Encode a lane vector of ternary values as dual-rail arrays."""
+    can0 = np.array([v is not ONE for v in values], dtype=bool)
+    can1 = np.array([v is not ZERO for v in values], dtype=bool)
+    return can0, can1
+
+
+def decode_ternary(rail: Rail) -> Tuple[T, ...]:
+    """Decode dual-rail arrays back into ternary values."""
+    can0, can1 = rail
+    out: List[T] = []
+    for c0, c1 in zip(can0, can1):
+        if c0 and c1:
+            out.append(X)
+        elif c1:
+            out.append(ONE)
+        elif c0:
+            out.append(ZERO)
+        else:
+            raise ValueError("invalid dual-rail encoding (0, 0)")
+    return tuple(out)
 
 
 def _and_all(rails: List[Rail]) -> Rail:

@@ -29,6 +29,13 @@ constrains (:func:`min_area_lp`), and a second LP over that LP's
 optimal face that picks its greatest or least lag
 (:func:`min_area_extreme_lag`); and the reader scan that
 :meth:`Circuit.readers_of` replaced with an index (:func:`readers_by_scan`).
+
+For the batched CLS check (:func:`repro.retime.validity.first_cls_difference`)
+it holds the same question asked one sequence at a time, through scalar
+:func:`~repro.sim.ternary_sim.cls_outputs` runs
+(:func:`first_cls_difference_by_scalar`), and a mutant whose CLS
+outputs differ from its circuit's wherever one output is definite
+(:func:`with_output_inverted`).
 """
 
 from __future__ import annotations
@@ -37,12 +44,15 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy
 
+from repro.logic.functions import NOT
 from repro.netlist.circuit import Circuit, Reader
 from repro.retime.graph import HOST, HOST_OUT, RetimingGraph
 from repro.retime.leiserson_saxe import WDMatrices, compute_wd, edge_arrays
+from repro.sim.ternary_sim import cls_outputs
 
 __all__ = [
     "exhaustive_masks",
+    "first_cls_difference_by_scalar",
     "floyd_warshall_wd",
     "lane_mismatch",
     "min_area_extreme_lag",
@@ -53,6 +63,7 @@ __all__ = [
     "readers_by_scan",
     "step",
     "step_masks",
+    "with_output_inverted",
 ]
 
 
@@ -198,8 +209,8 @@ def exhaustive_masks(n: int) -> Tuple[int, ...]:
     """Lane masks enumerating all ``2**n`` assignments of *n* variables.
 
     Lane ``i`` carries the binary expansion of ``i`` with variable 0 as
-    the most significant bit -- the row order of
-    :func:`repro.sim.multi.all_states_array`.
+    the most significant bit -- the lane order of
+    :func:`repro.sim.compiled.exhaustive_state_masks`.
     """
     total = 1 << n
     masks = []
@@ -211,6 +222,43 @@ def exhaustive_masks(n: int) -> Tuple[int, ...]:
             width *= 2
         masks.append(mask)
     return tuple(masks)
+
+
+# ---------------------------------------------------------------------------
+# CLS: the first difference, one sequence at a time.
+# ---------------------------------------------------------------------------
+
+
+def first_cls_difference_by_scalar(a: Circuit, b: Circuit, sequences) -> Optional[Tuple[int, int]]:
+    """The lowest sequence index whose CLS outputs from all-X differ on
+    *a* and *b*, with its first differing cycle, or ``None``: one scalar
+    :func:`~repro.sim.ternary_sim.cls_outputs` run per sequence."""
+    for index, seq in enumerate(sequences):
+        for cycle, (va, vb) in enumerate(zip(cls_outputs(a, seq), cls_outputs(b, seq))):
+            if va != vb:
+                return index, cycle
+    return None
+
+
+def with_output_inverted(circuit: Circuit, index: int = 0) -> Circuit:
+    """A copy of *circuit* whose output *index* is read through a NOT.
+
+    Its CLS outputs differ from *circuit*'s exactly at the cycles where
+    that output is definite (NOT X is X)."""
+    mutant = Circuit(circuit.name + "-inv%d" % index)
+    for net in circuit.inputs:
+        mutant.add_input(net)
+    for cell in circuit.cells:
+        mutant.add_cell(cell.name, cell.function, cell.inputs, cell.outputs)
+    for latch in circuit.latches:
+        mutant.add_latch(latch.name, latch.data_in, latch.data_out)
+    for position, net in enumerate(circuit.outputs):
+        if position == index:
+            inverted = mutant.fresh_net(net + "_inv")
+            mutant.add_cell(mutant.fresh_name("inv"), NOT, (net,), (inverted,))
+            net = inverted
+        mutant.add_output(net)
+    return mutant
 
 
 # ---------------------------------------------------------------------------

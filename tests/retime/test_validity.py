@@ -247,6 +247,39 @@ def test_first_cls_difference_rejects_mismatched_interfaces():
             cls_equivalent(original, retimed)
 
 
+def test_first_cls_difference_reads_values_as_cls_outputs_does():
+    """Input values go through ``to_ternary``, as in ``cls_outputs``:
+    ``True``, ``1`` and ``'1'`` are ONE, not X.  s27's output is definite
+    at cycle 0 on all-ones inputs, so its output-inverted copy differs
+    there."""
+    from reference import with_output_inverted
+    from repro.sim.ternary_sim import cls_outputs
+
+    s27 = load("s27")
+    mutant = with_output_inverted(s27)
+    ones = [(ONE,) * 4] * 3
+    assert cls_outputs(s27, ones)[0] != (X,)
+    for one in (ONE, True, 1, "1"):
+        sequence = [(one,) * 4] * 3
+        assert cls_outputs(s27, sequence) == cls_outputs(s27, ones)
+        assert first_cls_difference(s27, mutant, [sequence]) == (0, 0)
+        assert not cls_equivalent(s27, mutant, [sequence])
+
+
+def test_first_cls_difference_rejects_vectors_of_the_wrong_width():
+    """A vector narrower or wider than the input count is the
+    ``ValueError`` ``cls_outputs`` raises, not an ``IndexError`` or a
+    silently truncated vector."""
+    from repro.sim.ternary_sim import cls_outputs
+
+    s27, d = load("s27"), figure1_design_d()
+    for circuit, vector in ((s27, (X,)), (d, (X, X, X))):
+        with pytest.raises(ValueError, match="inputs, got %d values" % len(vector)):
+            cls_outputs(circuit, [vector])
+        with pytest.raises(ValueError, match="inputs, got %d values" % len(vector)):
+            first_cls_difference(circuit, circuit, [[vector]])
+
+
 def test_a_constant_cell_breaks_theorem_51s_premise():
     """Theorem 5.1 assumes every cell maps all-X inputs to all-X
     outputs.  A forward move across a CONST1 cell parks an X in a latch

@@ -5,9 +5,10 @@ int masks (bit ``i`` = lane ``i``).  The suite covers
 
 * round trips of the packing helpers (``column_to_mask`` /
   ``mask_to_column``) across batch sizes that are not multiples of 8,
-  batch 0 and batches crossing machine-word boundaries, plus the
-  dual-rail ternary columns of the batched CLS,
-* the memoised exhaustive power-up masks of the exact simulator,
+  batch 0 and batches crossing machine-word boundaries, plus dual-rail
+  ternary columns (``tests/dual_rail.py``),
+* the memoised exhaustive power-up masks that the exact simulator, STG
+  extraction and exact fault grading share,
 * GENERIC (non-library) cells in multi-lane steps, binary and dual-rail
   ternary, with and without a stuck-at override, lane by lane against
   the test-side reference interpreter (``tests/reference.py``),
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dual_rail import decode_ternary, encode_ternary
 from reference import step as _reference_step
 from repro.logic.functions import CellFunction, make_gate
 from repro.logic.ternary import ONE, X, ZERO
@@ -30,11 +32,10 @@ from repro.sim.compiled import (
     _generic_ternary,
     column_to_mask,
     compile_circuit,
+    exhaustive_state_masks,
     mask_to_column,
 )
-from repro.sim.exact import _exhaustive_state_masks
-from repro.sim.multi import all_states_array
-from repro.sim.ternary_multi import decode_ternary, encode_ternary
+from repro.sim.exact import all_states_array
 
 TERNARY = (ZERO, ONE, X)
 
@@ -83,7 +84,7 @@ class TestPackingRoundTrips:
 
 
 # ---------------------------------------------------------------------------
-# The exhaustive power-up masks of the exact simulator.
+# The exhaustive power-up masks.
 # ---------------------------------------------------------------------------
 
 
@@ -91,13 +92,13 @@ class TestExhaustiveStates:
     @pytest.mark.parametrize("n", (0, 1, 3, 7))
     def test_exhaustive_states_match_all_states_array(self, n):
         rows = all_states_array(n)
-        masks = _exhaustive_state_masks(n)
+        masks = exhaustive_state_masks(n)
         assert len(masks) == n
         for j in range(n):
             assert np.array_equal(mask_to_column(masks[j], rows.shape[0]), rows[:, j])
         # Memoised per latch count: exact fault grading rebuilds an
         # ExactSimulator per fault and must not re-pack the sweep.
-        assert _exhaustive_state_masks(n) is masks
+        assert exhaustive_state_masks(n) is masks
 
 
 # ---------------------------------------------------------------------------

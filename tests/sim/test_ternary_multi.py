@@ -1,4 +1,13 @@
-"""Tests for the batched dual-rail ternary simulator."""
+"""Batched CLS: the dual-rail specification, and the sampled check that
+steps it over lane masks.
+
+:func:`repro.retime.validity.first_cls_difference` runs every sequence
+of one length as a lane of one dual-rail sweep.  These tests hold it to
+the same question asked one sequence at a time through scalar
+:func:`~repro.sim.ternary_sim.cls_outputs` runs
+(``reference.first_cls_difference_by_scalar``), and hold the per-cell
+dual-rail forms of ``tests/dual_rail.py`` to the cell library.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dual_rail import eval_cell
+from dual_rail import decode_ternary, encode_ternary, eval_cell
+from reference import first_cls_difference_by_scalar, with_output_inverted
 from repro.bench.generators import random_sequential_circuit
 from repro.bench.paper_circuits import figure1_design_c, figure1_design_d
 from repro.logic.functions import AND, MUX, NOT, OR, XNOR, XOR, junction, make_gate
-from repro.logic.ternary import ONE, T, X, ZERO, all_ternary_vectors
-from repro.sim.ternary_multi import (
-    BatchedTernarySimulator,
-    decode_ternary,
-    encode_ternary,
-)
-from repro.sim.ternary_sim import TernarySimulator, all_x_state, cls_outputs
+from repro.logic.ternary import ONE, X, ZERO, all_ternary_vectors
+from repro.retime.validity import first_cls_difference
+from repro.sim.compiled import compile_circuit
+from repro.sim.ternary_sim import TernarySimulator
 
 ternary = st.sampled_from((ZERO, ONE, X))
 
@@ -63,45 +70,93 @@ def test_scalar_fallback_for_exotic_cells():
         assert out[lane] is maj.eval_ternary(vec)[0]
 
 
-def test_run_sequences_matches_scalar_cls_on_paper_pair():
-    sequences = [
-        ((ZERO,), (ONE,), (ONE,), (ONE,)),
-        ((X,), (ZERO,), (ONE,), (X,)),
-        ((ONE,), (ONE,), (ZERO,), (ZERO,)),
-    ]
-    for circuit in (figure1_design_d(), figure1_design_c()):
-        batched = BatchedTernarySimulator(circuit).run_sequences(sequences)
-        for lane, seq in enumerate(sequences):
-            assert tuple(batched[lane]) == cls_outputs(circuit, seq)
+PAPER_SEQUENCES = [
+    ((ZERO,), (ONE,), (ONE,), (ONE,)),
+    ((X,), (ZERO,), (ONE,), (X,)),
+    ((ONE,), (ONE,), (ZERO,), (ZERO,)),
+]
 
 
-@settings(deadline=None, max_examples=15)
+def test_first_cls_difference_matches_scalar_cls_on_paper_pair():
+    """Figure 1's C and D agree under the CLS (Cor 5.3); each against its
+    output-inverted mutant differs where the scalar runs say."""
+    d, c = figure1_design_d(), figure1_design_c()
+    assert first_cls_difference(d, c, PAPER_SEQUENCES) is None
+    for circuit in (d, c):
+        mutant = with_output_inverted(circuit)
+        expected = first_cls_difference_by_scalar(circuit, mutant, PAPER_SEQUENCES)
+        assert expected is not None
+        assert first_cls_difference(circuit, mutant, PAPER_SEQUENCES) == expected
+
+
+def test_first_cls_difference_reports_the_lowest_sequence_not_the_earliest_cycle():
+    """Sequence 0 differs only at cycle 3 and sequence 1 already at
+    cycle 0: the answer is sequence 0's difference, in a shared lane
+    sweep and across length groups alike."""
+    d = figure1_design_d()
+    mutant = with_output_inverted(d)
+    late = [(X,), (X,), (X,), (ZERO,)]  # O = AND(I, Q): X, X, X, then 0
+    early = [(ZERO,), (ZERO,), (ZERO,), (ZERO,)]
+    assert first_cls_difference_by_scalar(d, mutant, [late, early]) == (0, 3)
+    assert first_cls_difference(d, mutant, [late, early]) == (0, 3)
+    assert first_cls_difference(d, mutant, [late, early[:2]]) == (0, 3)
+    assert first_cls_difference(d, mutant, [[(X,)], late, early]) == (1, 3)
+
+
+@settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 400), data=st.data())
-def test_run_sequences_matches_scalar_cls_randomised(seed, data):
-    circuit = random_sequential_circuit(seed, num_inputs=2, num_gates=8, num_latches=3)
-    length = data.draw(st.integers(1, 4))
-    count = data.draw(st.integers(1, 4))
-    sequences = [
-        tuple(
-            tuple(data.draw(ternary) for _ in circuit.inputs) for _ in range(length)
+def test_first_cls_difference_matches_scalar_cls_randomised(seed, data):
+    """Ragged batches (lengths 0 to 6, one sequence or several) of a
+    random circuit against a second random circuit or against its
+    output-inverted mutant: the batched answer is the scalar one."""
+    circuit = random_sequential_circuit(
+        seed, num_inputs=2, num_outputs=2, num_gates=8, num_latches=3
+    )
+    if data.draw(st.booleans()):
+        other = with_output_inverted(circuit, data.draw(st.integers(0, 1)))
+    else:
+        other = random_sequential_circuit(
+            seed + 1, num_inputs=2, num_outputs=2, num_gates=8, num_latches=2
         )
+    count = data.draw(st.integers(1, 6))
+    sequences = [
+        [
+            tuple(data.draw(ternary) for _ in circuit.inputs)
+            for _ in range(data.draw(st.integers(0, 6)))
+        ]
         for _ in range(count)
     ]
-    batched = BatchedTernarySimulator(circuit).run_sequences(sequences)
-    for lane, seq in enumerate(sequences):
-        assert tuple(batched[lane]) == cls_outputs(circuit, seq)
+    expected = first_cls_difference_by_scalar(circuit, other, sequences)
+    assert first_cls_difference(circuit, other, sequences) == expected
 
 
-def test_run_sequences_validations():
+def test_first_cls_difference_validations():
+    """No sequence is no difference, and sequences of several lengths,
+    the empty one included, share one check (vectors of the wrong width
+    are pinned in ``tests/retime/test_validity.py``)."""
     d = figure1_design_d()
-    sim = BatchedTernarySimulator(d)
-    assert sim.run_sequences([]) == []
-    with pytest.raises(ValueError, match="length"):
-        sim.run_sequences([((ZERO,),), ((ZERO,), (ONE,))])
+    assert first_cls_difference(d, d, []) is None
+    assert first_cls_difference(d, d, [[(ZERO,)], [(ZERO,), (ONE,)], []]) is None
 
 
 def test_overrides():
+    """A stuck-at override forces every lane of a dual-rail step alike,
+    as it forces the scalar CLS step."""
     d = figure1_design_d()
-    sim = BatchedTernarySimulator(d, overrides={"q2b": ONE})
-    results = sim.run_sequences([((ONE,),)])
-    assert results[0][0] == (ONE,)  # AND(1, stuck-1)
+    compiled = compile_circuit(d)
+    overrides = {"q2b": ONE}
+    inputs = (ONE, ZERO, X)  # lane k holds inputs[k]
+    lanes = 0b111
+    rails = [(0b110, 0b101)]  # can0 where not 1, can1 where not 0
+    outs, _ = compiled.step_ternary_masks(
+        [(lanes, lanes)], rails, lanes, compiled.forced_ternary(overrides, lanes)
+    )
+    (can0, can1), = outs
+    assert (can0, can1) == (0b110, 0b101)  # AND(input, stuck-1) = input
+    scalar = TernarySimulator(d, overrides=overrides)
+    for lane, value in enumerate(inputs):
+        expected = scalar.step((X,), (value,))[0][0]
+        assert (expected is not ONE, expected is not ZERO) == (
+            bool(can0 >> lane & 1),
+            bool(can1 >> lane & 1),
+        )
